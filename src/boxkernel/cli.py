@@ -39,25 +39,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_POLICY = 4
 
-_METHOD_ALIASES = {
-    "spectral": "spectral",
-    "closed": "closed_form",
-    "closed-form": "closed_form",
-    "closed_form": "closed_form",
-    "pathsum-nu1": "path_sum_nu1",
-    "path-sum-nu1": "path_sum_nu1",
-    "path_sum_nu1": "path_sum_nu1",
-    "pathsum_nu1": "path_sum_nu1",
-    "pathsum-nu2": "path_sum_nu2",
-    "path-sum-nu2": "path_sum_nu2",
-    "path_sum_nu2": "path_sum_nu2",
-    "pathsum_nu2": "path_sum_nu2",
-    "pathsum-general": "path_sum_general",
-    "path-sum-general": "path_sum_general",
-    "path_sum_general": "path_sum_general",
-    "pathsum_general": "path_sum_general",
-}
-
 _SUITES = (
     "orthonormality",
     "addition",
@@ -76,10 +57,11 @@ def _fmt(x: float) -> str:
 
 
 def _parse_method(label: str) -> str:
-    key = label.strip().lower()
-    if key not in _METHOD_ALIASES:
-        raise DomainError(f"unknown method {label!r}; expected one of {', '.join(sorted(set(_METHOD_ALIASES)))}")
-    return _METHOD_ALIASES[key]
+    key = label.strip().lower().replace("-", "_").replace("pathsum", "path_sum")
+    key = "closed_form" if key == "closed" else key
+    if key not in METHODS:
+        raise DomainError(f"unknown method {label!r}; expected one of {', '.join(METHODS)}")
+    return key
 
 
 def _parse_chain(text: str) -> list[float]:

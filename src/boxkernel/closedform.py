@@ -21,9 +21,12 @@ grow like ``exp(1/lambda)``.
 
 import math
 
-from .errors import require_lambda, require_nu, require_theta
+import numpy as np
+from scipy.special import gammaln, ive
+
+from .errors import require_lambda, require_point
 from .spectral import KernelEstimate
-from .specfun import bessel_i_scaled, gegenbauer_sequence, log_gamma
+from .specfun import bessel_i_scaled, gegenbauer_table, log_gamma
 
 __all__ = [
     "kernel_closed",
@@ -33,19 +36,19 @@ __all__ = [
 ]
 
 
-def kernel_closed(nu: float, theta: float, theta_p: float, lam: float) -> KernelEstimate:
-    """Closed-form short-time kernel; real, positive, overflow-free."""
-    nu = require_nu(nu)
-    theta = require_theta(theta)
-    theta_p = require_theta(theta_p, "theta_p")
-    lam = require_lambda(lam)
+def _bessel_product(nu: float, theta: float, theta_p: float, lam: float, shift: float) -> float:
+    """``sqrt(ss)/lambda * exp(-(1 - cos(theta-theta'))/lambda - shift) * exp(-ss/lambda) I_{nu-1/2}(ss/lambda)``
+    with ``ss = sin theta sin theta'``: the kernel at ``shift = lambda/8``, the addition-formula rhs at 0."""
+    nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     ss = math.sin(theta) * math.sin(theta_p)
     half_dist = 2.0 * math.sin(0.5 * (theta - theta_p)) ** 2  # 1 - cos(theta-theta')
-    value = (
-        math.sqrt(ss) / lam
-        * math.exp(-half_dist / lam - lam / 8.0)
-        * bessel_i_scaled(nu - 0.5, ss / lam)
-    )
+    return math.sqrt(ss) / lam * math.exp(-half_dist / lam - shift) * bessel_i_scaled(nu - 0.5, ss / lam)
+
+
+def kernel_closed(nu: float, theta: float, theta_p: float, lam: float) -> KernelEstimate:
+    """Closed-form short-time kernel; real, positive, overflow-free."""
+    lam = require_lambda(lam)
+    value = _bessel_product(nu, theta, theta_p, lam, lam / 8.0)
     return KernelEstimate(value=complex(value, 0.0), method="closed_form", terms_used=1)
 
 
@@ -69,23 +72,17 @@ def addition_formula_lhs(
     * C_n(cos theta) C_n(cos theta')`` with scaled Bessel values; the
     coefficient ratios are assembled in log space.
     """
-    nu = require_nu(nu)
-    theta = require_theta(theta)
-    theta_p = require_theta(theta_p, "theta_p")
-    lam = require_lambda(lam)
+    nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     if n_terms is None:
         n_terms = addition_formula_terms(lam)
     z = 1.0 / lam
     ss = math.sin(theta) * math.sin(theta_p)
     log_pref = 2.0 * nu * math.log(2.0) + 2.0 * log_gamma(nu) + nu * math.log(ss)
     pref = math.exp(log_pref) / math.sqrt(2.0 * math.pi * lam)
-    ca = gegenbauer_sequence(n_terms - 1, nu, math.cos(theta))
-    cb = gegenbauer_sequence(n_terms - 1, nu, math.cos(theta_p))
-    terms = []
-    for n in range(n_terms):
-        log_coef = log_gamma(n + 1.0) + math.log(nu + n) - log_gamma(2.0 * nu + n)
-        terms.append(math.exp(log_coef) * bessel_i_scaled(nu + n, z) * ca[n] * cb[n])
-    return pref * math.fsum(terms)
+    ca, cb = gegenbauer_table(n_terms - 1, nu, np.array([math.cos(theta), math.cos(theta_p)])).T
+    n = np.arange(n_terms, dtype=float)
+    log_coef = gammaln(n + 1.0) + np.log(nu + n) - gammaln(2.0 * nu + n)
+    return pref * math.fsum(np.exp(log_coef) * ive(nu + n, z) * ca * cb)
 
 
 def addition_formula_rhs(nu: float, theta: float, theta_p: float, lam: float) -> float:
@@ -95,10 +92,4 @@ def addition_formula_rhs(nu: float, theta: float, theta_p: float, lam: float) ->
     into exp(-2 sin^2((theta-theta')/2)/lambda), evaluated from the half-angle
     form directly.
     """
-    nu = require_nu(nu)
-    theta = require_theta(theta)
-    theta_p = require_theta(theta_p, "theta_p")
-    lam = require_lambda(lam)
-    ss = math.sin(theta) * math.sin(theta_p)
-    half_dist = 2.0 * math.sin(0.5 * (theta - theta_p)) ** 2
-    return math.sqrt(ss) / lam * math.exp(-half_dist / lam) * bessel_i_scaled(nu - 0.5, ss / lam)
+    return _bessel_product(nu, theta, theta_p, lam, 0.0)

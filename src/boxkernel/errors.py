@@ -37,3 +37,8 @@ def require_lambda(lam: float, name: str = "lambda") -> float:
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DomainError(f"{name} must be positive and finite, got {lam!r}")
     return lam
+
+
+def require_point(nu: float, theta: float, theta_p: float, lam: float) -> tuple[float, float, float, float]:
+    """Validated ``(nu, theta, theta_p, lambda)`` of one kernel evaluation."""
+    return require_nu(nu), require_theta(theta), require_theta(theta_p, "theta_p"), require_lambda(lam)

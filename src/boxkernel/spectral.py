@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu, require_theta
-from .specfun import gegenbauer_sequence, gegenbauer_table
+from .specfun import gegenbauer_table
 
 __all__ = [
     "TruncationPolicy",
@@ -65,8 +65,8 @@ class TruncationPolicy:
             raise DomainError(f"unknown truncation mode {self.mode!r}")
         if self.mode == "fixed_n" and self.n_terms <= 0:
             raise DomainError("fixed_n policy requires n_terms >= 1")
-        if self.mode == "target_abs_error" and not (self.epsilon_tail > 0.0):
-            raise DomainError("target_abs_error policy requires epsilon_tail > 0")
+        if self.mode == "target_abs_error" and not (0.0 < self.epsilon_tail < math.inf):
+            raise DomainError("target_abs_error policy requires a finite epsilon_tail > 0")
         if self.n_cap <= 0:
             raise DomainError("n_cap must be positive")
 
@@ -129,26 +129,21 @@ def eigenfunction(n: int, nu: float, theta: float) -> float:
     sin^nu factor; only the (polynomially growing) Gegenbauer value is kept
     in linear space.
     """
-    nu = require_nu(nu)
-    theta = require_theta(theta)
     if n < 0:
         raise DomainError(f"mode index must be nonnegative, got {n}")
-    log_amp = float(_log_norms(n, nu)[-1]) + nu * math.log(math.sin(theta))
-    return math.exp(log_amp) * gegenbauer_sequence(n, nu, math.cos(theta))[-1]
+    return float(eigenfunctions(n, nu, theta)[-1])
 
 
 def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
     """phi_0(theta) .. phi_nmax(theta) in one recurrence pass."""
     nu = require_nu(nu)
     theta = require_theta(theta)
-    log_amp = _log_norms(nmax, nu) + nu * math.log(math.sin(theta))
-    return np.exp(log_amp) * gegenbauer_sequence(nmax, nu, math.cos(theta))
+    return _eigenfunction_matrix(nmax, nu, theta)
 
 
-def _eigenfunction_matrix(nmax: int, nu: float, thetas: np.ndarray) -> np.ndarray:
-    """Matrix phi_n(theta_j); rows are modes, columns follow ``thetas``."""
-    thetas = np.asarray(thetas, dtype=float)
-    log_amp = _log_norms(nmax, nu)[:, None] + nu * np.log(np.sin(thetas))[None, :]
+def _eigenfunction_matrix(nmax: int, nu: float, thetas) -> np.ndarray:
+    """phi_n(theta) for n = 0..nmax; rows are modes, columns follow ``thetas`` (a scalar gives a vector)."""
+    log_amp = np.add.outer(_log_norms(nmax, nu), nu * np.log(np.sin(thetas)))
     return np.exp(log_amp) * gegenbauer_table(nmax, nu, np.cos(thetas))
 
 
@@ -189,7 +184,8 @@ def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
     return math.exp(t0) / (1.0 - ratio)
 
 
-def _resolve_terms(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, float]:
+def _resolve_terms(nu: float, lam: float, policy: TruncationPolicy | None) -> tuple[int, float]:
+    policy = policy or TruncationPolicy()
     if policy.mode == "fixed_n":
         n = policy.n_terms
         bound = truncation_tail_bound(nu, lam, n)
@@ -223,11 +219,10 @@ def kernel_spectral(
     theta_a = require_theta(theta_a, "theta_a")
     theta_b = require_theta(theta_b, "theta_b")
     lam = require_lambda(lam)
-    policy = policy or TruncationPolicy()
     n_terms, tail = _resolve_terms(nu, lam, policy)
     n = np.arange(n_terms, dtype=float)
     weights = np.exp(-lam * (n + nu) ** 2 / 2.0)
-    terms = weights * eigenfunctions(n_terms - 1, nu, theta_a) * eigenfunctions(n_terms - 1, nu, theta_b)
+    terms = weights * _eigenfunction_matrix(n_terms - 1, nu, theta_a) * _eigenfunction_matrix(n_terms - 1, nu, theta_b)
     value = math.fsum(terms)
     return KernelEstimate(
         value=complex(value, 0.0),
@@ -256,9 +251,8 @@ def kernel_spectral_profile(
     thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas <= 0.0) or np.any(thetas >= math.pi):
         raise DomainError("profile angles must lie strictly inside (0, pi)")
-    policy = policy or TruncationPolicy()
     n_terms, _ = _resolve_terms(nu, lam, policy)
     n = np.arange(n_terms, dtype=float)
     weights = np.exp(-lam * (n + nu) ** 2 / 2.0)
-    fa = eigenfunctions(n_terms - 1, nu, theta_a)
+    fa = _eigenfunction_matrix(n_terms - 1, nu, theta_a)
     return (weights * fa) @ _eigenfunction_matrix(n_terms - 1, nu, thetas)

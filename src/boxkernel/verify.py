@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import kernel_closed
-from .errors import DomainError, require_lambda, require_nu, require_theta
+from .errors import DomainError, require_lambda, require_nu
 from .pathsum import PathSumConfig, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
-    eigenfunctions,
     kernel_spectral,
     kernel_spectral_profile,
     _eigenfunction_matrix,
@@ -116,14 +115,21 @@ def check_gaussian_bessel_link(n: int, nu: float, lam: float) -> float:
     scaled-Bessel arithmetic the exp(-1/lambda) factors cancel analytically.
     The deviation behaves like (4 (n+nu)^2 - 1) lambda^2 / 16 for small
     lambda, so it grows with the order and shrinks quadratically in lambda.
+    The ratio is formed in log space: +inf when it overflows, ``DomainError``
+    where the scaled Bessel value underflows and the ratio is unknown.
     """
     nu = require_nu(nu)
     lam = require_lambda(lam)
     if n < 0:
         raise DomainError(f"mode index must be nonnegative, got {n}")
-    lhs = math.exp(-lam * (n + nu) ** 2 / 2.0)
-    rhs = math.sqrt(2.0 * math.pi / lam) * bessel_i_scaled(nu + n, 1.0 / lam) * math.exp(-lam / 8.0)
-    return abs(lhs - rhs) / lhs
+    bessel = bessel_i_scaled(nu + n, 1.0 / lam)
+    if bessel == 0.0:
+        raise DomainError(f"exp(-z) I_{nu + n:g}(z) underflows at z = 1/lambda = {1.0 / lam:g}")
+    log_ratio = 0.5 * math.log(2.0 * math.pi / lam) + math.log(bessel) - lam / 8.0 + lam * (n + nu) ** 2 / 2.0
+    try:
+        return abs(math.exp(log_ratio) - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def check_semigroup(

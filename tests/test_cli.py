@@ -41,6 +41,37 @@ class TestKernelCommand:
         assert float(im_s) == ref.imag
 
 
+    @pytest.mark.parametrize(
+        "spelling, method",
+        [
+            ("spectral", "spectral"),
+            ("closed", "closed_form"),
+            ("closed-form", "closed_form"),
+            ("closed_form", "closed_form"),
+            ("pathsum-nu1", "path_sum_nu1"),
+            ("path-sum-nu1", "path_sum_nu1"),
+            ("path_sum_nu1", "path_sum_nu1"),
+            ("pathsum_nu1", "path_sum_nu1"),
+            ("pathsum-nu2", "path_sum_nu2"),
+            ("path-sum-nu2", "path_sum_nu2"),
+            ("path_sum_nu2", "path_sum_nu2"),
+            ("pathsum_nu2", "path_sum_nu2"),
+            ("pathsum-general", "path_sum_general"),
+            ("path-sum-general", "path_sum_general"),
+            ("path_sum_general", "path_sum_general"),
+            ("pathsum_general", "path_sum_general"),
+        ],
+    )
+    def test_every_method_spelling(self, capsys, spelling, method):
+        nu = "2" if method == "path_sum_nu2" else "1"
+        code, out, _ = run_cli(
+            capsys, "kernel", "--nu", nu, "--lambda", "0.5",
+            "--theta", "1.0", "--theta-p", "2.0", "--method", spelling,
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == f"method: {method}"
+
+
 class TestCompareCommand:
     ARGS = (
         "compare", "--nu", "1", "--methods", "spectral,pathsum-nu1",
@@ -145,6 +176,15 @@ class TestExitCodes:
         )
         assert code == EXIT_POLICY
         assert "unresolvable" in err
+
+    def test_infinite_tail_target_is_domain_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "kernel", "--nu", "1", "--lambda", "0.5",
+            "--theta", "1.0", "--theta-p", "2.0", "--method", "spectral",
+            "--epsilon-tail", "inf",
+        )
+        assert code == EXIT_DOMAIN
+        assert "epsilon_tail" in err
 
     def test_unknown_method_is_domain_error(self, capsys):
         code, _, err = run_cli(

@@ -140,6 +140,12 @@ class TestKernelSpectral:
         est = kernel_spectral(1.0, 1.0, 1.0, 0.2, policy)
         assert est.tail_bound <= 1e-10
 
+    def test_non_finite_tail_target_rejected(self):
+        with pytest.raises(DomainError):
+            TruncationPolicy.to_tail(float("inf"))
+        with pytest.raises(DomainError):
+            TruncationPolicy.to_tail(float("nan"))
+
     def test_policy_unresolvable_signals_small_lambda(self):
         with pytest.raises(PolicyUnresolvableError):
             kernel_spectral(1.0, 1.5, 1.6, 1e-6, TruncationPolicy.to_tail(1e-12, n_cap=50))

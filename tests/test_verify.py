@@ -76,6 +76,16 @@ class TestGaussianBesselLink:
         for nu in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             assert check_gaussian_bessel_link(0, nu, 0.01) <= 1e-3
 
+    def test_underflowing_gaussian_weight(self):
+        # exp(-lambda (n+nu)^2/2) = exp(-1984.5) underflows; the ratio of the
+        # two sides overflows instead of dividing by zero
+        assert check_gaussian_bessel_link(60, 3.0, 1.0) == math.inf
+
+    def test_underflowing_bessel_value_is_a_domain_error(self):
+        # exp(-z) I_5001(z) at z = 1e4 underflows while the true ratio is O(1)
+        with pytest.raises(DomainError):
+            check_gaussian_bessel_link(5000, 1.0, 1e-4)
+
 
 class TestSemigroup:
     def test_reference_compositions(self):
