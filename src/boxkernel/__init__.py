@@ -10,7 +10,7 @@ against each other:
   coupling-dependent boundary phase
 
 plus :mod:`boxkernel.specfun` (the special functions underneath) and
-:mod:`boxkernel.verify` (quadrature and the cross-method comparison harness).
+:mod:`boxkernel.verify` (quadrature, comparison harness, invariant suites).
 """
 
 from .closedform import (
@@ -49,12 +49,14 @@ from .verify import (
     EvalConfig,
     METHODS,
     QuadratureRule,
+    SUITES,
     check_gaussian_bessel_link,
     check_orthonormality,
     check_semigroup,
     compare_methods,
     evaluate_method,
     gauss_legendre_on_0_pi,
+    run_suites,
 )
 
 __version__ = "0.1.0"
@@ -88,11 +90,13 @@ __all__ = [
     "EvalConfig",
     "ComparisonReport",
     "METHODS",
+    "SUITES",
     "gauss_legendre_on_0_pi",
     "check_orthonormality",
     "check_gaussian_bessel_link",
     "check_semigroup",
     "evaluate_method",
     "compare_methods",
+    "run_suites",
     "__version__",
 ]

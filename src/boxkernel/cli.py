@@ -6,7 +6,8 @@ Exit codes
 0   success; every requested check passed its tolerance
 1   at least one requested check exceeded its tolerance
 2   usage error (malformed flags)
-3   domain error (theta outside (0, pi), lambda <= 0, nu < 1/2)
+3   domain error (theta outside (0, pi), lambda <= 0, nu < 1/2), an
+    overflowing path-sum term, or an underflowed reference value
 4   spectral truncation policy unresolvable (term cap reached)
 
 Output is deterministic: identical invocations produce byte-identical
@@ -19,37 +20,15 @@ import math
 import sys
 
 from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu, require_theta
-from .pathsum import PathSumConfig, kernel_pathsum_general, kernel_pathsum_nu2, reflection_phase
-from .spectral import TruncationPolicy, kernel_spectral
-from .verify import (
-    EvalConfig,
-    METHODS,
-    check_gaussian_bessel_link,
-    check_orthonormality,
-    check_semigroup,
-    compare_methods,
-    evaluate_method,
-    gauss_legendre_on_0_pi,
-)
-from .closedform import addition_formula_lhs, addition_formula_rhs
+from .pathsum import PathSumConfig
+from .spectral import TruncationPolicy
+from .verify import METHODS, SUITES, EvalConfig, compare_methods, evaluate_method, run_suites
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_POLICY = 4
-
-_SUITES = (
-    "orthonormality",
-    "addition",
-    "bessel-link",
-    "nu1-exact",
-    "phases",
-    "nu2-decomposition",
-    "general-decomposition",
-    "semigroup",
-    "closed-form-order",
-)
 
 
 def _fmt(x: float) -> str:
@@ -207,111 +186,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _verify_rows(suites, nu: float, config: EvalConfig):
-    """Run the requested invariant suites; yield (suite, check, measured, tolerance, passed)."""
-    canonical_points = ((1.0, 1.0), (0.7, 0.9), (2.0, 1.4))
-    if "orthonormality" in suites:
-        rule = gauss_legendre_on_0_pi(2 * 40 + 30)
-        dev = check_orthonormality(nu, 40, rule)
-        yield ("orthonormality", f"gram nmax=40 nu={nu:g}", dev, 1e-10, dev <= 1e-10)
-    if "addition" in suites:
-        import numpy as np
-
-        rng = np.random.default_rng(20240)
-        worst = 0.0
-        for _ in range(40):
-            snu = rng.uniform(0.5, 4.0)
-            lam = 1.0 / rng.uniform(0.5, 100.0)
-            ta = rng.uniform(0.2, math.pi - 0.2)
-            delta = rng.uniform(-1.0, 1.0) * min(1.0, 3.0 * math.sqrt(lam))
-            tb = min(max(ta + delta, 0.1), math.pi - 0.1)
-            lhs = addition_formula_lhs(snu, ta, tb, lam)
-            rhs = addition_formula_rhs(snu, ta, tb, lam)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        yield ("addition", "lhs vs rhs, 40 samples", worst, 1e-8, worst <= 1e-8)
-    if "bessel-link" in suites:
-        dev0 = check_gaussian_bessel_link(0, 0.5, 0.01)
-        yield ("bessel-link", "n=0 nu=1/2 lambda=0.01", dev0, 1e-3, dev0 <= 1e-3)
-        devs = [check_gaussian_bessel_link(0, nu, lam) for lam in (0.1, 0.05, 0.025)]
-        mono = devs[0] > devs[1] > devs[2]
-        yield ("bessel-link", f"decreasing in lambda at nu={nu:g}", devs[-1], math.inf, mono)
-    if "nu1-exact" in suites:
-        worst = 0.0
-        grid = [math.pi * i / 10.0 for i in range(1, 10)]
-        for lam in (0.1, 0.5, 2.0):
-            for ta in grid:
-                for tb in grid:
-                    s = kernel_spectral(1.0, ta, tb, lam, config.policy).real
-                    p = evaluate_method("path_sum_nu1", 1.0, ta, tb, lam, config).value.real
-                    worst = max(worst, abs(s - p))
-        yield ("nu1-exact", "max |spectral - images|, 9x9 grid", worst, 1e-10, worst <= 1e-10)
-    if "phases" in suites:
-        exact = True
-        for inu in (1, 2, 3, 4, 5):
-            expect = -1.0 if inu % 2 else 1.0
-            for presc in ("A", "B"):
-                for k in range(-3, 4):
-                    if reflection_phase(k, "even", float(inu), presc) != 1.0 + 0.0j:
-                        exact = False
-                    if reflection_phase(k, "odd", float(inu), presc) != complex(expect, 0.0):
-                        exact = False
-        yield ("phases", "integer-nu collapse, both prescriptions", 0.0 if exact else 1.0, 0.0, exact)
-    if "nu2-decomposition" in suites:
-        ok = True
-        worst_final = 0.0
-        for ta, tb in canonical_points:
-            devs = []
-            for lam in (0.4, 0.2, 0.1, 0.05):
-                s = kernel_spectral(2.0, ta, tb, lam, config.policy).real
-                p = kernel_pathsum_nu2(ta, tb, lam, config.path).value.real
-                devs.append(abs(s - p) / abs(s))
-            ok = ok and all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
-            worst_final = max(worst_final, devs[-1])
-            g = kernel_pathsum_general(2.0, ta, tb, 0.1, config.path).value
-            p = kernel_pathsum_nu2(ta, tb, 0.1, config.path).value
-            ok = ok and (g == p)
-        yield ("nu2-decomposition", "monotone + exact nu2==general", worst_final, math.inf, ok)
-    if "general-decomposition" in suites:
-        ok = True
-        for gnu in (0.75, 1.3, 2.5):
-            for ta, tb in canonical_points:
-                devs, imre = [], []
-                for lam in (0.4, 0.2, 0.1, 0.05):
-                    s = kernel_spectral(gnu, ta, tb, lam, config.policy).real
-                    v = kernel_pathsum_general(gnu, ta, tb, lam, config.path).value
-                    devs.append(abs(v.real - s) / abs(s))
-                    imre.append(abs(v.imag) / abs(v.real))
-                ok = ok and all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
-                ok = ok and all(imre[i] > imre[i + 1] for i in range(len(imre) - 1))
-        yield ("general-decomposition", "Re dev and |Im/Re| decreasing", 0.0 if ok else 1.0, math.inf, ok)
-    if "semigroup" in suites:
-        rule = gauss_legendre_on_0_pi(160)
-        worst = 0.0
-        for l1, l2 in ((0.5, 0.5), (0.3, 0.7)):
-            worst = max(worst, check_semigroup(nu, l1, l2, 1.1, 2.0, rule, config.policy))
-        yield ("semigroup", f"composition nu={nu:g}", worst, 1e-8, worst <= 1e-8)
-    if "closed-form-order" in suites:
-        ok = True
-        worst = []
-        for cnu, th, chain in ((1.0, 0.7, (0.4, 0.2, 0.1, 0.05)),
-                               (2.0, 1.2, (0.4, 0.2, 0.1, 0.05)),
-                               (3.0, 1.2, (0.2, 0.1, 0.05, 0.025))):
-            devs = []
-            for lam in chain:
-                s = kernel_spectral(cnu, th, th, lam, config.policy).real
-                c = evaluate_method("closed_form", cnu, th, th, lam, config).value.real
-                devs.append(abs(c - s) / abs(s))
-            ratios = [devs[i] / devs[i + 1] for i in range(len(devs) - 1)]
-            worst.extend(ratios)
-            ok = ok and all(2.0 <= r <= 8.0 for r in ratios)
-        yield ("closed-form-order", "halving ratios in [2, 8]", min(worst), math.inf, ok)
-
-
 def _cmd_verify(args) -> int:
-    nu = require_nu(args.nu)
-    suites = _SUITES if args.suite == "all" else (args.suite,)
-    config = _eval_config(args)
-    rows = list(_verify_rows(suites, nu, config))
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    rows = list(run_suites(suites, require_nu(args.nu), _eval_config(args)))
     all_pass = all(r[4] for r in rows)
     if args.output == "csv":
         lines = ["suite,check,measured,tolerance,status"]
@@ -337,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Euclidean kernels for a particle in a box with an inverse-sine-squared potential.",
         epilog=(
             "exit codes: 0 ok; 1 check failed; 2 usage error; "
-            "3 domain error (theta outside (0,pi), lambda <= 0, nu < 1/2); "
+            "3 domain error (theta outside (0,pi), lambda <= 0, nu < 1/2) or path-sum overflow; "
             "4 spectral truncation cap reached"
         ),
     )
@@ -368,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites and print a pass/fail table")
-    p_verify.add_argument("--suite", choices=("all",) + _SUITES, default="all")
+    p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_verify.add_argument("--nu", type=float, default=1.0, help="coupling for the nu-parameterised suites (default 1)")
     _add_eval_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
@@ -382,6 +259,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError as exc:
+        print(f"overflow: {exc} (a path-sum term exceeds the float range)", file=sys.stderr)
         return EXIT_DOMAIN
     except PolicyUnresolvableError as exc:
         print(f"truncation policy unresolvable: {exc}", file=sys.stderr)

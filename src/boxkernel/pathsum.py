@@ -64,8 +64,10 @@ class PathSumConfig:
     prescription: str = "A"
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise DomainError("k_max must be >= 1")
+        # 10,000 keeps every image whose weight can be a normal float up to lambda
+        # ~ 2.6e6: exp(-(2 pi k)^2 / (2 lambda)) leaves the float range past 745.
+        if not (1 <= self.k_max <= 10_000):
+            raise DomainError(f"k_max must lie in [1, 10000], got {self.k_max}")
         if self.prescription not in ("A", "B"):
             raise DomainError(f"prescription must be 'A' or 'B', got {self.prescription!r}")
 

@@ -4,8 +4,9 @@ Three independent routes compute the same kernel: the spectral sum, the
 closed Bessel form, and the reflection decompositions.  This module owns the
 machinery that plays them against each other: Gauss-Legendre quadrature on
 (0, pi) for orthonormality and semigroup integrals, the Gaussian-Bessel
-asymptotic link, and ``compare_methods``, which produces the deviation
-reports consumed by the CLI and the acceptance suite.
+asymptotic link, ``compare_methods``, which produces the deviation reports
+consumed by the CLI and the acceptance suite, and ``run_suites``, the named
+invariant suites (``SUITES``) that ``boxkernel verify`` prints.
 
 All evaluation is deterministic (fixed grid order, exact summation in the
 scalar kernels), so every report is reproducible bit for bit from its inputs.
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import kernel_closed
+from .closedform import addition_formula_lhs, addition_formula_rhs, kernel_closed
 from .errors import DomainError, require_lambda, require_nu
-from .pathsum import PathSumConfig, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2
+from .pathsum import PathSumConfig, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
@@ -33,15 +34,29 @@ __all__ = [
     "EvalConfig",
     "ComparisonReport",
     "METHODS",
+    "SUITES",
     "gauss_legendre_on_0_pi",
     "check_orthonormality",
     "check_gaussian_bessel_link",
     "check_semigroup",
     "evaluate_method",
     "compare_methods",
+    "run_suites",
 ]
 
 METHODS = ("spectral", "closed_form", "path_sum_nu1", "path_sum_nu2", "path_sum_general")
+
+SUITES = (
+    "orthonormality",
+    "addition",
+    "bessel-link",
+    "nu1-exact",
+    "phases",
+    "nu2-decomposition",
+    "general-decomposition",
+    "semigroup",
+    "closed-form-order",
+)
 
 
 @dataclass(frozen=True)
@@ -145,7 +160,8 @@ def check_semigroup(
 
     The evolution kernels compose exactly:
     int K(a, t; l1) K(t, b; l2) dt = K(a, b; l1 + l2), so any measured
-    deviation is pure quadrature plus truncation error.
+    deviation is pure quadrature plus truncation error.  Raises
+    ``DomainError`` where the direct kernel underflows to 0.
     """
     lambda1 = require_lambda(lambda1, "lambda1")
     lambda2 = require_lambda(lambda2, "lambda2")
@@ -153,6 +169,8 @@ def check_semigroup(
     kb = kernel_spectral_profile(nu, theta_b, rule.nodes, lambda2, policy)
     composed = float(np.sum(rule.weights * ka * kb))
     direct = kernel_spectral(nu, theta_a, theta_b, lambda1 + lambda2, policy).real
+    if direct == 0.0:
+        raise DomainError(f"K(theta_a, theta_b; lambda1 + lambda2) underflows to 0 at nu = {nu:g}")
     return abs(composed - direct) / abs(direct)
 
 
@@ -256,3 +274,88 @@ def compare_methods(
         convergence_ratios=ratios,
         im_over_re=tuple(im_over_re) if im_over_re else None,
     )
+
+
+def _decreasing(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
+
+
+def _chain_devs(method, nu, theta, theta_p, chain, config):
+    """Values of ``method`` along a lambda chain, and |Re v - s| / |s| against the spectral s."""
+    values, devs = [], []
+    for lam in chain:
+        s = kernel_spectral(nu, theta, theta_p, lam, config.policy).real
+        v = evaluate_method(method, nu, theta, theta_p, lam, config).value
+        values.append(v)
+        devs.append(abs(v.real - s) / abs(s))
+    return values, devs
+
+
+def run_suites(suites, nu: float, config: EvalConfig | None = None):
+    """Run the named invariant suites, in ``SUITES`` order; yield
+    (suite, check, measured, tolerance, passed).
+
+    ``nu`` parameterises the orthonormality, bessel-link and semigroup suites;
+    the others fix their own couplings.  A tolerance of ``math.inf`` marks a
+    structural check, decided by ``passed`` alone.
+    """
+    if not set(suites) <= set(SUITES):
+        raise DomainError(f"unknown suite in {tuple(suites)}; expected names from {', '.join(SUITES)}")
+    nu = require_nu(nu)
+    config = config or EvalConfig()
+    canonical_points = ((1.0, 1.0), (0.7, 0.9), (2.0, 1.4))
+    chain = (0.4, 0.2, 0.1, 0.05)
+    if "orthonormality" in suites:
+        dev = check_orthonormality(nu, 40, gauss_legendre_on_0_pi(2 * 40 + 30))
+        yield ("orthonormality", f"gram nmax=40 nu={nu:g}", dev, 1e-10, dev <= 1e-10)
+    if "addition" in suites:
+        rng = np.random.default_rng(20240)
+        worst = 0.0
+        for _ in range(40):
+            snu = rng.uniform(0.5, 4.0)
+            lam = 1.0 / rng.uniform(0.5, 100.0)
+            ta = rng.uniform(0.2, math.pi - 0.2)
+            delta = rng.uniform(-1.0, 1.0) * min(1.0, 3.0 * math.sqrt(lam))
+            tb = min(max(ta + delta, 0.1), math.pi - 0.1)
+            lhs = addition_formula_lhs(snu, ta, tb, lam)
+            rhs = addition_formula_rhs(snu, ta, tb, lam)
+            worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        yield ("addition", "lhs vs rhs, 40 samples", worst, 1e-8, worst <= 1e-8)
+    if "bessel-link" in suites:
+        dev0 = check_gaussian_bessel_link(0, 0.5, 0.01)
+        yield ("bessel-link", "n=0 nu=1/2 lambda=0.01", dev0, 1e-3, dev0 <= 1e-3)
+        devs = [check_gaussian_bessel_link(0, nu, lam) for lam in (0.1, 0.05, 0.025)]
+        yield ("bessel-link", f"decreasing in lambda at nu={nu:g}", devs[-1], math.inf, _decreasing(devs))
+    if "nu1-exact" in suites:
+        grid = [(math.pi * i / 10.0, math.pi * j / 10.0) for i in range(1, 10) for j in range(1, 10)]
+        worst = compare_methods(1.0, grid, (2.0, 0.5, 0.1), "spectral", "path_sum_nu1", config).max_abs_dev
+        yield ("nu1-exact", "max |spectral - images|, 9x9 grid", worst, 1e-10, worst <= 1e-10)
+    if "phases" in suites:
+        exact = all(
+            reflection_phase(k, "even", float(inu), presc) == 1.0
+            and reflection_phase(k, "odd", float(inu), presc) == (-1.0 if inu % 2 else 1.0)
+            for inu in (1, 2, 3, 4, 5)
+            for presc in ("A", "B")
+            for k in range(-3, 4)
+        )
+        yield ("phases", "integer-nu collapse, both prescriptions", 0.0 if exact else 1.0, 0.0, exact)
+    if "nu2-decomposition" in suites:
+        runs = [_chain_devs("path_sum_nu2", 2.0, ta, tb, chain, config) for ta, tb in canonical_points]
+        general = [evaluate_method("path_sum_general", 2.0, ta, tb, chain[2], config).value for ta, tb in canonical_points]
+        ok = all(_decreasing(devs) and g == values[2] for (values, devs), g in zip(runs, general))
+        yield ("nu2-decomposition", "monotone + exact nu2==general", max(devs[-1] for _, devs in runs), math.inf, ok)
+    if "general-decomposition" in suites:
+        runs = [_chain_devs("path_sum_general", gnu, ta, tb, chain, config)
+                for gnu in (0.75, 1.3, 2.5) for ta, tb in canonical_points]
+        ok = all(_decreasing(devs) and _decreasing([abs(v.imag) / abs(v.real) for v in values]) for values, devs in runs)
+        yield ("general-decomposition", "Re dev and |Im/Re| decreasing", 0.0 if ok else 1.0, math.inf, ok)
+    if "semigroup" in suites:
+        rule = gauss_legendre_on_0_pi(160)
+        worst = max(check_semigroup(nu, l1, l2, 1.1, 2.0, rule, config.policy) for l1, l2 in ((0.5, 0.5), (0.3, 0.7)))
+        yield ("semigroup", f"composition nu={nu:g}", worst, 1e-8, worst <= 1e-8)
+    if "closed-form-order" in suites:
+        ratios = []
+        for cnu, th, cchain in ((1.0, 0.7, chain), (2.0, 1.2, chain), (3.0, 1.2, (0.2, 0.1, 0.05, 0.025))):
+            _, devs = _chain_devs("closed_form", cnu, th, th, cchain, config)
+            ratios += [a / b for a, b in zip(devs, devs[1:])]
+        yield ("closed-form-order", "halving ratios in [2, 8]", min(ratios), math.inf, all(2.0 <= r <= 8.0 for r in ratios))

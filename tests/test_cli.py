@@ -1,11 +1,12 @@
 """Command-line interface: pass-through values, CSV round-trips, exit codes."""
 
+import argparse
 import math
 
 import pytest
 
-from boxkernel import compare_methods, kernel_spectral
-from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, main
+from boxkernel import SUITES, compare_methods, kernel_spectral, run_suites
+from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,21 @@ class TestVerifyCommand:
         assert "all suites passed" in out
         assert "FAIL" not in out
 
+    def test_csv_rows_are_the_library_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--nu", "2.7", "--output", "csv")
+        assert code == EXIT_OK
+        expected = [
+            f"{suite},\"{check}\",{format(measured, '.17g')},"
+            f"{'' if math.isinf(tol) else format(tol, '.17g')},{'pass' if passed else 'FAIL'}"
+            for suite, check, measured, tol, passed in run_suites(SUITES, 2.7)
+        ]
+        assert out.splitlines() == ["suite,check,measured,tolerance,status"] + expected
+
+    def test_suite_choices_come_from_the_registry(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == ("all",) + SUITES
+
 
 class TestExitCodes:
     def test_usage_error_is_exit_2(self):
@@ -193,6 +209,27 @@ class TestExitCodes:
         )
         assert code == EXIT_DOMAIN
         assert "method" in err
+
+    def test_path_sum_overflow_is_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "kernel", "--nu", "2.5", "--theta", "1e-200", "--theta-p", "1",
+            "--lambda", "0.1", "--method", "pathsum-general",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("overflow:") and len(err.splitlines()) == 1
+
+    def test_path_sum_overflow_in_compare_is_exit_3(self, capsys):
+        code, _, err = run_cli(
+            capsys, "compare", "--nu", "2.5", "--methods", "spectral,pathsum-general",
+            "--lambda-chain", "5", "--grid-n", "3", "--grid-margin", "0.01",
+        )
+        assert code == EXIT_DOMAIN
+        assert err.startswith("overflow:")
+
+    def test_underflowed_semigroup_reference_is_exit_3(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--nu", "40", "--suite", "semigroup")
+        assert code == EXIT_DOMAIN
+        assert "underflows" in err
 
     def test_theta_outside_pi_in_grid(self, capsys):
         code, _, err = run_cli(

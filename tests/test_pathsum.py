@@ -211,6 +211,13 @@ class TestKernelPathsumGeneral:
         with pytest.raises(DomainError):
             PathSumConfig(prescription="C")
 
+    def test_k_max_is_capped(self):
+        # constructor calls only: an evaluation at a huge k_max would build ~4 k_max terms
+        for k_max in (10**9, 10_001):
+            with pytest.raises(DomainError):
+                PathSumConfig(k_max=k_max)
+        assert PathSumConfig(k_max=10_000).k_max == 10_000
+
     def test_estimates_report_metadata(self):
         est = kernel_pathsum_general(1.3, 0.03, 1.0, 0.1)
         assert est.near_boundary is True

@@ -16,6 +16,8 @@ from boxkernel import (
     compare_methods,
     evaluate_method,
     gauss_legendre_on_0_pi,
+    kernel_spectral,
+    run_suites,
 )
 
 
@@ -97,6 +99,11 @@ class TestSemigroup:
         rule = gauss_legendre_on_0_pi(400)
         assert check_semigroup(1.0, 0.01, 0.99, 1.1, 2.0, rule) <= 1e-6
 
+    def test_underflowed_direct_kernel_is_a_domain_error(self):
+        assert kernel_spectral(40.0, 1.1, 2.0, 1.0).real == 0.0
+        with pytest.raises(DomainError, match="underflows"):
+            check_semigroup(40.0, 0.5, 0.5, 1.1, 2.0, gauss_legendre_on_0_pi(160))
+
 
 class TestEvaluateMethod:
     def test_dispatch_matches_direct_calls(self):
@@ -177,3 +184,14 @@ class TestCompareMethods:
         cfg = EvalConfig(policy=TruncationPolicy.fixed(40), path=PathSumConfig(k_max=4))
         rep = compare_methods(1.0, [(1.0, 1.3)], [0.2], "spectral", "path_sum_nu1", cfg)
         assert rep.max_abs_dev <= 1e-12
+
+
+class TestRunSuites:
+    def test_rows_follow_the_registry_order(self):
+        rows = list(run_suites(("phases", "orthonormality"), 1.0))
+        assert [r[0] for r in rows] == ["orthonormality", "phases"]
+        assert all(passed for *_, passed in rows)
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(DomainError, match="suite"):
+            list(run_suites(("orthonormality", "sorcery"), 1.0))
