@@ -137,7 +137,7 @@ def _compare_csv(report) -> list[str]:
     return lines
 
 
-def _run_comparison(args) -> tuple:
+def _run_comparison(args):
     nu = require_nu(args.nu)
     methods = [_parse_method(m) for m in args.methods.split(",") if m.strip()]
     if len(methods) != 2:
@@ -147,12 +147,11 @@ def _run_comparison(args) -> tuple:
         (require_theta(a, "--theta/--grid-n"), require_theta(b, "--theta-p/--grid-n"))
         for a, b in _grid_points(args)
     ]
-    report = compare_methods(nu, grid, chain, methods[0], methods[1], _eval_config(args))
-    return report, chain
+    return compare_methods(nu, grid, chain, methods[0], methods[1], _eval_config(args))
 
 
 def _cmd_compare(args) -> int:
-    report, _ = _run_comparison(args)
+    report = _run_comparison(args)
     if args.output == "csv":
         lines = _compare_csv(report)
     else:
@@ -168,18 +167,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report, chain = _run_comparison(args)
-    rows_per_lambda = len(report.grid) // len(chain)
-    per_lambda_rel = []
-    per_lambda_abs = []
-    for i in range(len(chain)):
-        block = slice(i * rows_per_lambda, (i + 1) * rows_per_lambda)
-        per_lambda_rel.append(max(report.rel_dev[block]))
-        per_lambda_abs.append(max(report.abs_dev[block]))
+    report = _run_comparison(args)
     lines = ["lambda,max_abs_dev,max_rel_dev,ratio"]
-    for i, lam in enumerate(chain):
-        ratio = "" if i == 0 else _fmt(per_lambda_rel[i - 1] / per_lambda_rel[i]) if per_lambda_rel[i] > 0 else "inf"
-        lines.append(f"{_fmt(lam)},{_fmt(per_lambda_abs[i])},{_fmt(per_lambda_rel[i])},{ratio}")
+    prev_rel = None
+    for lam, max_abs, max_rel in report.per_lambda:
+        ratio = "" if prev_rel is None else _fmt(prev_rel / max_rel) if max_rel > 0 else "inf"
+        lines.append(f"{_fmt(lam)},{_fmt(max_abs)},{_fmt(max_rel)},{ratio}")
+        prev_rel = max_rel
     if args.output == "pretty":
         lines = ["sweep " + report.method_a + " vs " + report.method_b] + lines
     _emit(lines, args.output_path)

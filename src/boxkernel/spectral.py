@@ -45,38 +45,41 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+# At the default 1e-12 tail, 100,000 modes resolve lambda down to 1e-7 for
+# nu <= 20 (87,009 modes at nu = 20); beyond that a single 160-node profile
+# table already takes 128 MB, so larger counts are input errors.
+_MAX_TERMS = 100_000
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How many eigenmodes the spectral sum keeps.
 
-    ``fixed_n`` mode sums exactly ``n_terms`` modes; ``target_abs_error`` mode
+    With ``n_terms`` set, the sum keeps exactly that many modes; otherwise it
     resolves the smallest N whose tail bound is below ``epsilon_tail``,
     refusing to exceed ``n_cap`` (small lambda makes the spectral route
     arbitrarily expensive, and the cap turns that into a detectable error).
     """
 
-    mode: str = "target_abs_error"
-    n_terms: int = 0
+    n_terms: int | None = None
     epsilon_tail: float = 1e-12
     n_cap: int = 4096
 
     def __post_init__(self):
-        if self.mode not in ("fixed_n", "target_abs_error"):
-            raise DomainError(f"unknown truncation mode {self.mode!r}")
-        if self.mode == "fixed_n" and self.n_terms <= 0:
-            raise DomainError("fixed_n policy requires n_terms >= 1")
-        if self.mode == "target_abs_error" and not (0.0 < self.epsilon_tail < math.inf):
-            raise DomainError("target_abs_error policy requires a finite epsilon_tail > 0")
-        if self.n_cap <= 0:
-            raise DomainError("n_cap must be positive")
+        if self.n_terms is not None and not 1 <= self.n_terms <= _MAX_TERMS:
+            raise DomainError(f"n_terms must lie in [1, {_MAX_TERMS}], got {self.n_terms}")
+        if not (0.0 < self.epsilon_tail < math.inf):
+            raise DomainError(f"epsilon_tail must be finite and > 0, got {self.epsilon_tail}")
+        if not 1 <= self.n_cap <= _MAX_TERMS:
+            raise DomainError(f"n_cap must lie in [1, {_MAX_TERMS}], got {self.n_cap}")
 
     @classmethod
     def fixed(cls, n_terms: int) -> "TruncationPolicy":
-        return cls(mode="fixed_n", n_terms=n_terms)
+        return cls(n_terms=n_terms)
 
     @classmethod
     def to_tail(cls, epsilon_tail: float, n_cap: int = 4096) -> "TruncationPolicy":
-        return cls(mode="target_abs_error", epsilon_tail=epsilon_tail, n_cap=n_cap)
+        return cls(epsilon_tail=epsilon_tail, n_cap=n_cap)
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
 
 def _resolve_terms(nu: float, lam: float, policy: TruncationPolicy | None) -> tuple[int, float]:
     policy = policy or TruncationPolicy()
-    if policy.mode == "fixed_n":
+    if policy.n_terms is not None:
         n = policy.n_terms
         bound = truncation_tail_bound(nu, lam, n)
         return n, bound

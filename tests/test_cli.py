@@ -118,6 +118,15 @@ class TestCompareCommand:
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 1 + 9
 
+    def test_non_halving_chain_prints_no_ratios(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--nu", "2", "--methods", "spectral,pathsum-nu2",
+            "--lambda-chain", "0.4,0.3,0.1", "--grid-n", "2", "--output", "pretty",
+        )
+        assert code == EXIT_OK
+        assert "max_rel_dev:" in out
+        assert "convergence_ratios" not in out
+
 
 class TestSweepCommand:
     def test_reports_ratios(self, capsys):
@@ -132,6 +141,32 @@ class TestSweepCommand:
         assert len(lines) == 5
         ratios = [float(l.split(",")[3]) for l in lines[2:]]
         assert all(r > 1.0 for r in ratios)  # deviations shrink along the chain
+
+    def test_csv_rows_are_the_report_per_lambda(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--nu", "2", "--methods", "spectral,pathsum-nu2",
+            "--lambda-chain", "0.4,0.2,0.1,0.05", "--grid-n", "3", "--output", "csv",
+        )
+        assert code == EXIT_OK
+        margin = math.pi / 10.0
+        step = (math.pi - 2.0 * margin) / 2
+        axis = [margin + i * step for i in range(3)]
+        grid = [(a, b) for a in axis for b in axis]
+        report = compare_methods(2.0, grid, [0.4, 0.2, 0.1, 0.05], "spectral", "path_sum_nu2")
+        expected, prev = [], None
+        for lam, max_abs, max_rel in report.per_lambda:
+            ratio = "" if prev is None else format(prev / max_rel, ".17g")
+            expected.append(f"{format(lam, '.17g')},{format(max_abs, '.17g')},{format(max_rel, '.17g')},{ratio}")
+            prev = max_rel
+        assert out.splitlines()[1:] == expected
+
+    def test_identical_methods_print_inf_ratio(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--nu", "1", "--methods", "spectral,spectral",
+            "--lambda-chain", "0.4,0.3", "--grid-n", "2", "--output", "csv",
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["0.40000000000000002,0,0,", "0.29999999999999999,0,0,inf"]
 
 
 class TestVerifyCommand:
@@ -160,6 +195,11 @@ class TestVerifyCommand:
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
         assert tuple(suite.choices) == ("all",) + SUITES
+
+    def test_orthonormality_at_large_nu_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--nu", "40", "--suite", "orthonormality")
+        assert code == EXIT_OK
+        assert "[pass] orthonormality" in out
 
 
 class TestExitCodes:

@@ -135,6 +135,23 @@ class TestKernelSpectral:
         est = kernel_spectral(1.0, 1.0, 1.0, 1.0, TruncationPolicy.fixed(7))
         assert est.terms_used == 7
 
+    def test_n_terms_alone_fixes_the_policy(self):
+        assert TruncationPolicy.fixed(3) == TruncationPolicy(n_terms=3)
+        est = kernel_spectral(1.0, 1.0, 1.0, 1.0, TruncationPolicy(n_terms=3))
+        assert est.terms_used == 3
+        with pytest.raises(DomainError, match="epsilon_tail"):
+            TruncationPolicy(n_terms=3, epsilon_tail=float("inf"))
+
+    def test_term_counts_are_capped(self):
+        # constructor calls only: nothing is evaluated at these sizes
+        for n in (10**9, 100_001):
+            with pytest.raises(DomainError, match="n_terms"):
+                TruncationPolicy.fixed(n)
+            with pytest.raises(DomainError, match="n_cap"):
+                TruncationPolicy.to_tail(1e-12, n_cap=n)
+        assert TruncationPolicy.fixed(100_000).n_terms == 100_000
+        assert TruncationPolicy.to_tail(1e-12, n_cap=100_000).n_cap == 100_000
+
     def test_target_policy_meets_tail(self):
         policy = TruncationPolicy.to_tail(1e-10)
         est = kernel_spectral(1.0, 1.0, 1.0, 0.2, policy)

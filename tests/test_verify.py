@@ -185,6 +185,18 @@ class TestCompareMethods:
         rep = compare_methods(1.0, [(1.0, 1.3)], [0.2], "spectral", "path_sum_nu1", cfg)
         assert rep.max_abs_dev <= 1e-12
 
+    def test_per_lambda_is_the_block_maxima(self):
+        grid = [(1.0, 1.3), (0.8, 2.0), (2.2, 0.6)]
+        chain = [0.4, 0.2, 0.1, 0.05]
+        rep = compare_methods(2.0, grid, chain, "spectral", "path_sum_nu2")
+        n = len(grid)
+        assert rep.per_lambda == tuple(
+            (lam, max(rep.abs_dev[i * n:(i + 1) * n]), max(rep.rel_dev[i * n:(i + 1) * n]))
+            for i, lam in enumerate(chain)
+        )
+        rels = [rel for _, _, rel in rep.per_lambda]
+        assert rep.convergence_ratios == tuple(a / b for a, b in zip(rels, rels[1:]))
+
 
 class TestRunSuites:
     def test_rows_follow_the_registry_order(self):
@@ -195,3 +207,8 @@ class TestRunSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError, match="suite"):
             list(run_suites(("orthonormality", "sorcery"), 1.0))
+
+    @pytest.mark.parametrize("nu", [40.0, 300.0])
+    def test_orthonormality_passes_at_large_nu(self, nu):
+        [(_, _, measured, tol, passed)] = run_suites(("orthonormality",), nu)
+        assert passed and measured <= tol
