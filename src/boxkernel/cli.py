@@ -63,10 +63,7 @@ def _emit(lines: list[str], path: str | None) -> None:
 
 
 def _eval_config(args) -> EvalConfig:
-    if args.n_terms is not None:
-        policy = TruncationPolicy.fixed(args.n_terms)
-    else:
-        policy = TruncationPolicy.to_tail(args.epsilon_tail, args.n_cap)
+    policy = TruncationPolicy(args.n_terms, args.epsilon_tail, args.n_cap)
     return EvalConfig(policy=policy, path=PathSumConfig(k_max=args.k_max, prescription=args.prescription))
 
 
@@ -169,11 +166,9 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     report = _run_comparison(args)
     lines = ["lambda,max_abs_dev,max_rel_dev,ratio"]
-    prev_rel = None
-    for lam, max_abs, max_rel in report.per_lambda:
-        ratio = "" if prev_rel is None else _fmt(prev_rel / max_rel) if max_rel > 0 else "inf"
+    ratios = [""] + [_fmt(r) for r in report.per_lambda_ratios]
+    for (lam, max_abs, max_rel), ratio in zip(report.per_lambda, ratios):
         lines.append(f"{_fmt(lam)},{_fmt(max_abs)},{_fmt(max_rel)},{ratio}")
-        prev_rel = max_rel
     if args.output == "pretty":
         lines = ["sweep " + report.method_a + " vs " + report.method_b] + lines
     _emit(lines, args.output_path)

@@ -13,7 +13,7 @@ scalar kernels), so every report is reproducible bit for bit from its inputs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,8 +85,9 @@ class ComparisonReport:
     ``im_over_re`` records |Im/Re| for whichever method produces genuinely
     complex values, and is absent otherwise.  ``per_lambda`` holds one
     (lambda, max abs_dev, max rel_dev) triple per chain entry, in chain order;
-    ``convergence_ratios`` holds the per-halving ratios of its max rel_dev
-    column and is present only when the lambda chain is a halving chain.
+    ``per_lambda_ratios`` are the prev/cur ratios of its max rel_dev column
+    (inf where cur is 0); ``convergence_ratios`` repeats them only for a
+    halving chain.  A NaN deviation propagates into every maximum covering it.
     """
 
     method_a: str
@@ -101,6 +102,11 @@ class ComparisonReport:
     per_lambda: tuple  # of (lambda, max abs_dev, max rel_dev)
     convergence_ratios: tuple | None = None
     im_over_re: tuple | None = None
+
+    @property
+    def per_lambda_ratios(self) -> tuple:
+        rel = [r for _, _, r in self.per_lambda]
+        return tuple(prev / cur if cur != 0.0 else math.inf for prev, cur in zip(rel, rel[1:]))
 
 
 def gauss_legendre_on_0_pi(npoints: int) -> QuadratureRule:
@@ -205,7 +211,9 @@ def evaluate_method(
 
 
 def _is_halving_chain(lambdas) -> bool:
-    return len(lambdas) >= 2 and all(abs(b - 0.5 * a) <= 1e-9 * a for a, b in zip(lambdas, lambdas[1:]))
+    return len(lambdas) >= 2 and all(
+        abs(lambdas[i + 1] - 0.5 * lambdas[i]) <= 1e-9 * lambdas[i] for i in range(len(lambdas) - 1)
+    )
 
 
 def _decreasing(values) -> bool:
@@ -243,18 +251,14 @@ def compare_methods(
     abs_dev = tuple(abs(a.real - b.real) for a, b in zip(value_a, value_b))
     denoms = [max(abs(a.real), abs(b.real)) for a, b in zip(value_a, value_b)]
     rel_dev = tuple(d / m if m > 0.0 else 0.0 for d, m in zip(abs_dev, denoms))
-    n = len(theta_grid)
-    blocks = [slice(i * n, (i + 1) * n) for i in range(len(lambda_chain))]
-    block_abs = [max(0.0, *abs_dev[b]) for b in blocks]
-    block_rel = [max(0.0, *rel_dev[b]) for b in blocks]
-    ratios = None
-    if _is_halving_chain(lambda_chain):
-        ratios = tuple(prev / cur if cur > 0.0 else math.inf for prev, cur in zip(block_rel, block_rel[1:]))
+    # rows are lambda-major blocks; numpy's max, unlike the builtin, keeps a NaN
+    block_abs = np.reshape(abs_dev, (len(lambda_chain), -1)).max(axis=1)
+    block_rel = np.reshape(rel_dev, (len(lambda_chain), -1)).max(axis=1)
     im_over_re = None
     if "path_sum_general" in (method_a, method_b):
         values = value_a if method_a == "path_sum_general" else value_b
         im_over_re = tuple(abs(v.imag) / abs(v.real) if v.real != 0.0 else math.inf for v in values)
-    return ComparisonReport(
+    report = ComparisonReport(
         method_a=method_a,
         method_b=method_b,
         grid=grid,
@@ -262,12 +266,12 @@ def compare_methods(
         value_b=value_b,
         abs_dev=abs_dev,
         rel_dev=rel_dev,
-        max_abs_dev=max(abs_dev),
-        max_rel_dev=max(rel_dev),
-        per_lambda=tuple(zip(lambda_chain, block_abs, block_rel)),
-        convergence_ratios=ratios,
+        max_abs_dev=float(block_abs.max()),
+        max_rel_dev=float(block_rel.max()),
+        per_lambda=tuple(zip(lambda_chain, block_abs.tolist(), block_rel.tolist())),
         im_over_re=im_over_re,
     )
+    return replace(report, convergence_ratios=report.per_lambda_ratios) if _is_halving_chain(lambda_chain) else report
 
 
 def _chain_devs(method, nu, theta, theta_p, chain, config):
@@ -291,8 +295,10 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
     canonical_points = ((1.0, 1.0), (0.7, 0.9), (2.0, 1.4))
     chain = (0.4, 0.2, 0.1, 0.05)
     if "orthonormality" in suites:
-        # sin^{2 nu} sharpens the integrands as nu grows: two more nodes per unit
-        # of nu over 10 keep the gram deviation <= 3.7e-12 up to nu = 1000
+        # sin^{2 nu} sharpens the integrands: two more nodes per unit of nu over 10 keep the gram
+        # deviation <= 3.7e-12 up to the measured nu = 1000; the O(n^3) rule is not extrapolated
+        if nu > 1000.0:
+            raise DomainError(f"the orthonormality suite is measured for nu <= 1000 only, got nu = {nu:g}")
         npoints = 2 * 40 + 30 + max(0, 2 * math.ceil(nu) - 20)
         dev = check_orthonormality(nu, 40, gauss_legendre_on_0_pi(npoints))
         yield ("orthonormality", f"gram nmax=40 nu={nu:g}", dev, 1e-10, dev <= 1e-10)

@@ -196,6 +196,31 @@ class TestCompareMethods:
         )
         rels = [rel for _, _, rel in rep.per_lambda]
         assert rep.convergence_ratios == tuple(a / b for a, b in zip(rels, rels[1:]))
+        assert rep.per_lambda_ratios == rep.convergence_ratios
+
+    def test_non_halving_chain_still_has_per_lambda_ratios(self):
+        rep = compare_methods(1.0, [(1.0, 1.3)], [0.4, 0.3], "spectral", "path_sum_nu1")
+        assert rep.convergence_ratios is None
+        assert rep.per_lambda_ratios == (rep.per_lambda[0][2] / rep.per_lambda[1][2],)
+
+    def test_nan_deviation_propagates(self, monkeypatch):
+        from boxkernel import verify
+        from boxkernel.spectral import KernelEstimate
+
+        def fake(method, nu, theta, theta_p, lam, config=None):
+            nan_row = method == "closed_form" and theta == 2.0 and lam == 0.4
+            scale = 1.5 if method == "closed_form" else 1.0
+            return KernelEstimate(value=complex(math.nan if nan_row else scale * theta), method=method, terms_used=0)
+
+        monkeypatch.setattr(verify, "evaluate_method", fake)
+        # the NaN sits in the second row of the first block, where the builtin max drops it
+        rep = verify.compare_methods(1.0, [(1.0, 1.0), (2.0, 1.0)], [0.4, 0.2], "spectral", "closed_form")
+        assert math.isnan(rep.rel_dev[1])
+        (_, abs0, rel0), (_, abs1, rel1) = rep.per_lambda
+        assert math.isnan(abs0) and math.isnan(rel0) and (abs1, rel1) == (1.0, 1.0 / 3.0)
+        assert math.isnan(rep.max_abs_dev) and math.isnan(rep.max_rel_dev)
+        [ratio] = rep.convergence_ratios
+        assert math.isnan(ratio)
 
 
 class TestRunSuites:
@@ -212,3 +237,13 @@ class TestRunSuites:
     def test_orthonormality_passes_at_large_nu(self, nu):
         [(_, _, measured, tol, passed)] = run_suites(("orthonormality",), nu)
         assert passed and measured <= tol
+
+    def test_orthonormality_refuses_nu_past_the_measured_range(self, monkeypatch):
+        from boxkernel import verify
+
+        def no_rule(npoints):
+            raise AssertionError(f"a {npoints}-point rule was built")
+
+        monkeypatch.setattr(verify, "gauss_legendre_on_0_pi", no_rule)
+        with pytest.raises(DomainError, match="nu <= 1000"):
+            list(run_suites(("orthonormality",), 1e9))
