@@ -251,17 +251,6 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "epsilon_tail" in err
 
-    def test_orthonormality_past_nu_1000_is_exit_3(self, capsys, monkeypatch):
-        from boxkernel import verify
-
-        def no_rule(npoints):
-            raise AssertionError(f"a {npoints}-point rule was built")
-
-        monkeypatch.setattr(verify, "gauss_legendre_on_0_pi", no_rule)
-        code, _, err = run_cli(capsys, "verify", "--nu", "1e9", "--suite", "orthonormality")
-        assert code == EXIT_DOMAIN
-        assert "nu <= 1000" in err
-
     def test_unknown_method_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "kernel", "--nu", "1", "--lambda", "0.5",
