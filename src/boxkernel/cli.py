@@ -6,8 +6,8 @@ Exit codes
 0   success; every requested check passed its tolerance
 1   at least one requested check exceeded its tolerance
 2   usage error (malformed flags)
-3   domain error (theta outside (0, pi), lambda <= 0, nu < 1/2), an
-    overflowing path-sum term, or an underflowed reference value
+3   domain error (theta outside (0, pi), lambda <= 0, nu < 1/2), an overflowing
+    path-sum term or eigenfunction table, or an underflowed reference value
 4   spectral truncation policy unresolvable (term cap reached)
 
 Output is deterministic: identical invocations produce byte-identical
@@ -20,7 +20,7 @@ import math
 import sys
 
 from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu, require_theta
-from .pathsum import PathSumConfig
+from .pathsum import PRESCRIPTIONS, PathSumConfig
 from .spectral import TruncationPolicy
 from .verify import METHODS, SUITES, EvalConfig, compare_methods, evaluate_method, run_suites
 
@@ -53,6 +53,15 @@ def _parse_chain(text: str) -> list[float]:
     return chain
 
 
+def _refuse(exc: DomainError | PolicyUnresolvableError, where: str = "") -> int:
+    """Report a library refusal on stderr; return its exit code."""
+    if isinstance(exc, DomainError):
+        print(f"domain error: {where}{exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    print(f"truncation policy unresolvable: {where}{exc}", file=sys.stderr)
+    return EXIT_POLICY
+
+
 def _emit(lines: list[str], path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if path:
@@ -68,11 +77,13 @@ def _eval_config(args) -> EvalConfig:
 
 
 def _add_eval_flags(sub) -> None:
-    sub.add_argument("--n-terms", type=int, default=None, help="fixed spectral term count (default: resolve from --epsilon-tail)")
-    sub.add_argument("--epsilon-tail", type=float, default=1e-12, help="spectral tail target (default 1e-12)")
-    sub.add_argument("--n-cap", type=int, default=4096, help="spectral term cap (default 4096)")
-    sub.add_argument("--k-max", type=int, default=8, help="reflection sum truncation |k| <= k_max (default 8)")
-    sub.add_argument("--prescription", choices=("A", "B"), default="A", help="reflection phase prescription (default A)")
+    # the class attributes are the dataclass field defaults, read without building an instance
+    policy, path = TruncationPolicy, PathSumConfig
+    sub.add_argument("--n-terms", type=int, default=policy.n_terms, help="fixed spectral term count (default: resolve from --epsilon-tail)")
+    sub.add_argument("--epsilon-tail", type=float, default=policy.epsilon_tail, help=f"spectral tail target (default {policy.epsilon_tail:g})")
+    sub.add_argument("--n-cap", type=int, default=policy.n_cap, help=f"spectral term cap (default {policy.n_cap})")
+    sub.add_argument("--k-max", type=int, default=path.k_max, help=f"reflection sum truncation |k| <= k_max (default {path.k_max})")
+    sub.add_argument("--prescription", choices=PRESCRIPTIONS, default=path.prescription, help=f"reflection phase prescription (default {path.prescription})")
     sub.add_argument("--output", choices=("csv", "pretty"), default="pretty", help="output format")
     sub.add_argument("--output-path", default=None, help="write output to a file instead of stdout")
 
@@ -177,8 +188,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
-    rows = list(run_suites(suites, require_nu(args.nu), _eval_config(args)))
-    all_pass = all(r[4] for r in rows)
+    nu, config = require_nu(args.nu), _eval_config(args)
+    rows, refusals = [], []
+    for suite in suites:  # one at a time, so that a suite's refusal keeps the other suites' rows
+        try:
+            rows += run_suites((suite,), nu, config)
+        except (DomainError, PolicyUnresolvableError) as exc:
+            refusals.append((suite, exc))
+    all_pass = not refusals and all(r[4] for r in rows)
     if args.output == "csv":
         lines = ["suite,check,measured,tolerance,status"]
         for suite, check, measured, tol, passed in rows:
@@ -194,7 +211,8 @@ def _cmd_verify(args) -> int:
             )
         lines.append("all suites passed" if all_pass else "FAILURES detected")
     _emit(lines, args.output_path)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    codes = [_refuse(exc, f"{suite}: ") for suite, exc in refusals]
+    return codes[0] if codes else (EXIT_OK if all_pass else EXIT_CHECK_FAILED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,15 +264,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except (DomainError, PolicyUnresolvableError) as exc:
+        return _refuse(exc)
     except OverflowError as exc:
         print(f"overflow: {exc} (a path-sum term exceeds the float range)", file=sys.stderr)
         return EXIT_DOMAIN
-    except PolicyUnresolvableError as exc:
-        print(f"truncation policy unresolvable: {exc}", file=sys.stderr)
-        return EXIT_POLICY
 
 
 if __name__ == "__main__":

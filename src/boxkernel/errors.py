@@ -9,6 +9,8 @@ do not.
 
 import math
 
+__all__ = ["DomainError", "PolicyUnresolvableError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the validity domain of the model."""

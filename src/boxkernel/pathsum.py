@@ -51,6 +51,8 @@ __all__ = [
 # correction grows like 1/sin and the small-lambda hierarchy degrades.
 _BOUNDARY_MARGIN = 0.05
 
+PRESCRIPTIONS = ("A", "B")
+
 
 @dataclass(frozen=True)
 class PathSumConfig:
@@ -68,7 +70,7 @@ class PathSumConfig:
         # ~ 2.6e6: exp(-(2 pi k)^2 / (2 lambda)) leaves the float range past 745.
         if not (1 <= self.k_max <= 10_000):
             raise DomainError(f"k_max must lie in [1, 10000], got {self.k_max}")
-        if self.prescription not in ("A", "B"):
+        if self.prescription not in PRESCRIPTIONS:
             raise DomainError(f"prescription must be 'A' or 'B', got {self.prescription!r}")
 
 

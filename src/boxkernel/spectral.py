@@ -129,8 +129,9 @@ def eigenfunction(n: int, nu: float, theta: float) -> float:
 
     The Gamma-function pieces of the normalisation overflow individually for
     moderate n, so they are combined as a single exponent together with the
-    sin^nu factor; only the (polynomially growing) Gegenbauer value is kept
-    in linear space.
+    sin^nu factor.  The Gegenbauer value is kept in linear space, where it
+    grows up to C_n^nu(1) ~ n^(2 nu - 1) / Gamma(2 nu) near the walls and
+    overflows at large n and nu; there a ``DomainError`` is raised.
     """
     if n < 0:
         raise DomainError(f"mode index must be nonnegative, got {n}")
@@ -146,8 +147,12 @@ def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
 
 def _eigenfunction_matrix(nmax: int, nu: float, thetas) -> np.ndarray:
     """phi_n(theta) for n = 0..nmax; rows are modes, columns follow ``thetas`` (a scalar gives a vector)."""
+    gegenbauer = gegenbauer_table(nmax, nu, np.cos(thetas))
+    # a value that leaves the float range stays inf or NaN up the recurrence, so the last row shows it
+    if not np.isfinite(gegenbauer[-1]).all():
+        raise DomainError(f"eigenfunction table: C_n^nu(cos theta) leaves the float range by n = {nmax} at nu = {nu:g}")
     log_amp = np.add.outer(_log_norms(nmax, nu), nu * np.log(np.sin(thetas)))
-    return np.exp(log_amp) * gegenbauer_table(nmax, nu, np.cos(thetas))
+    return np.exp(log_amp) * gegenbauer
 
 
 def _log_envelope(n: float, nu: float):
@@ -184,25 +189,29 @@ def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
     ratio = math.exp(log_t(n_start + 1) - t0)
     if ratio >= 1.0:
         return math.inf
-    return math.exp(t0) / (1.0 - ratio)
+    try:
+        return math.exp(t0) / (1.0 - ratio)
+    except OverflowError:  # t_N itself is past the float range: no bound yet, as for r_N >= 1
+        return math.inf
 
 
-def _resolve_terms(nu: float, lam: float, policy: TruncationPolicy | None) -> tuple[int, float]:
+def _mode_weights(nu: float, lam: float, policy: TruncationPolicy | None) -> tuple[np.ndarray, float]:
+    """Weights exp(-lambda (n+nu)^2 / 2) of the modes n = 0..N-1 that ``policy`` keeps, and their tail bound."""
     policy = policy or TruncationPolicy()
     if policy.n_terms is not None:
-        n = policy.n_terms
-        bound = truncation_tail_bound(nu, lam, n)
-        return n, bound
-    n = 1
-    while n <= policy.n_cap:
-        bound = truncation_tail_bound(nu, lam, n)
-        if bound <= policy.epsilon_tail:
-            return n, bound
-        n += 1
-    raise PolicyUnresolvableError(
-        f"spectral tail below {policy.epsilon_tail:g} needs more than "
-        f"{policy.n_cap} modes at nu={nu:g}, lambda={lam:g}"
-    )
+        n_terms, tail = policy.n_terms, truncation_tail_bound(nu, lam, policy.n_terms)
+    else:
+        for n_terms in range(1, policy.n_cap + 1):
+            tail = truncation_tail_bound(nu, lam, n_terms)
+            if tail <= policy.epsilon_tail:
+                break
+        else:
+            raise PolicyUnresolvableError(
+                f"spectral tail below {policy.epsilon_tail:g} needs more than "
+                f"{policy.n_cap} modes at nu={nu:g}, lambda={lam:g}"
+            )
+    n = np.arange(n_terms, dtype=float)
+    return np.exp(-lam * (n + nu) ** 2 / 2.0), tail
 
 
 def kernel_spectral(
@@ -222,15 +231,14 @@ def kernel_spectral(
     theta_a = require_theta(theta_a, "theta_a")
     theta_b = require_theta(theta_b, "theta_b")
     lam = require_lambda(lam)
-    n_terms, tail = _resolve_terms(nu, lam, policy)
-    n = np.arange(n_terms, dtype=float)
-    weights = np.exp(-lam * (n + nu) ** 2 / 2.0)
-    terms = weights * _eigenfunction_matrix(n_terms - 1, nu, theta_a) * _eigenfunction_matrix(n_terms - 1, nu, theta_b)
+    weights, tail = _mode_weights(nu, lam, policy)
+    nmax = len(weights) - 1
+    terms = weights * _eigenfunction_matrix(nmax, nu, theta_a) * _eigenfunction_matrix(nmax, nu, theta_b)
     value = math.fsum(terms)
     return KernelEstimate(
         value=complex(value, 0.0),
         method="spectral",
-        terms_used=n_terms,
+        terms_used=len(weights),
         tail_bound=tail,
     )
 
@@ -254,8 +262,7 @@ def kernel_spectral_profile(
     thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas <= 0.0) or np.any(thetas >= math.pi):
         raise DomainError("profile angles must lie strictly inside (0, pi)")
-    n_terms, _ = _resolve_terms(nu, lam, policy)
-    n = np.arange(n_terms, dtype=float)
-    weights = np.exp(-lam * (n + nu) ** 2 / 2.0)
-    fa = _eigenfunction_matrix(n_terms - 1, nu, theta_a)
-    return (weights * fa) @ _eigenfunction_matrix(n_terms - 1, nu, thetas)
+    weights, _ = _mode_weights(nu, lam, policy)
+    nmax = len(weights) - 1
+    fa = _eigenfunction_matrix(nmax, nu, theta_a)
+    return (weights * fa) @ _eigenfunction_matrix(nmax, nu, thetas)

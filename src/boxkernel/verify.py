@@ -19,7 +19,7 @@ import numpy as np
 
 from .closedform import addition_formula_lhs, addition_formula_rhs, kernel_closed
 from .errors import DomainError, require_lambda, require_nu
-from .pathsum import PathSumConfig, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2, reflection_phase
+from .pathsum import PRESCRIPTIONS, PathSumConfig, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
@@ -329,7 +329,7 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
             reflection_phase(k, "even", float(inu), presc) == 1.0
             and reflection_phase(k, "odd", float(inu), presc) == (-1.0 if inu % 2 else 1.0)
             for inu in (1, 2, 3, 4, 5)
-            for presc in ("A", "B")
+            for presc in PRESCRIPTIONS
             for k in range(-3, 4)
         )
         yield ("phases", "integer-nu collapse, both prescriptions", 0.0 if exact else 1.0, 0.0, exact)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from boxkernel import SUITES, compare_methods, kernel_spectral, run_suites
+from boxkernel import SUITES, PathSumConfig, TruncationPolicy, compare_methods, kernel_spectral, run_suites
 from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, build_parser, main
 
 
@@ -196,6 +196,15 @@ class TestVerifyCommand:
         suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
         assert tuple(suite.choices) == ("all",) + SUITES
 
+    def test_refused_suite_keeps_the_other_rows(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--nu", "40")
+        assert code == EXIT_DOMAIN
+        assert err.startswith("domain error: semigroup: ") and len(err.splitlines()) == 1
+        assert "underflows" in err
+        for suite in SUITES:
+            assert (f"] {suite}: " in out) == (suite != "semigroup"), suite
+        assert out.splitlines()[-1] == "FAILURES detected"
+
     def test_orthonormality_at_large_nu_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--nu", "40", "--suite", "orthonormality")
         assert code == EXIT_OK
@@ -275,6 +284,22 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert err.startswith("overflow:")
 
+    def test_spectral_tail_overflow_is_the_term_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "kernel", "--nu", "168.28", "--theta", "0.00268", "--theta-p", "1.180",
+            "--lambda", "1.03e-4", "--method", "spectral",
+        )
+        assert code == EXIT_POLICY
+        assert out == "" and "4096 modes" in err and "path-sum" not in err
+
+    def test_overflowing_eigenfunction_table_is_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "kernel", "--nu", "90.733019776225", "--theta", "1.1191147329250895e-08",
+            "--theta-p", "0.3725420803085231", "--lambda", "0.00012424117182030517", "--method", "spectral",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("domain error: eigenfunction table")
+
     def test_underflowed_semigroup_reference_is_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--nu", "40", "--suite", "semigroup")
         assert code == EXIT_DOMAIN
@@ -286,3 +311,19 @@ class TestExitCodes:
             "--lambda-chain", "0.4", "--theta", "1.0", "--theta-p", str(math.pi + 0.1),
         )
         assert code == EXIT_DOMAIN
+
+
+class TestDefaults:
+    REQUIRED = {
+        "kernel": ("--nu", "1", "--lambda", "0.5", "--theta", "1", "--theta-p", "2", "--method", "spectral"),
+        "compare": ("--nu", "1", "--methods", "spectral,closed", "--lambda-chain", "0.4"),
+        "sweep": ("--nu", "1", "--methods", "spectral,closed", "--lambda-chain", "0.4"),
+        "verify": (),
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_parsed_defaults_are_the_config_defaults(self, command):
+        args = build_parser().parse_args([command, *self.REQUIRED[command]])
+        policy, path = TruncationPolicy(), PathSumConfig()
+        assert (args.n_terms, args.epsilon_tail, args.n_cap) == (policy.n_terms, policy.epsilon_tail, policy.n_cap)
+        assert (args.k_max, args.prescription) == (path.k_max, path.prescription)

@@ -85,6 +85,10 @@ class TestTruncationTailBound:
     def test_reference_point(self):
         assert truncation_tail_bound(1.0, 1.0, 30) < 1e-12
 
+    def test_term_past_the_float_range_gives_inf(self):
+        # exp(t_N) overflows here; +inf means "keep adding modes", like r_N >= 1
+        assert truncation_tail_bound(168.28, 1.03e-4, 1642) == math.inf
+
     def test_bound_is_a_true_bound(self):
         # extending the truncated sum by 200 extra modes moves the value by
         # less than the reported bound
@@ -166,6 +170,12 @@ class TestKernelSpectral:
     def test_policy_unresolvable_signals_small_lambda(self):
         with pytest.raises(PolicyUnresolvableError):
             kernel_spectral(1.0, 1.5, 1.6, 1e-6, TruncationPolicy.to_tail(1e-12, n_cap=50))
+
+    def test_overflowing_gegenbauer_factor_is_domain_error(self):
+        # C_n^nu(cos theta) overflows by degree 3204 while the sin^nu amplitude underflows to 0,
+        # which multiplied to a silent NaN
+        with pytest.raises(DomainError, match="eigenfunction table"):
+            kernel_spectral(90.733019776225, 1.1191147329250895e-08, 0.3725420803085231, 0.00012424117182030517)
 
     def test_boundary_angles_rejected(self):
         with pytest.raises(DomainError):
