@@ -13,20 +13,20 @@ lets the Bessel scaling cancel analytically: the implementation multiplies
 function, which removes both the overflow and the cancellation at
 theta ~ theta' for small lambda.
 
-The addition formula that produces this closed form is an exact identity;
-both of its sides are exposed here carrying a shared ``exp(-1/lambda)``
-regulator so the identity can be tested at small lambda where the raw sides
-grow like ``exp(1/lambda)``.
+The addition formula behind it is exact: its series side is the spectral mode
+sum with Bessel-link weights, so ``kernel_closed`` is e^{-lambda/8} times that
+sum.  Both sides carry a shared ``exp(-1/lambda)`` regulator so the identity can
+be tested at small lambda where the raw sides grow like ``exp(1/lambda)``.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, ive
+from scipy.special import ive
 
 from .errors import require_lambda, require_point
-from .spectral import KernelEstimate
-from .specfun import bessel_i_scaled, gegenbauer_table, log_gamma
+from .spectral import KernelEstimate, _mode_sum
+from .specfun import bessel_i_scaled
 
 __all__ = [
     "kernel_closed",
@@ -67,22 +67,16 @@ def addition_formula_lhs(
 ) -> float:
     """Gegenbauer-Bessel series side, regulated by exp(-1/lambda).
 
-    Computes ``2^{2 nu} Gamma(nu)^2 / sqrt(2 pi lambda) (sin sin')^nu
-    * sum_n n! (nu+n) / Gamma(2nu+n) * e^{-1/lambda} I_{nu+n}(1/lambda)
-    * C_n(cos theta) C_n(cos theta')`` with scaled Bessel values; the
-    coefficient ratios are assembled in log space.
+    Term n of ``2^{2 nu} Gamma(nu)^2 / sqrt(2 pi lambda) (sin sin')^nu sum_n n! (nu+n)
+    / Gamma(2nu+n) e^{-1/lambda} I_{nu+n}(1/lambda) C_n(cos theta) C_n(cos theta')``
+    is ``sqrt(2 pi / lambda) e^{-1/lambda} I_{nu+n}(1/lambda) phi_n(theta) phi_n(theta')``:
+    the spectral mode sum with the Bessel-link weights of ``check_gaussian_bessel_link``.
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     if n_terms is None:
         n_terms = addition_formula_terms(lam)
-    z = 1.0 / lam
-    ss = math.sin(theta) * math.sin(theta_p)
-    log_pref = 2.0 * nu * math.log(2.0) + 2.0 * log_gamma(nu) + nu * math.log(ss)
-    pref = math.exp(log_pref) / math.sqrt(2.0 * math.pi * lam)
-    ca, cb = gegenbauer_table(n_terms - 1, nu, np.array([math.cos(theta), math.cos(theta_p)])).T
     n = np.arange(n_terms, dtype=float)
-    log_coef = gammaln(n + 1.0) + np.log(nu + n) - gammaln(2.0 * nu + n)
-    return pref * math.fsum(np.exp(log_coef) * ive(nu + n, z) * ca * cb)
+    return math.sqrt(2.0 * math.pi / lam) * _mode_sum(ive(nu + n, 1.0 / lam), nu, theta, theta_p)
 
 
 def addition_formula_rhs(nu: float, theta: float, theta_p: float, lam: float) -> float:

@@ -1,10 +1,10 @@
 """Foundational special functions: log-gamma, Gegenbauer polynomials, and
 exponentially scaled modified Bessel functions of real order.
 
-Everything downstream (eigenfunction normalisation, the closed kernel, the
-Gegenbauer-Bessel addition formula) is assembled from these three primitives,
-so their accuracy targets are deliberately tighter than the cross-method
-tolerances they have to support:
+Everything downstream rests on these three primitives: the eigenbasis (and
+through it both mode sums, the spectral kernel and the addition-formula
+series) and the closed kernel.  Their accuracy targets are deliberately
+tighter than the cross-method tolerances they have to support:
 
 * ``log_gamma``        relative error <= 1e-13 on [0.5, 200]
 * ``gegenbauer_*``     three-term recurrence, stable on [-1, 1] for nu >= 1/2

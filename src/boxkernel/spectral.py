@@ -78,7 +78,7 @@ class TruncationPolicy:
         return cls(n_terms=n_terms)
 
     @classmethod
-    def to_tail(cls, epsilon_tail: float, n_cap: int = 4096) -> "TruncationPolicy":
+    def to_tail(cls, epsilon_tail: float, n_cap: int = n_cap) -> "TruncationPolicy":
         return cls(epsilon_tail=epsilon_tail, n_cap=n_cap)
 
 
@@ -147,7 +147,8 @@ def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
 
 def _eigenfunction_matrix(nmax: int, nu: float, thetas) -> np.ndarray:
     """phi_n(theta) for n = 0..nmax; rows are modes, columns follow ``thetas`` (a scalar gives a vector)."""
-    gegenbauer = gegenbauer_table(nmax, nu, np.cos(thetas))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gegenbauer = gegenbauer_table(nmax, nu, np.cos(thetas))
     # a value that leaves the float range stays inf or NaN up the recurrence, so the last row shows it
     if not np.isfinite(gegenbauer[-1]).all():
         raise DomainError(f"eigenfunction table: C_n^nu(cos theta) leaves the float range by n = {nmax} at nu = {nu:g}")
@@ -214,6 +215,12 @@ def _mode_weights(nu: float, lam: float, policy: TruncationPolicy | None) -> tup
     return np.exp(-lam * (n + nu) ** 2 / 2.0), tail
 
 
+def _mode_sum(weights: np.ndarray, nu: float, theta_a: float, theta_b: float) -> float:
+    """fsum of ``weights[n] phi_n(theta_a) phi_n(theta_b)``, n = 0..len(weights)-1: the spectral kernel and the addition series."""
+    nmax = len(weights) - 1
+    return math.fsum(weights * _eigenfunction_matrix(nmax, nu, theta_a) * _eigenfunction_matrix(nmax, nu, theta_b))
+
+
 def kernel_spectral(
     nu: float,
     theta_a: float,
@@ -232,9 +239,7 @@ def kernel_spectral(
     theta_b = require_theta(theta_b, "theta_b")
     lam = require_lambda(lam)
     weights, tail = _mode_weights(nu, lam, policy)
-    nmax = len(weights) - 1
-    terms = weights * _eigenfunction_matrix(nmax, nu, theta_a) * _eigenfunction_matrix(nmax, nu, theta_b)
-    value = math.fsum(terms)
+    value = _mode_sum(weights, nu, theta_a, theta_b)
     return KernelEstimate(
         value=complex(value, 0.0),
         method="spectral",

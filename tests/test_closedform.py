@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from boxkernel import (
+    DomainError,
     kernel_spectral,
     addition_formula_lhs,
     addition_formula_rhs,
@@ -91,6 +92,10 @@ class TestAdditionFormula:
             (1.0, 1.0, 1.4, 0.5),
             (2.3, 0.9, 1.1, 0.05),
             (4.0, 2.0, 2.2, 0.02),
+            # large coupling: the normalisation must neither overflow nor lose its low bits
+            (150.0, 1.0, 1.1, 0.01),
+            (200.0, 1.0, 1.1, 0.1),
+            (69.85101918954125, 0.6092189978534952, 0.46043301520215396, 0.006707087462415202),
         ):
             lhs = addition_formula_lhs(nu, ta, tb, lam)
             rhs = addition_formula_rhs(nu, ta, tb, lam)
@@ -139,3 +144,29 @@ class TestAdditionFormula:
 
     def test_default_term_count_scales_with_z(self):
         assert addition_formula_terms(1.0) < addition_formula_terms(0.01)
+
+    def test_overflowing_gegenbauer_factor_is_domain_error(self):
+        # the series shares the spectral eigenbasis, and with it the table's float-range check
+        with pytest.raises(DomainError, match="eigenfunction table"):
+            addition_formula_lhs(174.88144506991665, 0.14212629477216182, 0.05, 0.0013802466885361611)
+
+    def test_seeded_fuzz_agrees_or_refuses(self):
+        # nu log-uniform in [0.5, 300], lambda = 10^U(-3, 0), theta' within a
+        # few sqrt(lambda) of theta: each point matches the product side or is
+        # refused with a DomainError, never an overflow or a silent mismatch
+        rng = np.random.default_rng(7)
+        refused = 0
+        for _ in range(200):
+            nu = math.exp(rng.uniform(math.log(0.5), math.log(300.0)))
+            lam = 10.0 ** rng.uniform(-3.0, 0.0)
+            theta = rng.uniform(0.05, math.pi - 0.05)
+            theta_p = theta + rng.uniform(-1.0, 1.0) * min(1.0, 3.0 * math.sqrt(lam))
+            theta_p = min(max(theta_p, 0.05), math.pi - 0.05)
+            try:
+                lhs = addition_formula_lhs(nu, theta, theta_p, lam)
+            except DomainError:
+                refused += 1
+                continue
+            rhs = addition_formula_rhs(nu, theta, theta_p, lam)
+            assert abs(lhs - rhs) <= 1e-10 * rhs + 1e-300, (nu, theta, theta_p, lam, lhs, rhs)
+        assert refused < 10

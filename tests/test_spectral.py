@@ -156,6 +156,9 @@ class TestKernelSpectral:
         assert TruncationPolicy.fixed(100_000).n_terms == 100_000
         assert TruncationPolicy.to_tail(1e-12, n_cap=100_000).n_cap == 100_000
 
+    def test_to_tail_takes_the_field_default_cap(self):
+        assert TruncationPolicy.to_tail(1e-10).n_cap == TruncationPolicy().n_cap
+
     def test_target_policy_meets_tail(self):
         policy = TruncationPolicy.to_tail(1e-10)
         est = kernel_spectral(1.0, 1.0, 1.0, 0.2, policy)
@@ -176,6 +179,11 @@ class TestKernelSpectral:
         # which multiplied to a silent NaN
         with pytest.raises(DomainError, match="eigenfunction table"):
             kernel_spectral(90.733019776225, 1.1191147329250895e-08, 0.3725420803085231, 0.00012424117182030517)
+
+    def test_overflowing_profile_table_is_domain_error(self):
+        # the array recurrence overflows in numpy; the table check reports it, not a RuntimeWarning
+        with pytest.raises(DomainError, match="eigenfunction table"):
+            kernel_spectral_profile(150.0, 1.5, np.array([1e-3, 1.0]), 1e-4, TruncationPolicy.fixed(3001))
 
     def test_boundary_angles_rejected(self):
         with pytest.raises(DomainError):

@@ -56,6 +56,11 @@ class TestOrthonormality:
         assert coarse <= 1e-10 and fine <= 1e-10
         assert abs(coarse - fine) <= 1e-10
 
+    def test_overflowing_table_is_domain_error(self):
+        # C_n^nu(cos theta) leaves the float range at the outer nodes of the rule
+        with pytest.raises(DomainError, match="eigenfunction table"):
+            check_orthonormality(150.0, 3000, gauss_legendre_on_0_pi(200))
+
 
 class TestGaussianBesselLink:
     def test_reference_point(self):
