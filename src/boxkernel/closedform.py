@@ -24,8 +24,8 @@ import math
 import numpy as np
 from scipy.special import ive
 
-from .errors import require_lambda, require_point
-from .spectral import KernelEstimate, _mode_sum
+from .errors import require_count, require_lambda, require_point
+from .spectral import KernelEstimate, _mode_sums
 from .specfun import bessel_i_scaled
 
 __all__ = [
@@ -73,10 +73,9 @@ def addition_formula_lhs(
     the spectral mode sum with the Bessel-link weights of ``check_gaussian_bessel_link``.
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
-    if n_terms is None:
-        n_terms = addition_formula_terms(lam)
+    n_terms = addition_formula_terms(lam) if n_terms is None else require_count(n_terms, "n_terms")
     n = np.arange(n_terms, dtype=float)
-    return math.sqrt(2.0 * math.pi / lam) * _mode_sum(ive(nu + n, 1.0 / lam), nu, theta, theta_p)
+    return math.sqrt(2.0 * math.pi / lam) * _mode_sums(ive(nu + n, 1.0 / lam), nu, [(theta, theta_p)])[0]
 
 
 def addition_formula_rhs(nu: float, theta: float, theta_p: float, lam: float) -> float:

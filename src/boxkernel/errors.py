@@ -8,6 +8,7 @@ do not.
 """
 
 import math
+import numbers
 
 __all__ = ["DomainError", "PolicyUnresolvableError"]
 
@@ -44,3 +45,10 @@ def require_lambda(lam: float, name: str = "lambda") -> float:
 def require_point(nu: float, theta: float, theta_p: float, lam: float) -> tuple[float, float, float, float]:
     """Validated ``(nu, theta, theta_p, lambda)`` of one kernel evaluation."""
     return require_nu(nu), require_theta(theta), require_theta(theta_p, "theta_p"), require_lambda(lam)
+
+
+def require_count(n, name: str, cap: float = math.inf) -> int:
+    """A count of modes or images in [1, ``cap``]; any integer type passes (numpy's too), and 2.5 is refused, not rounded."""
+    if not isinstance(n, numbers.Integral) or not 1 <= n <= cap:
+        raise DomainError(f"{name} must be an integer in [1, {cap}], got {n!r}")
+    return int(n)

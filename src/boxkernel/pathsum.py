@@ -31,10 +31,11 @@ the saddle treatment and shrinks rapidly as lambda decreases.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_nu, require_point
+from .errors import DomainError, require_count, require_lambda, require_nu, require_point, require_theta
 from .spectral import KernelEstimate
 
 __all__ = [
@@ -68,8 +69,7 @@ class PathSumConfig:
     def __post_init__(self):
         # 10,000 keeps every image whose weight can be a normal float up to lambda
         # ~ 2.6e6: exp(-(2 pi k)^2 / (2 lambda)) leaves the float range past 745.
-        if not (1 <= self.k_max <= 10_000):
-            raise DomainError(f"k_max must lie in [1, 10000], got {self.k_max}")
+        require_count(self.k_max, "k_max", 10_000)
         if self.prescription not in PRESCRIPTIONS:
             raise DomainError(f"prescription must be 'A' or 'B', got {self.prescription!r}")
 
@@ -120,45 +120,56 @@ def decompose(
 
     Summing ``phase * exp(gauss_exponent + potential_correction)`` over the
     returned list and dividing by sqrt(2 pi lambda) reproduces
-    :func:`kernel_pathsum_general` bit for bit; the kernel routines are thin
-    wrappers over this decomposition.
+    :func:`kernel_pathsum_general` bit for bit: the kernels take the same
+    phases and exponents (``_phases``, ``_exponents``) and sum them without
+    building term objects.  This list is the introspection view.
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     config = config or PathSumConfig()
+    labels = [(k, parity) for k in range(-config.k_max, config.k_max + 1) for parity in ("even", "odd")]
+    terms = zip(labels, _phases(nu, config.k_max, config.prescription), _exponents(nu, theta, theta_p, lam, config.k_max))
+    return [ReflectionTerm(k, parity, phase, gauss, potential) for (k, parity), phase, (gauss, potential) in terms]
+
+
+@functools.lru_cache(maxsize=64)
+def _phases(nu: float, k_max: int, prescription: str) -> tuple[complex, ...]:
+    """The phase of each term in (k, parity) order, built once per (nu, k_max, prescription) by
+    :func:`reflection_phase`, so the integer-coupling collapses stay exact."""
+    return tuple(reflection_phase(k, parity, nu, prescription) for k in range(-k_max, k_max + 1) for parity in ("even", "odd"))
+
+
+def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int) -> list[tuple[float, float]]:
+    """(gauss_exponent, potential_correction) of each term of one point, in (k, parity) order."""
     correction = 0.5 * lam * nu * (nu - 1.0) / (math.sin(theta) * math.sin(theta_p))
-    saddles = (("even", theta - theta_p, -correction), ("odd", theta + theta_p, correction))
-    return [
-        ReflectionTerm(
-            k=k,
-            parity=parity,
-            phase=reflection_phase(k, parity, nu, config.prescription),
-            gauss_exponent=-((separation - 2.0 * math.pi * k) ** 2) / (2.0 * lam),
-            potential_correction=potential,
-        )
-        for k in range(-config.k_max, config.k_max + 1)
-        for parity, separation, potential in saddles
-    ]
+    saddles = ((theta - theta_p, -correction), (theta + theta_p, correction))
+    return [(-((sep - 2.0 * math.pi * k) ** 2) / (2.0 * lam), potential) for k in range(-k_max, k_max + 1) for sep, potential in saddles]
 
 
-def _kernel_pathsum(
-    nu: float, method: str, theta: float, theta_p: float, lam: float, config: PathSumConfig | None
-) -> KernelEstimate:
-    """The one path-sum body: sum the :func:`decompose` terms with exact (fsum) reduction.
+def _kernel_pathsum(nu: float, method: str, pairs, lam: float, config: PathSumConfig | None) -> list[KernelEstimate]:
+    """The one path-sum core: the :func:`decompose` terms of each pair at one lambda, summed with
+    exact (fsum) reduction, without building them as objects.
 
     Each weight is a ``math.exp``, so a term whose potential correction
     overflows raises ``OverflowError`` rather than turning into inf.
     """
-    terms = decompose(nu, theta, theta_p, lam, config)
+    config = config or PathSumConfig()
+    nu = require_nu(nu)
+    pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in pairs]
+    lam = require_lambda(lam)
+    phases = _phases(nu, config.k_max, config.prescription)
     norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
-    weights = [math.exp(t.gauss_exponent + t.potential_correction) for t in terms]
-    re = math.fsum(t.phase.real * w for t, w in zip(terms, weights))
-    im = math.fsum(t.phase.imag * w for t, w in zip(terms, weights))
-    return KernelEstimate(
-        value=complex(norm * re, norm * im),
-        method=method,
-        terms_used=len(terms),
-        near_boundary=min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN,
-    )
+    estimates = []
+    for theta, theta_p in pairs:
+        weights = [math.exp(gauss + potential) for gauss, potential in _exponents(nu, theta, theta_p, lam, config.k_max)]
+        re = math.fsum([phase.real * w for phase, w in zip(phases, weights)])
+        im = math.fsum([phase.imag * w for phase, w in zip(phases, weights)])
+        estimates.append(KernelEstimate(
+            value=complex(norm * re, norm * im),
+            method=method,
+            terms_used=len(weights),
+            near_boundary=min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN,
+        ))
+    return estimates
 
 
 def kernel_pathsum_general(
@@ -169,7 +180,7 @@ def kernel_pathsum_general(
     config: PathSumConfig | None = None,
 ) -> KernelEstimate:
     """Phased reflection sum for arbitrary coupling; value is complex."""
-    return _kernel_pathsum(nu, "path_sum_general", theta, theta_p, lam, config)
+    return _kernel_pathsum(nu, "path_sum_general", [(theta, theta_p)], lam, config)[0]
 
 
 def kernel_pathsum_nu1(
@@ -188,7 +199,7 @@ def kernel_pathsum_nu1(
     1.44e-8 at (1, 2) where the kernel is 9.4e-23.  The phases are exactly
     +-1, so ``value.imag == 0.0``.
     """
-    return _kernel_pathsum(1.0, "path_sum_nu1", theta, theta_p, lam, config)
+    return _kernel_pathsum(1.0, "path_sum_nu1", [(theta, theta_p)], lam, config)[0]
 
 
 def kernel_pathsum_nu2(
@@ -198,4 +209,4 @@ def kernel_pathsum_nu2(
     config: PathSumConfig | None = None,
 ) -> KernelEstimate:
     """nu = 2 decomposition; both parities enter with coefficient +1."""
-    return _kernel_pathsum(2.0, "path_sum_nu2", theta, theta_p, lam, config)
+    return _kernel_pathsum(2.0, "path_sum_nu2", [(theta, theta_p)], lam, config)[0]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu, require_theta
+from .errors import DomainError, PolicyUnresolvableError, require_count, require_lambda, require_nu, require_theta
 from .specfun import gegenbauer_table
 
 __all__ = [
@@ -66,12 +66,11 @@ class TruncationPolicy:
     n_cap: int = 4096
 
     def __post_init__(self):
-        if self.n_terms is not None and not 1 <= self.n_terms <= _MAX_TERMS:
-            raise DomainError(f"n_terms must lie in [1, {_MAX_TERMS}], got {self.n_terms}")
+        if self.n_terms is not None:
+            require_count(self.n_terms, "n_terms", _MAX_TERMS)
         if not (0.0 < self.epsilon_tail < math.inf):
             raise DomainError(f"epsilon_tail must be finite and > 0, got {self.epsilon_tail}")
-        if not 1 <= self.n_cap <= _MAX_TERMS:
-            raise DomainError(f"n_cap must lie in [1, {_MAX_TERMS}], got {self.n_cap}")
+        require_count(self.n_cap, "n_cap", _MAX_TERMS)
 
     @classmethod
     def fixed(cls, n_terms: int) -> "TruncationPolicy":
@@ -215,10 +214,25 @@ def _mode_weights(nu: float, lam: float, policy: TruncationPolicy | None) -> tup
     return np.exp(-lam * (n + nu) ** 2 / 2.0), tail
 
 
-def _mode_sum(weights: np.ndarray, nu: float, theta_a: float, theta_b: float) -> float:
-    """fsum of ``weights[n] phi_n(theta_a) phi_n(theta_b)``, n = 0..len(weights)-1: the spectral kernel and the addition series."""
+def _mode_sums(weights: np.ndarray, nu: float, pairs) -> list[float]:
+    """fsum of ``weights[n] phi_n(a) phi_n(b)``, n = 0..len(weights)-1, per pair (a, b): the spectral
+    kernel and the addition series.  One column per distinct angle, each on the scalar recurrence,
+    which at a grid axis' few angles is 4-5x faster than the array one (and bitwise equal)."""
     nmax = len(weights) - 1
-    return math.fsum(weights * _eigenfunction_matrix(nmax, nu, theta_a) * _eigenfunction_matrix(nmax, nu, theta_b))
+    columns = {theta: _eigenfunction_matrix(nmax, nu, theta) for theta in {t for pair in pairs for t in pair}}
+    return [math.fsum((weights * columns[a] * columns[b]).tolist()) for a, b in pairs]
+
+
+def _kernel_spectral(nu: float, pairs, lam: float, policy: TruncationPolicy | None) -> list[KernelEstimate]:
+    """The spectral core: one resolve and one set of eigenfunction columns for all ``pairs`` at one lambda."""
+    nu = require_nu(nu)
+    pairs = [(require_theta(a, "theta_a"), require_theta(b, "theta_b")) for a, b in pairs]
+    lam = require_lambda(lam)
+    weights, tail = _mode_weights(nu, lam, policy)
+    return [
+        KernelEstimate(value=complex(value, 0.0), method="spectral", terms_used=len(weights), tail_bound=tail)
+        for value in _mode_sums(weights, nu, pairs)
+    ]
 
 
 def kernel_spectral(
@@ -234,18 +248,7 @@ def kernel_spectral(
     final reduction uses exact (fsum) summation to protect the 1e-10
     cross-method comparisons downstream.
     """
-    nu = require_nu(nu)
-    theta_a = require_theta(theta_a, "theta_a")
-    theta_b = require_theta(theta_b, "theta_b")
-    lam = require_lambda(lam)
-    weights, tail = _mode_weights(nu, lam, policy)
-    value = _mode_sum(weights, nu, theta_a, theta_b)
-    return KernelEstimate(
-        value=complex(value, 0.0),
-        method="spectral",
-        terms_used=len(weights),
-        tail_bound=tail,
-    )
+    return _kernel_spectral(nu, [(theta_a, theta_b)], lam, policy)[0]
 
 
 def kernel_spectral_profile(

@@ -19,13 +19,14 @@ import numpy as np
 
 from .closedform import addition_formula_lhs, addition_formula_rhs, kernel_closed
 from .errors import DomainError, require_lambda, require_nu
-from .pathsum import PRESCRIPTIONS, PathSumConfig, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2, reflection_phase
+from .pathsum import PRESCRIPTIONS, PathSumConfig, _kernel_pathsum, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
     kernel_spectral,
     kernel_spectral_profile,
     _eigenfunction_matrix,
+    _kernel_spectral,
 )
 from .specfun import bessel_i_scaled
 
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 METHODS = ("spectral", "closed_form", "path_sum_nu1", "path_sum_nu2", "path_sum_general")
+_FIXED_COUPLING = {"path_sum_nu1": 1.0, "path_sum_nu2": 2.0}
 
 SUITES = (
     "orthonormality",
@@ -192,21 +194,21 @@ def evaluate_method(
     config: EvalConfig | None = None,
 ) -> KernelEstimate:
     """Dispatch a kernel evaluation by method tag."""
-    config = config or EvalConfig()
+    return _evaluate_block(method, nu, [(theta, theta_p)], lam, config or EvalConfig())[0]
+
+
+def _evaluate_block(method: str, nu: float, pairs, lam: float, config: EvalConfig) -> list[KernelEstimate]:
+    """``method`` at every (theta, theta_p) of ``pairs`` at one lambda, through the method's batched core."""
     if method == "spectral":
-        return kernel_spectral(nu, theta, theta_p, lam, config.policy)
+        return _kernel_spectral(nu, pairs, lam, config.policy)
     if method == "closed_form":
-        return kernel_closed(nu, theta, theta_p, lam)
-    if method == "path_sum_nu1":
-        if nu != 1.0:
-            raise DomainError("path_sum_nu1 is defined at nu = 1 only")
-        return kernel_pathsum_nu1(theta, theta_p, lam, config.path)
-    if method == "path_sum_nu2":
-        if nu != 2.0:
-            raise DomainError("path_sum_nu2 is defined at nu = 2 only")
-        return kernel_pathsum_nu2(theta, theta_p, lam, config.path)
+        return [kernel_closed(nu, theta, theta_p, lam) for theta, theta_p in pairs]
+    if method in _FIXED_COUPLING:
+        if nu != _FIXED_COUPLING[method]:
+            raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
+        return _kernel_pathsum(_FIXED_COUPLING[method], method, pairs, lam, config.path)
     if method == "path_sum_general":
-        return kernel_pathsum_general(nu, theta, theta_p, lam, config.path)
+        return _kernel_pathsum(nu, method, pairs, lam, config.path)
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -234,6 +236,10 @@ def compare_methods(
     run through the chain in the given order, grid-major within each lambda.
     Real parts are compared; |Im/Re| is recorded per point when one of the
     methods is genuinely complex-valued.
+
+    Evaluation runs lambda by lambda, in chain order: ``method_a``'s batched
+    core over the whole grid, then ``method_b``'s.  Where both methods refuse
+    within one lambda, ``method_a``'s refusal is the one raised.
     """
     nu = require_nu(nu)
     lambda_chain = [require_lambda(l) for l in lambda_chain]
@@ -244,10 +250,9 @@ def compare_methods(
     config = config or EvalConfig()
 
     grid = tuple((theta, theta_p, lam) for lam in lambda_chain for theta, theta_p in theta_grid)
-    value_a, value_b = zip(*[
-        (evaluate_method(method_a, nu, *row, config).value, evaluate_method(method_b, nu, *row, config).value)
-        for row in grid
-    ])
+    blocks = [tuple(_evaluate_block(m, nu, theta_grid, lam, config) for m in (method_a, method_b)) for lam in lambda_chain]
+    value_a = tuple(est.value for block, _ in blocks for est in block)
+    value_b = tuple(est.value for _, block in blocks for est in block)
     abs_dev = tuple(abs(a.real - b.real) for a, b in zip(value_a, value_b))
     denoms = [max(abs(a.real), abs(b.real)) for a, b in zip(value_a, value_b)]
     rel_dev = tuple(d / m if m > 0.0 else 0.0 for d, m in zip(abs_dev, denoms))

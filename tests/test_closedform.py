@@ -142,6 +142,12 @@ class TestAdditionFormula:
         ]
         assert all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
 
+    def test_term_count_must_be_a_positive_integer(self):
+        for bad in (2.5, 0, -3):
+            with pytest.raises(DomainError, match="n_terms"):
+                addition_formula_lhs(1.0, 1.0, 1.2, 0.1, n_terms=bad)
+        assert addition_formula_lhs(1.0, 1.0, 1.2, 0.1, n_terms=np.int64(3)) == addition_formula_lhs(1.0, 1.0, 1.2, 0.1, n_terms=3)
+
     def test_default_term_count_scales_with_z(self):
         assert addition_formula_terms(1.0) < addition_formula_terms(0.01)
 

@@ -8,6 +8,7 @@ serves as the reference for the asymptotic couplings.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,15 +97,24 @@ class TestDecompose:
         )
 
     def test_resummation_is_bit_for_bit(self):
-        nu, theta, theta_p, lam = 1.3, 1.0, 2.1, 0.25
-        config = PathSumConfig(k_max=6)
-        terms = decompose(nu, theta, theta_p, lam, config)
-        norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
-        weights = [math.exp(t.gauss_exponent + t.potential_correction) for t in terms]
-        re = math.fsum(t.phase.real * w for t, w in zip(terms, weights))
-        im = math.fsum(t.phase.imag * w for t, w in zip(terms, weights))
-        resummed = complex(norm * re, norm * im)
-        assert resummed == kernel_pathsum_general(nu, theta, theta_p, lam, config).value
+        # the kernels no longer build the terms; summing decompose's list must still give their values
+        rng = np.random.default_rng(5)
+        cases = [(1.3, 1.0, 2.1, 0.25, PathSumConfig(k_max=6))] + [
+            (nu, rng.uniform(0.02, math.pi - 0.02), rng.uniform(0.02, math.pi - 0.02), 10.0 ** rng.uniform(-3.0, 0.5),
+             PathSumConfig(k_max=int(rng.integers(1, 12)), prescription=prescription))
+            for nu in (1.0, 2.0, 2.5, 0.75, 7.3) for prescription in ("A", "B") for _ in range(6)
+        ]
+        for nu, theta, theta_p, lam, config in cases:
+            terms = decompose(nu, theta, theta_p, lam, config)
+            norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
+            weights = [math.exp(t.gauss_exponent + t.potential_correction) for t in terms]
+            re = math.fsum(t.phase.real * w for t, w in zip(terms, weights))
+            im = math.fsum(t.phase.imag * w for t, w in zip(terms, weights))
+            resummed = complex(norm * re, norm * im)
+            assert repr(resummed) == repr(kernel_pathsum_general(nu, theta, theta_p, lam, config).value)
+            if nu in (1.0, 2.0):
+                scalar = kernel_pathsum_nu1 if nu == 1.0 else kernel_pathsum_nu2
+                assert repr(resummed) == repr(scalar(theta, theta_p, lam, config).value)
 
     def test_k0_even_dominates_near_the_diagonal(self):
         terms = decompose(1.5, 1.4, 1.45, 0.05)
@@ -217,6 +227,8 @@ class TestKernelPathsumGeneral:
             with pytest.raises(DomainError):
                 PathSumConfig(k_max=k_max)
         assert PathSumConfig(k_max=10_000).k_max == 10_000
+        with pytest.raises(DomainError, match="k_max"):
+            PathSumConfig(k_max=2.5)  # an image count, never rounded
 
     def test_estimates_report_metadata(self):
         est = kernel_pathsum_general(1.3, 0.03, 1.0, 0.1)

@@ -20,7 +20,7 @@ from boxkernel import (
     kernel_spectral,
     truncation_tail_bound,
 )
-from boxkernel.spectral import kernel_spectral_profile
+from boxkernel.spectral import _mode_weights, kernel_spectral_profile
 
 
 def sine_series_kernel(theta_a, theta_b, lam, n_terms=400):
@@ -155,6 +155,41 @@ class TestKernelSpectral:
                 TruncationPolicy.to_tail(1e-12, n_cap=n)
         assert TruncationPolicy.fixed(100_000).n_terms == 100_000
         assert TruncationPolicy.to_tail(1e-12, n_cap=100_000).n_cap == 100_000
+
+    def test_term_counts_are_integers(self):
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(DomainError, match="n_cap"):
+                TruncationPolicy(n_cap=bad)
+        for bad in (2.5, 0, -3):
+            with pytest.raises(DomainError, match="n_terms"):
+                TruncationPolicy.fixed(bad)
+        assert kernel_spectral(1.0, 1.0, 1.2, 0.5, TruncationPolicy.fixed(np.int64(7))).terms_used == 7
+
+    def test_resolve_is_the_linear_scan(self):
+        # the resolved N is the first N of a linear scan over the public tail bound, with that
+        # bound, and the policy is refused exactly where the scan runs past the cap
+        def linear_scan(nu, lam, policy):
+            for n in range(1, policy.n_cap + 1):
+                tail = truncation_tail_bound(nu, lam, n)
+                if tail <= policy.epsilon_tail:
+                    return n, tail
+            return None
+
+        rng = np.random.default_rng(3)
+        cap_hits = 0
+        for _ in range(150):
+            nu = math.exp(rng.uniform(math.log(0.5), math.log(200.0)))
+            lam = 10.0 ** rng.uniform(-3.5, 1.0)
+            policy = TruncationPolicy.to_tail(float(rng.choice([1e-15, 1e-12, 1e-8])), n_cap=int(rng.choice([40, 4096])))
+            expected = linear_scan(nu, lam, policy)
+            if expected is None:
+                cap_hits += 1
+                with pytest.raises(PolicyUnresolvableError):
+                    _mode_weights(nu, lam, policy)
+            else:
+                weights, tail = _mode_weights(nu, lam, policy)
+                assert (len(weights), tail) == expected, (nu, lam, policy)
+        assert cap_hits > 0
 
     def test_to_tail_takes_the_field_default_cap(self):
         assert TruncationPolicy.to_tail(1e-10).n_cap == TruncationPolicy().n_cap

@@ -16,9 +16,22 @@ from boxkernel import (
     compare_methods,
     evaluate_method,
     gauss_legendre_on_0_pi,
+    kernel_closed,
+    kernel_pathsum_general,
+    kernel_pathsum_nu1,
+    kernel_pathsum_nu2,
     kernel_spectral,
     run_suites,
 )
+
+# each method's public scalar kernel, called one point at a time
+SCALAR_KERNELS = {
+    "spectral": lambda nu, a, b, lam, cfg: kernel_spectral(nu, a, b, lam, cfg.policy),
+    "closed_form": lambda nu, a, b, lam, cfg: kernel_closed(nu, a, b, lam),
+    "path_sum_nu1": lambda nu, a, b, lam, cfg: kernel_pathsum_nu1(a, b, lam, cfg.path),
+    "path_sum_nu2": lambda nu, a, b, lam, cfg: kernel_pathsum_nu2(a, b, lam, cfg.path),
+    "path_sum_general": lambda nu, a, b, lam, cfg: kernel_pathsum_general(nu, a, b, lam, cfg.path),
+}
 
 
 class TestQuadrature:
@@ -208,16 +221,40 @@ class TestCompareMethods:
         assert rep.convergence_ratios is None
         assert rep.per_lambda_ratios == (rep.per_lambda[0][2] / rep.per_lambda[1][2],)
 
+    @pytest.mark.parametrize("prescription", ["A", "B"])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 2.5])
+    def test_values_are_the_scalar_kernels_by_repr(self, nu, prescription):
+        # the batched cores against the scalar entry points, on grid axes (repeated angles)
+        # plus scattered pairs, at seeded margins, lambdas and truncations
+        rng = np.random.default_rng(int(10 * nu) + ord(prescription))
+        methods = ["spectral", "closed_form", "path_sum_general"]
+        methods += {1.0: ["path_sum_nu1"], 2.0: ["path_sum_nu2"]}.get(nu, [])
+        for margin in rng.uniform(0.01, 1.2, size=3):
+            axis = np.linspace(margin, math.pi - margin, 4).tolist()
+            grid = [(a, b) for a in axis for b in axis] + [tuple(rng.uniform(0.01, math.pi - 0.01, 2)) for _ in range(4)]
+            chain = sorted(10.0 ** rng.uniform(-2.5, 0.0, size=3), reverse=True)
+            policy = TruncationPolicy() if margin < 0.6 else TruncationPolicy.fixed(int(rng.integers(5, 60)))
+            cfg = EvalConfig(policy=policy, path=PathSumConfig(k_max=int(rng.integers(1, 10)), prescription=prescription))
+            for method_a, method_b in zip(methods, methods[1:] + methods[:1]):
+                rep = compare_methods(nu, grid, chain, method_a, method_b, cfg)
+                for method, values in ((method_a, rep.value_a), (method_b, rep.value_b)):
+                    scalar = tuple(SCALAR_KERNELS[method](nu, a, b, lam, cfg).value for a, b, lam in rep.grid)
+                    assert repr(values) == repr(scalar), method
+                    assert repr(scalar) == repr(tuple(evaluate_method(method, nu, a, b, lam, cfg).value for a, b, lam in rep.grid))
+
     def test_nan_deviation_propagates(self, monkeypatch):
         from boxkernel import verify
         from boxkernel.spectral import KernelEstimate
 
-        def fake(method, nu, theta, theta_p, lam, config=None):
-            nan_row = method == "closed_form" and theta == 2.0 and lam == 0.4
-            scale = 1.5 if method == "closed_form" else 1.0
-            return KernelEstimate(value=complex(math.nan if nan_row else scale * theta), method=method, terms_used=0)
+        def fake(method, nu, pairs, lam, config):
+            def value(theta):
+                nan_row = method == "closed_form" and theta == 2.0 and lam == 0.4
+                scale = 1.5 if method == "closed_form" else 1.0
+                return complex(math.nan if nan_row else scale * theta)
 
-        monkeypatch.setattr(verify, "evaluate_method", fake)
+            return [KernelEstimate(value=value(theta), method=method, terms_used=0) for theta, _ in pairs]
+
+        monkeypatch.setattr(verify, "_evaluate_block", fake)
         # the NaN sits in the second row of the first block, where the builtin max drops it
         rep = verify.compare_methods(1.0, [(1.0, 1.0), (2.0, 1.0)], [0.4, 0.2], "spectral", "closed_form")
         assert math.isnan(rep.rel_dev[1])

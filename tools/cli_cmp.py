@@ -1,0 +1,58 @@
+"""Byte-for-byte comparison of the CLI between this checkout and another source tree.
+
+Runs every command of ``cli_cmp_commands.txt`` as ``python -m boxkernel.cli ...``
+in a fresh interpreter, once with this checkout's ``src/`` and once with the
+``--parent`` directory (the one that holds the other tree's ``boxkernel``
+package) on ``PYTHONPATH``, and reports each command whose stdout, stderr or
+exit code differs.  Exits 0 when every command matches, 1 otherwise.
+
+    python tools/cli_cmp.py --parent ../boxkernel-parent/src
+"""
+
+import argparse
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+COMMANDS = HERE / "cli_cmp_commands.txt"
+SRC = HERE.parent / "src"
+
+
+def read_commands(path: Path) -> list[list[str]]:
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return [shlex.split(line) for line in lines if line and not line.startswith("#")]
+
+
+def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "boxkernel.cli", *argv], env=env, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path, help="directory holding the other tree's boxkernel package")
+    args = parser.parse_args()
+    parent = args.parent.resolve()
+    if not (parent / "boxkernel" / "__init__.py").is_file():
+        parser.error(f"no boxkernel package under {parent}")
+    commands = read_commands(COMMANDS)
+    differ = 0
+    for argv in commands:
+        ours, theirs = run(SRC, argv), run(parent, argv)
+        if ours != theirs:
+            differ += 1
+            fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), ours, theirs) if a != b]
+            print(f"DIFFERS ({', '.join(fields)}): {shlex.join(argv)}")
+            for name, a, b in zip(("exit code", "stdout", "stderr"), theirs, ours):
+                if a != b:
+                    print(f"  parent {name}: {a!r:.300}\n  this   {name}: {b!r:.300}")
+    print(f"{len(commands) - differ} of {len(commands)} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
