@@ -140,8 +140,8 @@ def _compare_csv(report) -> list[str]:
         report.grid, report.value_a, report.value_b, report.abs_dev, report.rel_dev
     ):
         lines.append(
-            f"{_fmt(theta)},{_fmt(theta_p)},{_fmt(lam)},{report.method_a},{report.method_b},"
-            f"{_fmt(va.real)},{_fmt(va.imag)},{_fmt(vb.real)},{_fmt(vb.imag)},{_fmt(ad)},{_fmt(rd)}"
+            f"{theta:.17g},{theta_p:.17g},{lam:.17g},{report.method_a},{report.method_b},"
+            f"{va.real:.17g},{va.imag:.17g},{vb.real:.17g},{vb.imag:.17g},{ad:.17g},{rd:.17g}"
         )
     return lines
 

@@ -52,6 +52,9 @@ __all__ = [
 # correction grows like 1/sin and the small-lambda hierarchy degrades.
 _BOUNDARY_MARGIN = 0.05
 
+# math.exp(x) is exactly 0.0 for every x below about -745.13.
+_EXP_FLOOR = 746.0
+
 PRESCRIPTIONS = ("A", "B")
 
 
@@ -122,13 +125,16 @@ def decompose(
     returned list and dividing by sqrt(2 pi lambda) reproduces
     :func:`kernel_pathsum_general` bit for bit: the kernels take the same
     phases and exponents (``_phases``, ``_exponents``) and sum them without
-    building term objects.  This list is the introspection view.
+    building term objects.  This list is the introspection view: it holds
+    every image, also those whose weight underflows to exactly 0, which the
+    kernels do not evaluate (their ``terms_used`` is still the nominal
+    ``4 k_max + 2``).
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     config = config or PathSumConfig()
     labels = [(k, parity) for k in range(-config.k_max, config.k_max + 1) for parity in ("even", "odd")]
-    terms = zip(labels, _phases(nu, config.k_max, config.prescription), _exponents(nu, theta, theta_p, lam, config.k_max))
-    return [ReflectionTerm(k, parity, phase, gauss, potential) for (k, parity), phase, (gauss, potential) in terms]
+    terms = zip(labels, _phases(nu, config.k_max, config.prescription), sorted(_exponents(nu, theta, theta_p, lam, config.k_max)))
+    return [ReflectionTerm(k, parity, phase, gauss, potential) for (k, parity), phase, (_, gauss, potential) in terms]
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,11 +144,31 @@ def _phases(nu: float, k_max: int, prescription: str) -> tuple[complex, ...]:
     return tuple(reflection_phase(k, parity, nu, prescription) for k in range(-k_max, k_max + 1) for parity in ("even", "odd"))
 
 
-def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int) -> list[tuple[float, float]]:
-    """(gauss_exponent, potential_correction) of each term of one point, in (k, parity) order."""
+def _live_ks(sep: float, potential: float, lam: float, k_max: int) -> range:
+    """The k in [-k_max, k_max] whose exponent ``gauss + potential`` can be above -_EXP_FLOOR.
+
+    Those are the k with |sep - 2 pi k| < reach = sqrt(2 lambda (_EXP_FLOOR + potential)); rounding
+    the ends outwards leaves every other k at |sep - 2 pi k| >= reach + 2 pi, whose exponent lies
+    below -_EXP_FLOOR by at least 2 pi^2 / lambda, so its weight is exactly 0.0.  A term that
+    would overflow lies inside the range.
+    """
+    if not potential > -_EXP_FLOOR:
+        return range(0)
+    reach = math.sqrt(2.0 * lam * (_EXP_FLOOR + potential))
+    lo = math.floor(max(-k_max, (sep - reach) / (2.0 * math.pi)))
+    hi = math.ceil(min(k_max, (sep + reach) / (2.0 * math.pi)))
+    return range(lo, hi + 1)
+
+
+def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int, live: bool = False) -> list[tuple[int, float, float]]:
+    """(index in (k, parity) order, gauss_exponent, potential_correction) of the terms of one point,
+    even parity first; every k in [-k_max, k_max], or with ``live`` only those of :func:`_live_ks`."""
     correction = 0.5 * lam * nu * (nu - 1.0) / (math.sin(theta) * math.sin(theta_p))
-    saddles = ((theta - theta_p, -correction), (theta + theta_p, correction))
-    return [(-((sep - 2.0 * math.pi * k) ** 2) / (2.0 * lam), potential) for k in range(-k_max, k_max + 1) for sep, potential in saddles]
+    terms = []
+    for parity, sep, potential in ((0, theta - theta_p, -correction), (1, theta + theta_p, correction)):
+        ks = _live_ks(sep, potential, lam, k_max) if live else range(-k_max, k_max + 1)
+        terms += [(2 * (k + k_max) + parity, -((sep - 2.0 * math.pi * k) ** 2) / (2.0 * lam), potential) for k in ks]
+    return terms
 
 
 def _kernel_pathsum(nu: float, method: str, pairs, lam: float, config: PathSumConfig | None) -> list[KernelEstimate]:
@@ -150,7 +176,10 @@ def _kernel_pathsum(nu: float, method: str, pairs, lam: float, config: PathSumCo
     exact (fsum) reduction, without building them as objects.
 
     Each weight is a ``math.exp``, so a term whose potential correction
-    overflows raises ``OverflowError`` rather than turning into inf.
+    overflows raises ``OverflowError`` rather than turning into inf.  Images
+    whose weight underflows to exactly 0 are not evaluated (:func:`_live_ks`):
+    each would add a +-0.0 that fsum ignores, so the value is bitwise that of
+    the full sum.  ``terms_used`` is the nominal count ``4 k_max + 2``.
     """
     config = config or PathSumConfig()
     nu = require_nu(nu)
@@ -160,13 +189,13 @@ def _kernel_pathsum(nu: float, method: str, pairs, lam: float, config: PathSumCo
     norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
     estimates = []
     for theta, theta_p in pairs:
-        weights = [math.exp(gauss + potential) for gauss, potential in _exponents(nu, theta, theta_p, lam, config.k_max)]
-        re = math.fsum([phase.real * w for phase, w in zip(phases, weights)])
-        im = math.fsum([phase.imag * w for phase, w in zip(phases, weights)])
+        terms = [(phases[i], math.exp(gauss + potential)) for i, gauss, potential in _exponents(nu, theta, theta_p, lam, config.k_max, live=True)]
+        re = math.fsum([phase.real * w for phase, w in terms])
+        im = math.fsum([phase.imag * w for phase, w in terms])
         estimates.append(KernelEstimate(
             value=complex(norm * re, norm * im),
             method=method,
-            terms_used=len(weights),
+            terms_used=len(phases),
             near_boundary=min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN,
         ))
     return estimates

@@ -22,6 +22,7 @@ geometric majorant of the remaining sum.  See docs/tail_bound.md for the
 two-line derivation and the validity argument.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -196,22 +197,27 @@ def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
 
 
 def _mode_weights(nu: float, lam: float, policy: TruncationPolicy | None) -> tuple[np.ndarray, float]:
-    """Weights exp(-lambda (n+nu)^2 / 2) of the modes n = 0..N-1 that ``policy`` keeps, and their tail bound."""
-    policy = policy or TruncationPolicy()
-    if policy.n_terms is not None:
-        n_terms, tail = policy.n_terms, truncation_tail_bound(nu, lam, policy.n_terms)
-    else:
-        for n_terms in range(1, policy.n_cap + 1):
-            tail = truncation_tail_bound(nu, lam, n_terms)
-            if tail <= policy.epsilon_tail:
-                break
-        else:
-            raise PolicyUnresolvableError(
-                f"spectral tail below {policy.epsilon_tail:g} needs more than "
-                f"{policy.n_cap} modes at nu={nu:g}, lambda={lam:g}"
-            )
+    """Weights exp(-lambda (n+nu)^2 / 2) of the modes n = 0..N-1 that ``policy`` keeps, and their tail bound.
+    The array is built afresh on each call; only N and the bound are memoised (:func:`_resolve`)."""
+    n_terms, tail = _resolve(nu, lam, policy or TruncationPolicy())
     n = np.arange(n_terms, dtype=float)
     return np.exp(-lam * (n + nu) ** 2 / 2.0), tail
+
+
+@functools.lru_cache(maxsize=256)
+def _resolve(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, float]:
+    """The mode count N that ``policy`` keeps at (nu, lambda), and its tail bound: the first N of a
+    linear scan over :func:`truncation_tail_bound`.  A refusal raises and is not cached."""
+    if policy.n_terms is not None:
+        return policy.n_terms, truncation_tail_bound(nu, lam, policy.n_terms)
+    for n_terms in range(1, policy.n_cap + 1):
+        tail = truncation_tail_bound(nu, lam, n_terms)
+        if tail <= policy.epsilon_tail:
+            return n_terms, tail
+    raise PolicyUnresolvableError(
+        f"spectral tail below {policy.epsilon_tail:g} needs more than "
+        f"{policy.n_cap} modes at nu={nu:g}, lambda={lam:g}"
+    )
 
 
 def _mode_sums(weights: np.ndarray, nu: float, pairs) -> list[float]:

@@ -12,6 +12,7 @@ All evaluation is deterministic (fixed grid order, exact summation in the
 scalar kernels), so every report is reproducible bit for bit from its inputs.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -111,12 +112,19 @@ class ComparisonReport:
         return tuple(prev / cur if cur != 0.0 else math.inf for prev, cur in zip(rel, rel[1:]))
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_legendre_on_0_pi(npoints: int) -> QuadratureRule:
-    """Gauss-Legendre rule mapped affinely from (-1, 1) to (0, pi)."""
+    """Gauss-Legendre rule mapped affinely from (-1, 1) to (0, pi).
+
+    Built once per size and shared, so its node and weight arrays are read-only.
+    """
     if npoints < 2:
         raise DomainError("quadrature needs npoints >= 2")
     x, w = np.polynomial.legendre.leggauss(npoints)
-    return QuadratureRule(npoints=npoints, nodes=(x + 1.0) * (math.pi / 2.0), weights=w * (math.pi / 2.0))
+    rule = QuadratureRule(npoints=npoints, nodes=(x + 1.0) * (math.pi / 2.0), weights=w * (math.pi / 2.0))
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def check_orthonormality(nu: float, nmax: int, rule: QuadratureRule) -> float:

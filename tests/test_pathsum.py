@@ -97,24 +97,50 @@ class TestDecompose:
         )
 
     def test_resummation_is_bit_for_bit(self):
-        # the kernels no longer build the terms; summing decompose's list must still give their values
+        # the kernels build no terms and skip the images whose weight underflows to 0; summing
+        # decompose's full list must still give their values, and raise where they raise
         rng = np.random.default_rng(5)
+        wall = lambda: float(rng.choice([1.0, -1.0])) * rng.uniform(1e-4, 0.01) % math.pi
         cases = [(1.3, 1.0, 2.1, 0.25, PathSumConfig(k_max=6))] + [
             (nu, rng.uniform(0.02, math.pi - 0.02), rng.uniform(0.02, math.pi - 0.02), 10.0 ** rng.uniform(-3.0, 0.5),
              PathSumConfig(k_max=int(rng.integers(1, 12)), prescription=prescription))
             for nu in (1.0, 2.0, 2.5, 0.75, 7.3) for prescription in ("A", "B") for _ in range(6)
-        ]
+        ] + [
+            # nu in (0.5, 1) next to a wall: the even-parity potential is positive and widens the live range
+            (rng.uniform(0.5, 1.0), wall(), rng.uniform(0.02, math.pi - 0.02), 10.0 ** rng.uniform(-3.0, 0.0),
+             PathSumConfig(k_max=k_max, prescription=prescription))
+            for k_max in (1, 8, 30) for prescription in ("A", "B") for _ in range(6)
+        ] + [
+            # lambda in [10, 100]: every image is live
+            (nu, rng.uniform(0.02, math.pi - 0.02), rng.uniform(0.02, math.pi - 0.02), rng.uniform(10.0, 100.0),
+             PathSumConfig(k_max=k_max, prescription=prescription))
+            for nu in (1.0, 2.0, 0.75, 2.5) for k_max in (1, 30) for prescription in ("A", "B")
+        ] + [
+            # the potential correction overflows math.exp
+            (2.5, 0.01, 0.01, 5.0, PathSumConfig(k_max=k_max)) for k_max in (1, 30)
+        ] + [(0.6, 1e-3, 2e-3, 0.05, PathSumConfig(k_max=8, prescription="B"))]
+        pruned = overflows = 0
         for nu, theta, theta_p, lam, config in cases:
             terms = decompose(nu, theta, theta_p, lam, config)
             norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
-            weights = [math.exp(t.gauss_exponent + t.potential_correction) for t in terms]
+            try:
+                weights = [math.exp(t.gauss_exponent + t.potential_correction) for t in terms]
+            except OverflowError:
+                overflows += 1
+                with pytest.raises(OverflowError):
+                    kernel_pathsum_general(nu, theta, theta_p, lam, config)
+                continue
+            pruned += 0.0 in weights
             re = math.fsum(t.phase.real * w for t, w in zip(terms, weights))
             im = math.fsum(t.phase.imag * w for t, w in zip(terms, weights))
             resummed = complex(norm * re, norm * im)
-            assert repr(resummed) == repr(kernel_pathsum_general(nu, theta, theta_p, lam, config).value)
+            estimate = kernel_pathsum_general(nu, theta, theta_p, lam, config)
+            assert repr(resummed) == repr(estimate.value)
+            assert estimate.terms_used == len(terms) == 4 * config.k_max + 2
             if nu in (1.0, 2.0):
                 scalar = kernel_pathsum_nu1 if nu == 1.0 else kernel_pathsum_nu2
                 assert repr(resummed) == repr(scalar(theta, theta_p, lam, config).value)
+        assert pruned > 0 and overflows >= 3
 
     def test_k0_even_dominates_near_the_diagonal(self):
         terms = decompose(1.5, 1.4, 1.45, 0.05)

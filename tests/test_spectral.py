@@ -20,7 +20,7 @@ from boxkernel import (
     kernel_spectral,
     truncation_tail_bound,
 )
-from boxkernel.spectral import _mode_weights, kernel_spectral_profile
+from boxkernel.spectral import _mode_weights, _resolve, kernel_spectral_profile
 
 
 def sine_series_kernel(theta_a, theta_b, lam, n_terms=400):
@@ -190,6 +190,26 @@ class TestKernelSpectral:
                 weights, tail = _mode_weights(nu, lam, policy)
                 assert (len(weights), tail) == expected, (nu, lam, policy)
         assert cap_hits > 0
+
+    def test_resolve_memo_keeps_scalars_only(self):
+        # a repeated (nu, lambda, policy) reads N and the tail bound from the memo, and the weight
+        # array is built afresh, so no caller can alter another's weights
+        policy = TruncationPolicy.to_tail(1e-13)
+        first, tail = _mode_weights(2.5, 0.0731, policy)
+        hits = _resolve.cache_info().hits
+        again, tail_again = _mode_weights(2.5, 0.0731, TruncationPolicy.to_tail(1e-13))
+        assert _resolve.cache_info().hits == hits + 1
+        assert (len(again), tail_again) == (len(first), tail)
+        assert again is not first and np.array_equal(again, first)
+        again[0] = 0.0
+        assert _mode_weights(2.5, 0.0731, policy)[0][0] == first[0] != 0.0
+
+    def test_resolve_memo_does_not_cache_refusals(self):
+        policy = TruncationPolicy.to_tail(1e-12, n_cap=7)
+        for _ in range(2):
+            with pytest.raises(PolicyUnresolvableError):
+                _mode_weights(1.0, 1e-3, policy)
+        assert _resolve.cache_parameters()["maxsize"] is not None
 
     def test_to_tail_takes_the_field_default_cap(self):
         assert TruncationPolicy.to_tail(1e-10).n_cap == TruncationPolicy().n_cap

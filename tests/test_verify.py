@@ -54,6 +54,16 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             gauss_legendre_on_0_pi(1)
 
+    def test_rule_is_built_once_and_read_only(self):
+        rule = gauss_legendre_on_0_pi(33)
+        assert gauss_legendre_on_0_pi(33) is rule
+        x, w = np.polynomial.legendre.leggauss(33)
+        assert np.array_equal(rule.nodes, (x + 1.0) * (math.pi / 2.0)) and np.array_equal(rule.weights, w * (math.pi / 2.0))
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
 
 class TestOrthonormality:
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.7])
