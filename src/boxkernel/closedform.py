@@ -22,11 +22,10 @@ be tested at small lambda where the raw sides grow like ``exp(1/lambda)``.
 import math
 
 import numpy as np
-from scipy.special import ive
 
 from .errors import require_count, require_lambda, require_point
 from .spectral import KernelEstimate, _mode_sums
-from .specfun import bessel_i_scaled
+from .specfun import _bessel_i_scaled_orders, bessel_i_scaled
 
 __all__ = [
     "kernel_closed",
@@ -75,7 +74,7 @@ def addition_formula_lhs(
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     n_terms = addition_formula_terms(lam) if n_terms is None else require_count(n_terms, "n_terms")
     n = np.arange(n_terms, dtype=float)
-    return math.sqrt(2.0 * math.pi / lam) * _mode_sums(ive(nu + n, 1.0 / lam), nu, [(theta, theta_p)])[0]
+    return math.sqrt(2.0 * math.pi / lam) * _mode_sums(_bessel_i_scaled_orders(nu + n, 1.0 / lam), nu, [(theta, theta_p)])[0]
 
 
 def addition_formula_rhs(nu: float, theta: float, theta_p: float, lam: float) -> float:

@@ -162,8 +162,12 @@ def _live_ks(sep: float, potential: float, lam: float, k_max: int) -> range:
 
 def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int, live: bool = False) -> list[tuple[int, float, float]]:
     """(index in (k, parity) order, gauss_exponent, potential_correction) of the terms of one point,
-    even parity first; every k in [-k_max, k_max], or with ``live`` only those of :func:`_live_ks`."""
-    correction = 0.5 * lam * nu * (nu - 1.0) / (math.sin(theta) * math.sin(theta_p))
+    even parity first; every k in [-k_max, k_max], or with ``live`` only those of :func:`_live_ks`.
+    A correction past the float range raises ``DomainError``; at nu = 1 it is 0 at every angle."""
+    coupling, ss = 0.5 * lam * nu * (nu - 1.0), math.sin(theta) * math.sin(theta_p)
+    if coupling and not (ss and math.isfinite(coupling / ss)):
+        raise DomainError(f"path sum: the potential correction leaves the float range at nu = {nu:g}, theta = {theta:g}, theta' = {theta_p:g}")
+    correction = coupling / ss if coupling else 0.0
     terms = []
     for parity, sep, potential in ((0, theta - theta_p, -correction), (1, theta + theta_p, correction)):
         ks = _live_ks(sep, potential, lam, k_max) if live else range(-k_max, k_max + 1)

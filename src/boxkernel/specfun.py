@@ -1,10 +1,11 @@
 """Foundational special functions: log-gamma, Gegenbauer polynomials, and
 exponentially scaled modified Bessel functions of real order.
 
-Everything downstream rests on these three primitives: the eigenbasis (and
-through it both mode sums, the spectral kernel and the addition-formula
-series) and the closed kernel.  Their accuracy targets are deliberately
-tighter than the cross-method tolerances they have to support:
+The eigenbasis (both mode sums) rests on the Gegenbauer recurrence alone,
+not on ``log_gamma``; the scaled Bessel function carries the closed kernel,
+the addition-formula weights and the Gaussian-Bessel link.  The accuracy
+targets are deliberately tighter than the cross-method tolerances they have
+to support:
 
 * ``log_gamma``        relative error <= 1e-13 on [0.5, 200]
 * ``gegenbauer_*``     three-term recurrence, stable on [-1, 1] for nu >= 1/2
@@ -12,15 +13,16 @@ tighter than the cross-method tolerances they have to support:
 
 Log-gamma and the scaled Bessel function are thin checked wrappers over
 :func:`scipy.special.gammaln` and :func:`scipy.special.ive`; the latter is
-Amos' algorithm (D. E. Amos, ACM TOMS 12 (1986) 265, algorithm 644).  The
-recurrence invariant ``I_{mu-1} - I_{mu+1} = (2 mu / z) I_mu`` and mpmath
-are used by the test suite as independent checks.
+Amos' algorithm (D. E. Amos, ACM TOMS 12 (1986) 265, algorithm 644).  No
+other module uses scipy; :mod:`scipy.special`, most of a cold start, loads
+on the first call of either.  The recurrence invariant
+``I_{mu-1} - I_{mu+1} = (2 mu / z) I_mu`` and mpmath are used by the test
+suite as independent checks.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, ive
 
 from .errors import DomainError
 
@@ -42,6 +44,7 @@ def log_gamma(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(arr > 0.0):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
+    from scipy.special import gammaln  # here, not at the top: the import is ~0.27 s of a cold start
     out = gammaln(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
@@ -97,7 +100,14 @@ def bessel_i_scaled(order: float, z: float) -> float:
         raise DomainError(f"Bessel order must be nonnegative, got {order!r}")
     if not (z > 0.0) or not math.isfinite(z):
         raise DomainError(f"Bessel argument must be positive, got {z!r}")
+    from scipy.special import ive
     return float(ive(mu, z))
+
+
+def _bessel_i_scaled_orders(orders: np.ndarray, z: float) -> np.ndarray:
+    """``exp(-z) I_mu(z)`` at each of ``orders``, unchecked: the addition series' mode weights."""
+    from scipy.special import ive
+    return ive(orders, z)
 
 
 def bessel_asymptotic_leading(order: float, z: float, keep_reflected: bool = False) -> float:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, PolicyUnresolvableError, require_count, require_lambda, require_nu, require_theta
 from .specfun import gegenbauer_table
@@ -115,23 +114,23 @@ def eigenvalue_exponent(n: int, nu: float, lam: float) -> float:
 
 
 def _log_norms(nmax: int, nu: float) -> np.ndarray:
-    """Log of the eigenfunction normalisation constants for n = 0..nmax."""
+    """Log of the eigenfunction normalisation constants for n = 0..nmax.  ``lgamma(n+1) - lgamma(n+2nu)``
+    is ``-lgamma(2nu) + sum_{j<n} log1p((1-2nu)/(j+2nu))``, a sum that does not cancel as the difference
+    of the two ~3e4 log-gammas at n = 4096 does (to ~6e-12)."""
     n = np.arange(nmax + 1, dtype=float)
-    return (
-        nu * math.log(2.0)
-        + gammaln(nu)
-        + 0.5 * (np.log(n + nu) + gammaln(n + 1.0) - _LOG_2PI - gammaln(n + 2.0 * nu))
-    )
+    log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((1.0 - 2.0 * nu) / (n[:-1] + 2.0 * nu)))))
+    return nu * math.log(2.0) + math.lgamma(nu) - 0.5 * (math.lgamma(2.0 * nu) + _LOG_2PI) + 0.5 * (np.log(n + nu) + log_ratio)
 
 
 def eigenfunction(n: int, nu: float, theta: float) -> float:
-    """Orthonormal eigenfunction phi_n(theta), assembled in log space.
+    """Orthonormal eigenfunction phi_n(theta), read from the table of :func:`eigenfunctions`.
 
-    The Gamma-function pieces of the normalisation overflow individually for
-    moderate n, so they are combined as a single exponent together with the
-    sin^nu factor.  The Gegenbauer value is kept in linear space, where it
-    grows up to C_n^nu(1) ~ n^(2 nu - 1) / Gamma(2 nu) near the walls and
-    overflows at large n and nu; there a ``DomainError`` is raised.
+    The table is ``exp(log N_n + nu log sin theta) * C_n^nu(cos theta)``: the
+    normalisation N_n and the sin^nu factor form one exponent, with log N_n a
+    running sum over n (:func:`_log_norms`), and the Gegenbauer factor comes
+    from its linear-space recurrence.  That factor grows up to
+    C_n^nu(1) ~ n^(2 nu - 1) / Gamma(2 nu) near the walls and overflows at large
+    n and nu; there a ``DomainError`` is raised.
     """
     if n < 0:
         raise DomainError(f"mode index must be nonnegative, got {n}")
@@ -142,17 +141,18 @@ def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
     """phi_0(theta) .. phi_nmax(theta) in one recurrence pass."""
     nu = require_nu(nu)
     theta = require_theta(theta)
-    return _eigenfunction_matrix(nmax, nu, theta)
+    return _eigenfunction_matrix(_log_norms(nmax, nu), nu, theta)
 
 
-def _eigenfunction_matrix(nmax: int, nu: float, thetas) -> np.ndarray:
-    """phi_n(theta) for n = 0..nmax; rows are modes, columns follow ``thetas`` (a scalar gives a vector)."""
+def _eigenfunction_matrix(log_norms: np.ndarray, nu: float, thetas) -> np.ndarray:
+    """phi_n(theta) for the n of ``log_norms`` (:func:`_log_norms`); rows are modes, columns follow ``thetas`` (a scalar gives a vector)."""
+    nmax = len(log_norms) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         gegenbauer = gegenbauer_table(nmax, nu, np.cos(thetas))
     # a value that leaves the float range stays inf or NaN up the recurrence, so the last row shows it
     if not np.isfinite(gegenbauer[-1]).all():
         raise DomainError(f"eigenfunction table: C_n^nu(cos theta) leaves the float range by n = {nmax} at nu = {nu:g}")
-    log_amp = np.add.outer(_log_norms(nmax, nu), nu * np.log(np.sin(thetas)))
+    log_amp = np.add.outer(log_norms, nu * np.log(np.sin(thetas)))
     return np.exp(log_amp) * gegenbauer
 
 
@@ -164,11 +164,11 @@ def _log_envelope(n: float, nu: float):
     """
     return (
         nu * math.log(2.0)
-        + gammaln(nu)
-        - gammaln(2.0 * nu)
+        + math.lgamma(nu)
+        - math.lgamma(2.0 * nu)
         - 0.5 * _LOG_2PI
-        + 0.5 * np.log(n + nu)
-        + 0.5 * (gammaln(n + 2.0 * nu) - gammaln(n + 1.0))
+        + 0.5 * math.log(n + nu)
+        + 0.5 * (math.lgamma(n + 2.0 * nu) - math.lgamma(n + 1.0))
     )
 
 
@@ -179,15 +179,20 @@ def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
     ``t_N / (1 - r_N)`` with ``t_n = exp(-lambda (n+nu)^2 / 2) A_n^2`` and
     ``r_N = t_{N+1} / t_N``; the ratio is decreasing in n, so the majorant is
     legitimate whenever ``r_N < 1`` (and +inf is returned otherwise, which the
-    policy resolver treats as "keep adding terms").
+    policy resolver treats as "keep adding terms").  ``DomainError`` where log t_N leaves the float range.
     """
     nu = require_nu(nu)
     lam = require_lambda(lam)
     if n_start < 1:
         raise DomainError("tail bound needs n_start >= 1")
-    log_t = lambda n: -lam * (n + nu) ** 2 / 2.0 + 2.0 * float(_log_envelope(float(n), nu))
-    t0 = log_t(n_start)
-    ratio = math.exp(log_t(n_start + 1) - t0)
+    log_t = lambda n: -lam * (n + nu) ** 2 / 2.0 + 2.0 * _log_envelope(float(n), nu)
+    try:
+        t0 = log_t(n_start)
+        ratio = math.exp(log_t(n_start + 1) - t0)
+    except OverflowError:  # (n + nu)^2 or a log-gamma of the envelope
+        t0 = math.nan
+    if not math.isfinite(t0):
+        raise DomainError(f"spectral sum: the mode weights leave the float range at nu = {nu:g}, lambda = {lam:g}")
     if ratio >= 1.0:
         return math.inf
     try:
@@ -223,10 +228,12 @@ def _resolve(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, floa
 def _mode_sums(weights: np.ndarray, nu: float, pairs) -> list[float]:
     """fsum of ``weights[n] phi_n(a) phi_n(b)``, n = 0..len(weights)-1, per pair (a, b): the spectral
     kernel and the addition series.  One column per distinct angle, each on the scalar recurrence,
-    which at a grid axis' few angles is 4-5x faster than the array one (and bitwise equal)."""
-    nmax = len(weights) - 1
-    columns = {theta: _eigenfunction_matrix(nmax, nu, theta) for theta in {t for pair in pairs for t in pair}}
-    return [math.fsum((weights * columns[a] * columns[b]).tolist()) for a, b in pairs]
+    which at a grid axis' few angles is 4-5x faster than the array one (and bitwise equal); the
+    columns share one set of norms.  Forming ``phi_n(a) phi_n(b)`` first makes the sum exactly
+    symmetric in (a, b)."""
+    log_norms = _log_norms(len(weights) - 1, nu)
+    columns = {theta: _eigenfunction_matrix(log_norms, nu, theta) for theta in {t for pair in pairs for t in pair}}
+    return [math.fsum((weights * (columns[a] * columns[b])).tolist()) for a, b in pairs]
 
 
 def _kernel_spectral(nu: float, pairs, lam: float, policy: TruncationPolicy | None) -> list[KernelEstimate]:
@@ -277,6 +284,6 @@ def kernel_spectral_profile(
     if np.any(thetas <= 0.0) or np.any(thetas >= math.pi):
         raise DomainError("profile angles must lie strictly inside (0, pi)")
     weights, _ = _mode_weights(nu, lam, policy)
-    nmax = len(weights) - 1
-    fa = _eigenfunction_matrix(nmax, nu, theta_a)
-    return (weights * fa) @ _eigenfunction_matrix(nmax, nu, thetas)
+    log_norms = _log_norms(len(weights) - 1, nu)
+    fa = _eigenfunction_matrix(log_norms, nu, theta_a)
+    return (weights * fa) @ _eigenfunction_matrix(log_norms, nu, thetas)

@@ -28,6 +28,7 @@ from .spectral import (
     kernel_spectral_profile,
     _eigenfunction_matrix,
     _kernel_spectral,
+    _log_norms,
 )
 from .specfun import bessel_i_scaled
 
@@ -136,7 +137,7 @@ def check_orthonormality(nu: float, nmax: int, rule: QuadratureRule) -> float:
     certificate in the test suite, not trusted a priori).
     """
     nu = require_nu(nu)
-    F = _eigenfunction_matrix(nmax, nu, rule.nodes)
+    F = _eigenfunction_matrix(_log_norms(nmax, nu), nu, rule.nodes)
     gram = (F * rule.weights) @ F.T
     return float(np.max(np.abs(gram - np.eye(nmax + 1))))
 

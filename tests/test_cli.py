@@ -1,11 +1,16 @@
 """Command-line interface: pass-through values, CSV round-trips, exit codes."""
 
 import argparse
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from boxkernel import SUITES, PathSumConfig, TruncationPolicy, compare_methods, kernel_spectral, run_suites
+import boxkernel
+from boxkernel import SUITES, PathSumConfig, TruncationPolicy, compare_methods, kernel_closed, kernel_spectral, run_suites
 from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, build_parser, main
 
 
@@ -284,6 +289,18 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert err.startswith("overflow:")
 
+    @pytest.mark.parametrize("nu, theta, method, route", [
+        ("2.5", "1e-200", "pathsum-general", "path sum"),  # sin theta sin theta' underflows to 0
+        ("1e160", "1", "pathsum-general", "path sum"),  # nu (nu - 1) overflows
+        ("1e160", "1", "spectral", "spectral sum"),  # (n + nu)^2 overflows
+    ])
+    def test_correction_or_weights_past_the_float_range_name_the_route(self, capsys, nu, theta, method, route):
+        code, out, err = run_cli(
+            capsys, "kernel", "--nu", nu, "--theta", theta, "--theta-p", theta, "--lambda", "0.1", "--method", method,
+        )
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith(f"domain error: {route}: ") and len(err.splitlines()) == 1
+
     def test_spectral_tail_overflow_is_the_term_cap(self, capsys):
         code, out, err = run_cli(
             capsys, "kernel", "--nu", "168.28", "--theta", "0.00268", "--theta-p", "1.180",
@@ -327,3 +344,32 @@ class TestDefaults:
         policy, path = TruncationPolicy(), PathSumConfig()
         assert (args.n_terms, args.epsilon_tail, args.n_cap) == (policy.n_terms, policy.epsilon_tail, policy.n_cap)
         assert (args.k_max, args.prescription) == (path.k_max, path.prescription)
+
+
+class TestColdStart:
+    def test_only_the_bessel_routes_import_scipy_special(self):
+        # a fresh interpreter: scipy.special is most of a cold start and only the closed form needs it
+        script = """if True:
+            import contextlib, io, json, sys
+            import boxkernel.cli as cli
+            loaded = ["scipy.special" in sys.modules]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["compare", "--nu", "2.5", "--methods", "spectral,pathsum-general",
+                                   "--lambda-chain", "0.2,0.1", "--grid-n", "3", "--output", "csv"]),
+                         cli.main(["verify", "--suite", "nu1-exact"])]
+            loaded.append("scipy.special" in sys.modules)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                codes.append(cli.main(["kernel", "--nu", "2.5", "--lambda", "0.1", "--theta", "1.0",
+                                       "--theta-p", "1.2", "--method", "closed-form", "--output", "csv"]))
+            loaded.append("scipy.special" in sys.modules)
+            print(json.dumps({"loaded": loaded, "codes": codes, "csv": out.getvalue()}))
+        """
+        src = os.path.dirname(os.path.dirname(boxkernel.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [EXIT_OK] * 3
+        assert result["loaded"] == [False, False, True]
+        row = result["csv"].splitlines()[1]
+        assert float(row.split(",")[0]) == kernel_closed(2.5, 1.0, 1.2, 0.1).real

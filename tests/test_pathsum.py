@@ -180,6 +180,10 @@ class TestKernelPathsumNu1:
         assert 0.0 < est.value.real < 0.1
         assert est.near_boundary is False  # margin is strict: 0.05 is allowed unflagged
 
+    def test_no_potential_correction_at_any_angle(self):
+        # sin theta sin theta' underflows to 0 here; at nu = 1 the correction is 0 and there is no division
+        assert kernel_pathsum_nu1(1e-200, 1e-200, 0.1).value == 0.0
+
     def test_near_boundary_flagging(self):
         assert kernel_pathsum_nu1(0.04, 1.0, 0.1).near_boundary is True
         assert kernel_pathsum_nu1(1.0, math.pi - 0.01, 0.1).near_boundary is True

@@ -7,6 +7,7 @@ free-box Dirichlet series, both coded here from scratch.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,13 +15,15 @@ from boxkernel import (
     DomainError,
     PolicyUnresolvableError,
     TruncationPolicy,
+    addition_formula_lhs,
     eigenfunction,
     eigenfunctions,
     eigenvalue_exponent,
     kernel_spectral,
     truncation_tail_bound,
 )
-from boxkernel.spectral import _mode_weights, _resolve, kernel_spectral_profile
+from boxkernel import spectral
+from boxkernel.spectral import _kernel_spectral, _log_norms, _mode_weights, _resolve, kernel_spectral_profile
 
 
 def sine_series_kernel(theta_a, theta_b, lam, n_terms=400):
@@ -48,6 +51,25 @@ class TestEigenvalueExponent:
 
 
 class TestEigenfunction:
+    def test_log_norms_against_mpmath_at_the_mode_cap(self):
+        # the normalisation as a running sum of log1p ratios: the two log-gammas it replaces are
+        # ~3e4 each at n = 4096 and their difference lost ~6e-12 there
+        with mpmath.workdps(30):
+            for nu in (0.75, 2.5, 7.3):
+                mnu = mpmath.mpf(nu)
+                const = mnu * mpmath.log(2) + mpmath.loggamma(mnu) - mpmath.log(2 * mpmath.pi) / 2
+                ref = [const + (mpmath.log(n + mnu) + mpmath.loggamma(n + 1) - mpmath.loggamma(n + 2 * mnu)) / 2
+                       for n in range(4097)]
+                err = np.abs(_log_norms(4096, nu) - np.array(ref, dtype=float))
+                assert err.max() <= 5e-13, (nu, err.max())
+
+    def test_norms_are_built_once_per_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "_log_norms", lambda nmax, nu: calls.append(nmax) or _log_norms(nmax, nu))
+        _kernel_spectral(2.5, [(0.4, 1.1), (1.1, 2.0), (2.0, 0.4)], 0.05, None)
+        kernel_spectral_profile(2.5, 0.4, np.array([1.1, 2.0]), 0.05)
+        assert len(calls) == 2
+
     def test_nu1_reduces_to_sine_basis(self):
         assert eigenfunction(0, 1.0, math.pi / 2) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
         assert eigenfunction(1, 1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-13)
@@ -104,6 +126,13 @@ class TestKernelSpectral:
         a = kernel_spectral(1.7, 0.9, 2.2, 0.4)
         b = kernel_spectral(1.7, 2.2, 0.9, 0.4)
         assert a.value == b.value
+        # both mode sums, the spectral kernel and the addition series, bit for bit at seeded points
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            nu, lam, lam_add = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-3.0, 0.5), 1.0 / rng.uniform(0.5, 50.0)
+            ta, tb = rng.uniform(0.05, math.pi - 0.05, 2)
+            assert kernel_spectral(nu, ta, tb, lam).value == kernel_spectral(nu, tb, ta, lam).value
+            assert addition_formula_lhs(nu, ta, tb, lam_add) == addition_formula_lhs(nu, tb, ta, lam_add)
 
     def test_nu1_against_sine_series(self):
         for lam in (0.1, 0.5, 2.0):
