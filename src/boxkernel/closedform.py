@@ -74,7 +74,7 @@ def addition_formula_lhs(
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     n_terms = addition_formula_terms(lam) if n_terms is None else require_count(n_terms, "n_terms")
     n = np.arange(n_terms, dtype=float)
-    return math.sqrt(2.0 * math.pi / lam) * _mode_sums(_bessel_i_scaled_orders(nu + n, 1.0 / lam), nu, [(theta, theta_p)])[0]
+    return math.sqrt(2.0 * math.pi / lam) * _mode_sums([_bessel_i_scaled_orders(nu + n, 1.0 / lam)], nu, [(theta, theta_p)])[0][0]
 
 
 def addition_formula_rhs(nu: float, theta: float, theta_p: float, lam: float) -> float:

@@ -92,7 +92,9 @@ def bessel_i_scaled(order: float, z: float) -> float:
     A checked wrapper over :func:`scipy.special.ive`.  Overflow-free for every
     argument used by the kernel routines; relative error <= 1e-12 (measured
     against mpmath: <= 1.7e-13) for order <= 1000 and z <= 1e6 wherever the
-    value is a normal float.  It underflows to 0 for orders far above z.
+    value is a normal float.  It underflows to 0 for orders far above z; at
+    orders past ive's range (1e16 at z = 7) ive returns NaN, and this raises
+    ``DomainError``.
     """
     mu = float(order)
     z = float(z)
@@ -101,7 +103,10 @@ def bessel_i_scaled(order: float, z: float) -> float:
     if not (z > 0.0) or not math.isfinite(z):
         raise DomainError(f"Bessel argument must be positive, got {z!r}")
     from scipy.special import ive
-    return float(ive(mu, z))
+    value = float(ive(mu, z))
+    if math.isnan(value):
+        raise DomainError(f"Bessel function: exp(-z) I_mu(z) is not a number at mu = {mu:g}, z = {z:g}")
+    return value
 
 
 def _bessel_i_scaled_orders(orders: np.ndarray, z: float) -> np.ndarray:

@@ -225,26 +225,37 @@ def _resolve(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, floa
     )
 
 
-def _mode_sums(weights: np.ndarray, nu: float, pairs) -> list[float]:
-    """fsum of ``weights[n] phi_n(a) phi_n(b)``, n = 0..len(weights)-1, per pair (a, b): the spectral
-    kernel and the addition series.  One column per distinct angle, each on the scalar recurrence,
-    which at a grid axis' few angles is 4-5x faster than the array one (and bitwise equal); the
-    columns share one set of norms.  Forming ``phi_n(a) phi_n(b)`` first makes the sum exactly
-    symmetric in (a, b)."""
-    log_norms = _log_norms(len(weights) - 1, nu)
+def _mode_sums(weights: list[np.ndarray], nu: float, pairs) -> list[list[float]]:
+    """Per weight row ``w`` of ``weights``, the fsum of ``w[n] phi_n(a) phi_n(b)``, n = 0..len(w)-1,
+    per pair (a, b): the spectral kernel along a lambda chain, and the addition series.  One set of
+    norms and one column per distinct angle, both at the longest row, on the scalar recurrence,
+    which at a grid axis' few angles is 4-5x faster than the array one (and bitwise equal).  A
+    shorter row sums over a prefix of the columns, bitwise what columns of its own length give:
+    the norms are a running sum and every other step is elementwise.  Forming
+    ``phi_n(a) phi_n(b)`` first makes each sum exactly symmetric in (a, b)."""
+    log_norms = _log_norms(max(map(len, weights)) - 1, nu)
     columns = {theta: _eigenfunction_matrix(log_norms, nu, theta) for theta in {t for pair in pairs for t in pair}}
-    return [math.fsum((weights * (columns[a] * columns[b])).tolist()) for a, b in pairs]
+    products = np.array([columns[a] * columns[b] for a, b in pairs])
+    return [[math.fsum(row) for row in (w * products[:, :len(w)]).tolist()] for w in weights]
+
+
+def _spectral_chain(nu: float, pairs, lambdas, policy: TruncationPolicy | None) -> list[tuple[int, float, list[float]]]:
+    """The spectral core: per lambda of ``lambdas``, the mode count N that ``policy`` keeps, its tail
+    bound, and the kernel at each of ``pairs``.  Each lambda is resolved on its own, in chain order;
+    the norms and eigenfunction columns are built once, at the largest N (:func:`_mode_sums`)."""
+    nu = require_nu(nu)
+    pairs = [(require_theta(a, "theta_a"), require_theta(b, "theta_b")) for a, b in pairs]
+    weights = [_mode_weights(nu, require_lambda(lam), policy) for lam in lambdas]
+    sums = _mode_sums([w for w, _ in weights], nu, pairs)
+    return [(len(w), tail, values) for (w, tail), values in zip(weights, sums)]
 
 
 def _kernel_spectral(nu: float, pairs, lam: float, policy: TruncationPolicy | None) -> list[KernelEstimate]:
-    """The spectral core: one resolve and one set of eigenfunction columns for all ``pairs`` at one lambda."""
-    nu = require_nu(nu)
-    pairs = [(require_theta(a, "theta_a"), require_theta(b, "theta_b")) for a, b in pairs]
-    lam = require_lambda(lam)
-    weights, tail = _mode_weights(nu, lam, policy)
+    """:func:`_spectral_chain` at one lambda, as estimates."""
+    [(n_terms, tail, values)] = _spectral_chain(nu, pairs, [lam], policy)
     return [
-        KernelEstimate(value=complex(value, 0.0), method="spectral", terms_used=len(weights), tail_bound=tail)
-        for value in _mode_sums(weights, nu, pairs)
+        KernelEstimate(value=complex(value, 0.0), method="spectral", terms_used=n_terms, tail_bound=tail)
+        for value in values
     ]
 
 

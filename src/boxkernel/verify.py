@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .closedform import addition_formula_lhs, addition_formula_rhs, kernel_closed
-from .errors import DomainError, require_lambda, require_nu
-from .pathsum import PRESCRIPTIONS, PathSumConfig, _kernel_pathsum, reflection_phase
+from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu
+from .pathsum import PRESCRIPTIONS, PathSumConfig, _kernel_pathsum, _pathsum_chain, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
@@ -29,6 +29,7 @@ from .spectral import (
     _eigenfunction_matrix,
     _kernel_spectral,
     _log_norms,
+    _spectral_chain,
 )
 from .specfun import bessel_i_scaled
 
@@ -206,19 +207,35 @@ def evaluate_method(
     return _evaluate_block(method, nu, [(theta, theta_p)], lam, config or EvalConfig())[0]
 
 
+def _pathsum_coupling(method: str, nu: float) -> float:
+    """The coupling the path-sum ``method`` evaluates at: ``nu``, or the fixed one of an integer-coupling sum."""
+    if method == "path_sum_general":
+        return nu
+    if method not in _FIXED_COUPLING:
+        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    if nu != _FIXED_COUPLING[method]:
+        raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
+    return _FIXED_COUPLING[method]
+
+
 def _evaluate_block(method: str, nu: float, pairs, lam: float, config: EvalConfig) -> list[KernelEstimate]:
-    """``method`` at every (theta, theta_p) of ``pairs`` at one lambda, through the method's batched core."""
+    """``method`` at every (theta, theta_p) of ``pairs`` at one lambda, as estimates; the path sums
+    go through the per-pair loop, which refuses at the first pair it meets."""
     if method == "spectral":
         return _kernel_spectral(nu, pairs, lam, config.policy)
     if method == "closed_form":
         return [kernel_closed(nu, theta, theta_p, lam) for theta, theta_p in pairs]
-    if method in _FIXED_COUPLING:
-        if nu != _FIXED_COUPLING[method]:
-            raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
-        return _kernel_pathsum(_FIXED_COUPLING[method], method, pairs, lam, config.path)
-    if method == "path_sum_general":
-        return _kernel_pathsum(nu, method, pairs, lam, config.path)
-    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _kernel_pathsum(_pathsum_coupling(method, nu), method, pairs, lam, config.path)
+
+
+def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
+    """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
+    lambda-major, through the method's chain core."""
+    if method == "spectral":
+        return [complex(value, 0.0) for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
+    if method == "closed_form":
+        return [kernel_closed(nu, theta, theta_p, lam).value for lam in lambdas for theta, theta_p in pairs]
+    return _pathsum_chain(_pathsum_coupling(method, nu), pairs, lambdas, config.path)
 
 
 def _is_halving_chain(lambdas) -> bool:
@@ -246,9 +263,20 @@ def compare_methods(
     Real parts are compared; |Im/Re| is recorded per point when one of the
     methods is genuinely complex-valued.
 
-    Evaluation runs lambda by lambda, in chain order: ``method_a``'s batched
-    core over the whole grid, then ``method_b``'s.  Where both methods refuse
-    within one lambda, ``method_a``'s refusal is the one raised.
+    Each method's chain core takes the whole grid and chain at once
+    (``method_a``'s, then ``method_b``'s) and returns plain values: the
+    spectral route resolves N per lambda and builds its norms and
+    eigenfunction columns once, at the largest N; the path sums take one
+    array image sum over the chain from ``pathsum._ARRAY_MIN_POINTS``
+    (pair, lambda) points up to a term cap.  The values are bitwise those of
+    the scalar kernels.
+
+    A refusal is the one that evaluating lambda by lambda, in chain order,
+    ``method_a`` over the whole grid and then ``method_b``, meets first: an
+    earlier lambda's before a later one's, and within one lambda
+    ``method_a``'s before ``method_b``'s.  A chain core refuses in its own
+    order, so on any refusal the chain is replayed that way, lambda by lambda
+    through the per-lambda cores, and the replay raises.
     """
     nu = require_nu(nu)
     lambda_chain = [require_lambda(l) for l in lambda_chain]
@@ -259,9 +287,13 @@ def compare_methods(
     config = config or EvalConfig()
 
     grid = tuple((theta, theta_p, lam) for lam in lambda_chain for theta, theta_p in theta_grid)
-    blocks = [tuple(_evaluate_block(m, nu, theta_grid, lam, config) for m in (method_a, method_b)) for lam in lambda_chain]
-    value_a = tuple(est.value for block, _ in blocks for est in block)
-    value_b = tuple(est.value for _, block in blocks for est in block)
+    try:
+        value_a, value_b = (tuple(_evaluate_chain(m, nu, theta_grid, lambda_chain, config)) for m in (method_a, method_b))
+    except (DomainError, PolicyUnresolvableError, OverflowError):
+        for lam in lambda_chain:
+            for method in (method_a, method_b):
+                _evaluate_block(method, nu, theta_grid, lam, config)
+        raise
     abs_dev = tuple(abs(a.real - b.real) for a, b in zip(value_a, value_b))
     denoms = [max(abs(a.real), abs(b.real)) for a, b in zip(value_a, value_b)]
     rel_dev = tuple(d / m if m > 0.0 else 0.0 for d, m in zip(abs_dev, denoms))

@@ -293,6 +293,7 @@ class TestExitCodes:
         ("2.5", "1e-200", "pathsum-general", "path sum"),  # sin theta sin theta' underflows to 0
         ("1e160", "1", "pathsum-general", "path sum"),  # nu (nu - 1) overflows
         ("1e160", "1", "spectral", "spectral sum"),  # (n + nu)^2 overflows
+        ("1e160", "1", "closed-form", "Bessel function"),  # the order is past ive's range: NaN
     ])
     def test_correction_or_weights_past_the_float_range_name_the_route(self, capsys, nu, theta, method, route):
         code, out, err = run_cli(

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import eval_gegenbauer
 
 from boxkernel import (
     DomainError,
@@ -77,14 +76,17 @@ class TestGegenbauer:
                 expected = math.exp(log_gamma(n + 2.0 * nu) - log_gamma(n + 1.0) - log_gamma(2.0 * nu))
                 assert seq[n] == pytest.approx(expected, rel=1e-10)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(
         nu=st.floats(min_value=0.5, max_value=5.0),
         x=st.floats(min_value=-1.0, max_value=1.0),
     )
     def test_recurrence_matches_scipy(self, nu, x):
+        # the oracle is mpmath: next to a zero crossing scipy's eval_gegenbauer is the less accurate
+        # of the two (at nu = 3.782, x = -0.798, n = 22 it is off by 9.1e-12, the recurrence by 2.3e-12);
+        # zeroprec lets mpmath return the exact zeros of the odd degrees at x = 0
         seq = gegenbauer_sequence(30, nu, x)
-        ref = np.array([eval_gegenbauer(n, nu, x) for n in range(31)])
+        ref = np.array([float(mpmath.gegenbauer(n, nu, x, zeroprec=400)) for n in range(31)])
         assert_allclose(seq, ref, rtol=5e-12, atol=1e-12)
 
     def test_table_matches_sequence(self):
@@ -135,7 +137,7 @@ class TestBesselIScaled:
             else:
                 assert mine == pytest.approx(ref, rel=1e-11)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         mu=st.floats(min_value=1.0, max_value=50.0),
         logz=st.floats(min_value=-2.0, max_value=6.0),
@@ -162,6 +164,8 @@ class TestBesselIScaled:
             bessel_i_scaled(1.0, -2.0)
         with pytest.raises(DomainError):
             bessel_i_scaled(-0.5, 1.0)
+        with pytest.raises(DomainError, match="not a number"):  # ive returns NaN past its order range
+            bessel_i_scaled(1e16, 7.0)
 
 
 class TestBesselAsymptoticLeading:

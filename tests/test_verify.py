@@ -1,6 +1,8 @@
 """Quadrature and the comparison harness."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from boxkernel import (
     DomainError,
     EvalConfig,
     PathSumConfig,
+    PolicyUnresolvableError,
     TruncationPolicy,
     check_gaussian_bessel_link,
     check_orthonormality,
@@ -232,39 +235,87 @@ class TestCompareMethods:
         assert rep.per_lambda_ratios == (rep.per_lambda[0][2] / rep.per_lambda[1][2],)
 
     @pytest.mark.parametrize("prescription", ["A", "B"])
-    @pytest.mark.parametrize("nu", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 2.5, 0.75])
     def test_values_are_the_scalar_kernels_by_repr(self, nu, prescription):
-        # the batched cores against the scalar entry points, on grid axes (repeated angles)
+        # the chain cores against the scalar entry points, on grid axes (repeated angles)
         # plus scattered pairs, at seeded margins, lambdas and truncations
         rng = np.random.default_rng(int(10 * nu) + ord(prescription))
         methods = ["spectral", "closed_form", "path_sum_general"]
         methods += {1.0: ["path_sum_nu1"], 2.0: ["path_sum_nu2"]}.get(nu, [])
+        refusals = []
+
+        def check(grid, chain, cfg):
+            for method_a, method_b in zip(methods, methods[1:] + methods[:1]):
+                try:
+                    rep = compare_methods(nu, grid, chain, method_a, method_b, cfg)
+                except (DomainError, OverflowError) as exc:
+                    # the refusal the scalar kernels meet first: lambda by lambda, method_a's grid, then method_b's
+                    refusals.append(type(exc))
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        for lam in chain:
+                            for method in (method_a, method_b):
+                                for a, b in grid:
+                                    SCALAR_KERNELS[method](nu, a, b, lam, cfg)
+                    continue
+                for method, values in ((method_a, rep.value_a), (method_b, rep.value_b)):
+                    scalar = tuple(SCALAR_KERNELS[method](nu, a, b, lam, cfg).value for a, b, lam in rep.grid)
+                    assert repr(values) == repr(scalar), method
+                    assert repr(scalar) == repr(tuple(evaluate_method(method, nu, a, b, lam, cfg).value for a, b, lam in rep.grid))
+
         for margin in rng.uniform(0.01, 1.2, size=3):
             axis = np.linspace(margin, math.pi - margin, 4).tolist()
             grid = [(a, b) for a in axis for b in axis] + [tuple(rng.uniform(0.01, math.pi - 0.01, 2)) for _ in range(4)]
             chain = sorted(10.0 ** rng.uniform(-2.5, 0.0, size=3), reverse=True)
             policy = TruncationPolicy() if margin < 0.6 else TruncationPolicy.fixed(int(rng.integers(5, 60)))
             cfg = EvalConfig(policy=policy, path=PathSumConfig(k_max=int(rng.integers(1, 10)), prescription=prescription))
-            for method_a, method_b in zip(methods, methods[1:] + methods[:1]):
-                rep = compare_methods(nu, grid, chain, method_a, method_b, cfg)
-                for method, values in ((method_a, rep.value_a), (method_b, rep.value_b)):
-                    scalar = tuple(SCALAR_KERNELS[method](nu, a, b, lam, cfg).value for a, b, lam in rep.grid)
-                    assert repr(values) == repr(scalar), method
-                    assert repr(scalar) == repr(tuple(evaluate_method(method, nu, a, b, lam, cfg).value for a, b, lam in rep.grid))
+            check(grid, chain, cfg)
+        # (pairs, lambdas) on both sides of the path sums' array threshold of 5 points, with k_max 1 and 30:
+        # one angle at a wall (at nu < 1 the even-parity potential is positive and widens the live window),
+        # then lambdas in [10, 100], where every image is live
+        interior = lambda n: [tuple(rng.uniform(0.02, math.pi - 0.02, 2)) for _ in range(n)]
+        for (n_pairs, n_lambdas), k_max in itertools.product([(1, 4), (1, 5), (2, 2), (2, 3), (9, 1)], [1, 30]):
+            cfg = EvalConfig(path=PathSumConfig(k_max=k_max, prescription=prescription))
+            wall = rng.uniform(1e-4, 0.01)
+            grid = [(wall if rng.random() < 0.5 else math.pi - wall, rng.uniform(0.02, math.pi - 0.02))] + interior(n_pairs - 1)
+            check(grid, sorted(10.0 ** rng.uniform(-3.0, 0.0, size=n_lambdas), reverse=True), cfg)
+            check(interior(n_pairs), sorted(rng.uniform(10.0, 100.0, size=n_lambdas), reverse=True), cfg)
+        # past the arrays' term cap (27 points x 40,002 terms), the loop again
+        check(interior(9), [0.3, 0.2, 0.1], EvalConfig(path=PathSumConfig(k_max=10_000, prescription=prescription)))
+        # the potential correction at (0.01, 0.01) overflows math.exp at lambda = 5, in the loop and in the arrays
+        for grid in ([(0.01, 0.01)], [(0.01, 0.01)] + interior(5)):
+            check(grid, [5.0], EvalConfig(path=PathSumConfig(prescription=prescription)))
+        assert (OverflowError in refusals) == (nu != 1.0)
+
+    # at lambda = 5 the path sum overflows next to the walls; at 1e-7 the spectral sum needs more than
+    # n_cap modes, and with n_cap = 1 at a 1e-100 tail already at lambda = 5
+    WALL_GRID = [(a, b) for a in (0.01, math.pi / 2, math.pi - 0.01) for b in (0.01, math.pi / 2, math.pi - 0.01)]
+
+    @pytest.mark.parametrize("n_pairs", [1, 9])
+    def test_an_earlier_lambda_refusal_wins(self, n_pairs):
+        # method_b's refusal at the first lambda, not method_a's at the second
+        with pytest.raises(OverflowError):
+            compare_methods(2.5, self.WALL_GRID[:n_pairs], [5.0, 1e-7], "spectral", "path_sum_general")
+
+    @pytest.mark.parametrize("n_pairs", [1, 9])
+    def test_method_a_refusal_wins_within_a_lambda(self, n_pairs):
+        cfg = EvalConfig(policy=TruncationPolicy(epsilon_tail=1e-100, n_cap=1))
+        with pytest.raises(PolicyUnresolvableError):
+            compare_methods(2.5, self.WALL_GRID[:n_pairs], [5.0], "spectral", "path_sum_general", cfg)
+        with pytest.raises(OverflowError):
+            compare_methods(2.5, self.WALL_GRID[:n_pairs], [5.0], "path_sum_general", "spectral", cfg)
 
     def test_nan_deviation_propagates(self, monkeypatch):
         from boxkernel import verify
-        from boxkernel.spectral import KernelEstimate
 
-        def fake(method, nu, pairs, lam, config):
-            def value(theta):
+        def fake(method, nu, pairs, lambdas, config):
+            def value(theta, lam):
                 nan_row = method == "closed_form" and theta == 2.0 and lam == 0.4
                 scale = 1.5 if method == "closed_form" else 1.0
                 return complex(math.nan if nan_row else scale * theta)
 
-            return [KernelEstimate(value=value(theta), method=method, terms_used=0) for theta, _ in pairs]
+            return [value(theta, lam) for lam in lambdas for theta, _ in pairs]
 
-        monkeypatch.setattr(verify, "_evaluate_block", fake)
+        monkeypatch.setattr(verify, "_evaluate_chain", fake)
         # the NaN sits in the second row of the first block, where the builtin max drops it
         rep = verify.compare_methods(1.0, [(1.0, 1.0), (2.0, 1.0)], [0.4, 0.2], "spectral", "closed_form")
         assert math.isnan(rep.rel_dev[1])
