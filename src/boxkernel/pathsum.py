@@ -194,29 +194,39 @@ def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int, 
     return terms
 
 
-def _pair_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[complex]:
-    """The reference image sum, pair by pair: the :func:`decompose` terms of each pair at one lambda,
-    summed with exact (fsum) reduction, without building them as objects.
+def _kernel_pathsum(nu: float, method: str, pairs, lam: float, config: PathSumConfig | None) -> list[KernelEstimate]:
+    """The reference path-sum core: the :func:`decompose` terms of each pair at one lambda, summed
+    with exact (fsum) reduction, without building them as objects.
 
     Each weight is a ``math.exp``, so a term whose potential correction
     overflows raises ``OverflowError`` rather than turning into inf.  Images
     whose weight underflows to exactly 0 are not evaluated (:func:`_live_ks`):
     each would add a +-0.0 that fsum ignores, so the value is bitwise that of
-    the full sum.
+    the full sum.  ``terms_used`` is the nominal count ``4 k_max + 2``.
     """
+    config = config or PathSumConfig()
+    nu = require_nu(nu)
+    pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in pairs]
+    lam = require_lambda(lam)
     phases = _phases(nu, config.k_max, config.prescription)
     norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
-    values = []
+    estimates = []
     for theta, theta_p in pairs:
         terms = [(phases[i], math.exp(gauss + potential)) for i, gauss, potential in _exponents(nu, theta, theta_p, lam, config.k_max, live=True)]
         re = math.fsum([phase.real * w for phase, w in terms])
         im = math.fsum([phase.imag * w for phase, w in terms])
-        values.append(complex(norm * re, norm * im))
-    return values
+        estimates.append(KernelEstimate(
+            value=complex(norm * re, norm * im),
+            method=method,
+            terms_used=len(phases),
+            near_boundary=min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN,
+        ))
+    return estimates
 
 
 def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[complex]:
-    """:func:`_pair_values` at every lambda of ``lambdas``, lambda-major, as one array image sum.
+    """The values of :func:`_kernel_pathsum` at every lambda of ``lambdas``, lambda-major, as one
+    array image sum.
 
     The geometry is built once: the sines, the saddle distances of every (pair, parity, k) and
     their squares, taken with ``math.pow`` as the loop's ``**`` takes them (numpy's square is
@@ -226,7 +236,9 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     exp differs by an ulp), and every other step is elementwise, which rounds as Python does,
     so each value is bitwise the loop's.  A correction past the float range raises
     ``DomainError`` for the first (lambda, pair) in chain order, and an overflowing weight
-    ``OverflowError``, but all corrections are checked before any weight is taken.
+    ``OverflowError``, but all corrections are checked before any weight is taken.  Numpy's
+    floating-point warnings are off: a quotient past the float range is inf, as Python's is,
+    and is refused or masked.
     """
     k_max, n_pairs = config.k_max, len(pairs)
     sines = {theta: math.sin(theta) for theta in {t for pair in pairs for t in pair}}
@@ -235,12 +247,12 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     d = np.array([(a - b, a + b) for a, b in pairs])[:, None, :] - (2.0 * math.pi * np.arange(-k_max, k_max + 1))[:, None]
     neg_square = -np.fromiter(map(math.pow, d.ravel().tolist(), repeat(2.0)), float, d.size).reshape(d.shape)
     coupling = np.array([0.5 * lam * nu * (nu - 1.0) for lam in lambdas])[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         correction = np.where(coupling != 0.0, coupling / ss, 0.0)
-    if not np.isfinite(correction).all():
-        raise _correction_error(nu, *pairs[np.argwhere(~np.isfinite(correction))[0][1]])
-    potential = np.stack([-correction, correction], axis=-1)[:, :, None, :]
-    exponent = (neg_square / np.array([2.0 * lam for lam in lambdas])[:, None, None, None] + potential).reshape(len(lambdas) * n_pairs, -1)
+        if not np.isfinite(correction).all():
+            raise _correction_error(nu, *pairs[np.argwhere(~np.isfinite(correction))[0][1]])
+        potential = np.stack([-correction, correction], axis=-1)[:, :, None, :]
+        exponent = (neg_square / np.array([2.0 * lam for lam in lambdas])[:, None, None, None] + potential).reshape(len(lambdas) * n_pairs, -1)
     rows, cols = np.nonzero(exponent > -_EXP_FLOOR)
     weights = np.fromiter(map(math.exp, exponent[rows, cols].tolist()), float, len(rows))
     phases = np.array(_phases(nu, k_max, config.prescription))[cols]
@@ -250,10 +262,10 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     return [complex(norm * math.fsum(re[i:j]), norm * math.fsum(im[i:j])) for norm, i, j in zip(norms, [0] + ends, ends)]
 
 
-def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> list[complex]:
+def _pathsum_chain(nu: float, method: str, pairs, lambdas, config: PathSumConfig | None) -> list[complex]:
     """The path sum at every (theta, theta') of ``pairs`` and every lambda of ``lambdas``,
     lambda-major: as one array sum over the chain (:func:`_array_values`) from ``_ARRAY_MIN_POINTS``
-    points up to ``_ARRAY_MAX_TERMS`` terms, otherwise lambda by lambda through :func:`_pair_values`.
+    points up to ``_ARRAY_MAX_TERMS`` terms, otherwise lambda by lambda through :func:`_kernel_pathsum`.
     The values are bitwise equal; a refusal may not be the one the per-pair loop meets first."""
     config = config or PathSumConfig()
     nu = require_nu(nu)
@@ -262,24 +274,7 @@ def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> l
     points = len(pairs) * len(lambdas)
     if _ARRAY_MIN_POINTS <= points and points * (4 * config.k_max + 2) <= _ARRAY_MAX_TERMS:
         return _array_values(nu, pairs, lambdas, config)
-    return [value for lam in lambdas for value in _pair_values(nu, pairs, lam, config)]
-
-
-def _kernel_pathsum(nu: float, method: str, pairs, lam: float, config: PathSumConfig | None) -> list[KernelEstimate]:
-    """:func:`_pair_values` at one lambda, as estimates; ``terms_used`` is the nominal count ``4 k_max + 2``."""
-    config = config or PathSumConfig()
-    nu = require_nu(nu)
-    pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in pairs]
-    lam = require_lambda(lam)
-    return [
-        KernelEstimate(
-            value=value,
-            method=method,
-            terms_used=4 * config.k_max + 2,
-            near_boundary=min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN,
-        )
-        for (theta, theta_p), value in zip(pairs, _pair_values(nu, pairs, lam, config))
-    ]
+    return [est.value for lam in lambdas for est in _kernel_pathsum(nu, method, pairs, lam, config)]
 
 
 def kernel_pathsum_general(

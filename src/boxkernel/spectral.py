@@ -232,11 +232,15 @@ def _mode_sums(weights: list[np.ndarray], nu: float, pairs) -> list[list[float]]
     which at a grid axis' few angles is 4-5x faster than the array one (and bitwise equal).  A
     shorter row sums over a prefix of the columns, bitwise what columns of its own length give:
     the norms are a running sum and every other step is elementwise.  Forming
-    ``phi_n(a) phi_n(b)`` first makes each sum exactly symmetric in (a, b)."""
+    ``phi_n(a) phi_n(b)`` first makes each sum exactly symmetric in (a, b).  The sums are taken
+    pair by pair, so beyond the columns only one product and one weighted row are held at once."""
     log_norms = _log_norms(max(map(len, weights)) - 1, nu)
     columns = {theta: _eigenfunction_matrix(log_norms, nu, theta) for theta in {t for pair in pairs for t in pair}}
-    products = np.array([columns[a] * columns[b] for a, b in pairs])
-    return [[math.fsum(row) for row in (w * products[:, :len(w)]).tolist()] for w in weights]
+    sums = []
+    for a, b in pairs:
+        product = columns[a] * columns[b]
+        sums.append([math.fsum((w * product[:len(w)]).tolist()) for w in weights])
+    return [list(row) for row in zip(*sums)]
 
 
 def _spectral_chain(nu: float, pairs, lambdas, policy: TruncationPolicy | None) -> list[tuple[int, float, list[float]]]:

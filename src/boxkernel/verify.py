@@ -207,17 +207,6 @@ def evaluate_method(
     return _evaluate_block(method, nu, [(theta, theta_p)], lam, config or EvalConfig())[0]
 
 
-def _pathsum_coupling(method: str, nu: float) -> float:
-    """The coupling the path-sum ``method`` evaluates at: ``nu``, or the fixed one of an integer-coupling sum."""
-    if method == "path_sum_general":
-        return nu
-    if method not in _FIXED_COUPLING:
-        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-    if nu != _FIXED_COUPLING[method]:
-        raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
-    return _FIXED_COUPLING[method]
-
-
 def _evaluate_block(method: str, nu: float, pairs, lam: float, config: EvalConfig) -> list[KernelEstimate]:
     """``method`` at every (theta, theta_p) of ``pairs`` at one lambda, as estimates; the path sums
     go through the per-pair loop, which refuses at the first pair it meets."""
@@ -225,17 +214,24 @@ def _evaluate_block(method: str, nu: float, pairs, lam: float, config: EvalConfi
         return _kernel_spectral(nu, pairs, lam, config.policy)
     if method == "closed_form":
         return [kernel_closed(nu, theta, theta_p, lam) for theta, theta_p in pairs]
-    return _kernel_pathsum(_pathsum_coupling(method, nu), method, pairs, lam, config.path)
+    if method in _FIXED_COUPLING:
+        if nu != _FIXED_COUPLING[method]:
+            raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
+        return _kernel_pathsum(_FIXED_COUPLING[method], method, pairs, lam, config.path)
+    if method == "path_sum_general":
+        return _kernel_pathsum(nu, method, pairs, lam, config.path)
+    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
     """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
-    lambda-major, through the method's chain core."""
+    lambda-major, through the method's chain core; the closed form, and a method that refuses ``nu``,
+    go lambda by lambda through :func:`_evaluate_block`."""
     if method == "spectral":
         return [complex(value, 0.0) for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
-    if method == "closed_form":
-        return [kernel_closed(nu, theta, theta_p, lam).value for lam in lambdas for theta, theta_p in pairs]
-    return _pathsum_chain(_pathsum_coupling(method, nu), pairs, lambdas, config.path)
+    if method == "path_sum_general" or _FIXED_COUPLING.get(method) == nu:
+        return _pathsum_chain(_FIXED_COUPLING.get(method, nu), method, pairs, lambdas, config.path)
+    return [est.value for lam in lambdas for est in _evaluate_block(method, nu, pairs, lam, config)]
 
 
 def _is_halving_chain(lambdas) -> bool:

@@ -302,6 +302,20 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith(f"domain error: {route}: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("nu, methods, chain, code, message", [
+        # 5e306 / sin(0.01)^2 leaves the float range inside the array image sum over 9 pairs
+        ("1e154", "pathsum-general,spectral", "0.1", EXIT_DOMAIN, "domain error: path sum: "),
+        # every saddle distance squared over 2 lambda leaves the float range; the spectral sum then refuses
+        ("1", "pathsum-nu1,spectral", "1e-307", EXIT_POLICY, "truncation policy unresolvable: "),
+    ])
+    def test_compare_past_the_float_range_writes_only_the_refusal(self, capsys, nu, methods, chain, code, message):
+        got, out, err = run_cli(
+            capsys, "compare", "--nu", nu, "--methods", methods, "--lambda-chain", chain,
+            "--grid-n", "3", "--grid-margin", "0.01",
+        )
+        assert got == code
+        assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
+
     def test_spectral_tail_overflow_is_the_term_cap(self, capsys):
         code, out, err = run_cli(
             capsys, "kernel", "--nu", "168.28", "--theta", "0.00268", "--theta-p", "1.180",

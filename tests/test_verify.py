@@ -244,11 +244,14 @@ class TestCompareMethods:
         methods += {1.0: ["path_sum_nu1"], 2.0: ["path_sum_nu2"]}.get(nu, [])
         refusals = []
 
-        def check(grid, chain, cfg):
+        def check(grid, chain, cfg, may_refuse=False):
+            # every comparison must evaluate, except where ``may_refuse`` allows a refusal
             for method_a, method_b in zip(methods, methods[1:] + methods[:1]):
                 try:
                     rep = compare_methods(nu, grid, chain, method_a, method_b, cfg)
                 except (DomainError, OverflowError) as exc:
+                    if not may_refuse:
+                        raise
                     # the refusal the scalar kernels meet first: lambda by lambda, method_a's grid, then method_b's
                     refusals.append(type(exc))
                     with pytest.raises(type(exc), match=re.escape(str(exc))):
@@ -271,20 +274,29 @@ class TestCompareMethods:
             check(grid, chain, cfg)
         # (pairs, lambdas) on both sides of the path sums' array threshold of 5 points, with k_max 1 and 30:
         # one angle at a wall (at nu < 1 the even-parity potential is positive and widens the live window),
-        # then lambdas in [10, 100], where every image is live
-        interior = lambda n: [tuple(rng.uniform(0.02, math.pi - 0.02, 2)) for _ in range(n)]
+        # its chain scaled so that no correction passes 600 (math.exp overflows past 709.78), then lambdas
+        # in [10, 100], where every image is live, at angles whose corrections stay below 400
+        interior = lambda n, edge=0.1: [tuple(rng.uniform(edge, math.pi - edge, 2)) for _ in range(n)]
+
+        def in_range(grid, chain):
+            worst = 0.5 * abs(nu * (nu - 1.0)) * max(chain) / min(math.sin(a) * math.sin(b) for a, b in grid)
+            return [lam * min(1.0, 600.0 / worst) for lam in chain] if worst else chain
+
         for (n_pairs, n_lambdas), k_max in itertools.product([(1, 4), (1, 5), (2, 2), (2, 3), (9, 1)], [1, 30]):
             cfg = EvalConfig(path=PathSumConfig(k_max=k_max, prescription=prescription))
-            wall = rng.uniform(1e-4, 0.01)
-            grid = [(wall if rng.random() < 0.5 else math.pi - wall, rng.uniform(0.02, math.pi - 0.02))] + interior(n_pairs - 1)
-            check(grid, sorted(10.0 ** rng.uniform(-3.0, 0.0, size=n_lambdas), reverse=True), cfg)
-            check(interior(n_pairs), sorted(rng.uniform(10.0, 100.0, size=n_lambdas), reverse=True), cfg)
+            wall = rng.uniform(1e-3, 0.01)
+            grid = [(wall if rng.random() < 0.5 else math.pi - wall, rng.uniform(0.3, math.pi - 0.3))] + interior(n_pairs - 1)
+            check(grid, in_range(grid, sorted(10.0 ** rng.uniform(-3.0, 0.0, size=n_lambdas), reverse=True)), cfg)
+            check(interior(n_pairs, 0.8), sorted(rng.uniform(10.0, 100.0, size=n_lambdas), reverse=True), cfg)
         # past the arrays' term cap (27 points x 40,002 terms), the loop again
         check(interior(9), [0.3, 0.2, 0.1], EvalConfig(path=PathSumConfig(k_max=10_000, prescription=prescription)))
-        # the potential correction at (0.01, 0.01) overflows math.exp at lambda = 5, in the loop and in the arrays
+        assert not refusals
+        # the potential correction at (0.01, 0.01) overflows math.exp at lambda = 5, in the loop (1 pair) and
+        # in the arrays (6 pairs): every comparison with a path sum refuses, unless nu = 1
         for grid in ([(0.01, 0.01)], [(0.01, 0.01)] + interior(5)):
-            check(grid, [5.0], EvalConfig(path=PathSumConfig(prescription=prescription)))
-        assert (OverflowError in refusals) == (nu != 1.0)
+            check(grid, [5.0], EvalConfig(path=PathSumConfig(prescription=prescription)), may_refuse=True)
+        with_path_sum = sum("path_sum" in a + b for a, b in zip(methods, methods[1:] + methods[:1]))
+        assert refusals == ([] if nu == 1.0 else [OverflowError] * 2 * with_path_sum)
 
     # at lambda = 5 the path sum overflows next to the walls; at 1e-7 the spectral sum needs more than
     # n_cap modes, and with n_cap = 1 at a 1e-100 tail already at lambda = 5
