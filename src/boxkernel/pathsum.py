@@ -194,38 +194,30 @@ def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int, 
     return terms
 
 
-def _kernel_pathsum(nu: float, method: str, pairs, lam: float, config: PathSumConfig | None) -> list[KernelEstimate]:
+def _loop_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[complex]:
     """The reference path-sum core: the :func:`decompose` terms of each pair at one lambda, summed
-    with exact (fsum) reduction, without building them as objects.
+    with exact (fsum) reduction, without building them as objects.  The arguments are taken as
+    validated (:func:`_pathsum_chain`).
 
     Each weight is a ``math.exp``, so a term whose potential correction
     overflows raises ``OverflowError`` rather than turning into inf.  Images
     whose weight underflows to exactly 0 are not evaluated (:func:`_live_ks`):
     each would add a +-0.0 that fsum ignores, so the value is bitwise that of
-    the full sum.  ``terms_used`` is the nominal count ``4 k_max + 2``.
+    the full sum.
     """
-    config = config or PathSumConfig()
-    nu = require_nu(nu)
-    pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in pairs]
-    lam = require_lambda(lam)
     phases = _phases(nu, config.k_max, config.prescription)
     norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
-    estimates = []
+    values = []
     for theta, theta_p in pairs:
         terms = [(phases[i], math.exp(gauss + potential)) for i, gauss, potential in _exponents(nu, theta, theta_p, lam, config.k_max, live=True)]
         re = math.fsum([phase.real * w for phase, w in terms])
         im = math.fsum([phase.imag * w for phase, w in terms])
-        estimates.append(KernelEstimate(
-            value=complex(norm * re, norm * im),
-            method=method,
-            terms_used=len(phases),
-            near_boundary=min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN,
-        ))
-    return estimates
+        values.append(complex(norm * re, norm * im))
+    return values
 
 
 def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[complex]:
-    """The values of :func:`_kernel_pathsum` at every lambda of ``lambdas``, lambda-major, as one
+    """The values of :func:`_loop_values` at every lambda of ``lambdas``, lambda-major, as one
     array image sum.
 
     The geometry is built once: the sines, the saddle distances of every (pair, parity, k) and
@@ -262,11 +254,15 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     return [complex(norm * math.fsum(re[i:j]), norm * math.fsum(im[i:j])) for norm, i, j in zip(norms, [0] + ends, ends)]
 
 
-def _pathsum_chain(nu: float, method: str, pairs, lambdas, config: PathSumConfig | None) -> list[complex]:
-    """The path sum at every (theta, theta') of ``pairs`` and every lambda of ``lambdas``,
-    lambda-major: as one array sum over the chain (:func:`_array_values`) from ``_ARRAY_MIN_POINTS``
-    points up to ``_ARRAY_MAX_TERMS`` terms, otherwise lambda by lambda through :func:`_kernel_pathsum`.
-    The values are bitwise equal; a refusal may not be the one the per-pair loop meets first."""
+def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> list[complex]:
+    """The path-sum core: the value at every (theta, theta') of ``pairs`` and every lambda of
+    ``lambdas``, lambda-major, after one validation of the arguments.  From ``_ARRAY_MIN_POINTS``
+    points up to ``_ARRAY_MAX_TERMS`` terms it is one array sum over the chain (:func:`_array_values`),
+    otherwise lambda by lambda through :func:`_loop_values`; a scalar kernel is one point, so it
+    always takes the loop.  The values are bitwise equal, but the refusals are not: the loop
+    refuses at the first pair it meets, the array sum checks every correction before it takes
+    any weight, so it may refuse a later pair with ``DomainError`` where the loop meets an
+    earlier pair's ``OverflowError`` first."""
     config = config or PathSumConfig()
     nu = require_nu(nu)
     pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in pairs]
@@ -274,7 +270,16 @@ def _pathsum_chain(nu: float, method: str, pairs, lambdas, config: PathSumConfig
     points = len(pairs) * len(lambdas)
     if _ARRAY_MIN_POINTS <= points and points * (4 * config.k_max + 2) <= _ARRAY_MAX_TERMS:
         return _array_values(nu, pairs, lambdas, config)
-    return [est.value for lam in lambdas for est in _kernel_pathsum(nu, method, pairs, lam, config)]
+    return [value for lam in lambdas for value in _loop_values(nu, pairs, lam, config)]
+
+
+def _point_estimate(nu: float, method: str, theta: float, theta_p: float, lam: float, config: PathSumConfig | None) -> KernelEstimate:
+    """:func:`_pathsum_chain` at one point, as an estimate; ``terms_used`` is the nominal ``4 k_max + 2``."""
+    config = config or PathSumConfig()
+    [value] = _pathsum_chain(nu, [(theta, theta_p)], [lam], config)
+    theta, theta_p = float(theta), float(theta_p)  # the angles the chain has validated
+    near_boundary = min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN
+    return KernelEstimate(value=value, method=method, terms_used=4 * config.k_max + 2, near_boundary=near_boundary)
 
 
 def kernel_pathsum_general(
@@ -285,7 +290,7 @@ def kernel_pathsum_general(
     config: PathSumConfig | None = None,
 ) -> KernelEstimate:
     """Phased reflection sum for arbitrary coupling; value is complex."""
-    return _kernel_pathsum(nu, "path_sum_general", [(theta, theta_p)], lam, config)[0]
+    return _point_estimate(nu, "path_sum_general", theta, theta_p, lam, config)
 
 
 def kernel_pathsum_nu1(
@@ -304,7 +309,7 @@ def kernel_pathsum_nu1(
     1.44e-8 at (1, 2) where the kernel is 9.4e-23.  The phases are exactly
     +-1, so ``value.imag == 0.0``.
     """
-    return _kernel_pathsum(1.0, "path_sum_nu1", [(theta, theta_p)], lam, config)[0]
+    return _point_estimate(1.0, "path_sum_nu1", theta, theta_p, lam, config)
 
 
 def kernel_pathsum_nu2(
@@ -314,4 +319,4 @@ def kernel_pathsum_nu2(
     config: PathSumConfig | None = None,
 ) -> KernelEstimate:
     """nu = 2 decomposition; both parities enter with coefficient +1."""
-    return _kernel_pathsum(2.0, "path_sum_nu2", [(theta, theta_p)], lam, config)[0]
+    return _point_estimate(2.0, "path_sum_nu2", theta, theta_p, lam, config)

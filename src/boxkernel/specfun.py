@@ -1,21 +1,18 @@
-"""Foundational special functions: log-gamma, Gegenbauer polynomials, and
-exponentially scaled modified Bessel functions of real order.
+"""Foundational special functions: Gegenbauer polynomials and exponentially
+scaled modified Bessel functions of real order.
 
-The eigenbasis (both mode sums) rests on the Gegenbauer recurrence alone,
-not on ``log_gamma``; the scaled Bessel function carries the closed kernel,
-the addition-formula weights and the Gaussian-Bessel link.  The accuracy
-targets are deliberately tighter than the cross-method tolerances they have
-to support:
+The eigenbasis (both mode sums) rests on the Gegenbauer recurrence; the
+scaled Bessel function carries the closed kernel, the addition-formula
+weights and the Gaussian-Bessel link.  The accuracy targets are deliberately
+tighter than the cross-method tolerances they have to support:
 
-* ``log_gamma``        relative error <= 1e-13 on [0.5, 200]
-* ``gegenbauer_*``     three-term recurrence, stable on [-1, 1] for nu >= 1/2
+* ``gegenbauer_table`` three-term recurrence, stable on [-1, 1] for nu >= 1/2
 * ``bessel_i_scaled``  relative error <= 1e-12 for order <= 1000, z <= 1e6
 
-Log-gamma and the scaled Bessel function are thin checked wrappers over
-:func:`scipy.special.gammaln` and :func:`scipy.special.ive`; the latter is
-Amos' algorithm (D. E. Amos, ACM TOMS 12 (1986) 265, algorithm 644).  No
-other module uses scipy; :mod:`scipy.special`, most of a cold start, loads
-on the first call of either.  The recurrence invariant
+The scaled Bessel function is a thin checked wrapper over
+:func:`scipy.special.ive`, Amos' algorithm (D. E. Amos, ACM TOMS 12 (1986)
+265, algorithm 644).  No other module uses scipy; :mod:`scipy.special`, most
+of a cold start, loads on the first Bessel call.  The recurrence invariant
 ``I_{mu-1} - I_{mu+1} = (2 mu / z) I_mu`` and mpmath are used by the test
 suite as independent checks.
 """
@@ -27,36 +24,10 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "log_gamma",
-    "gegenbauer_sequence",
     "gegenbauer_table",
     "bessel_i_scaled",
     "bessel_asymptotic_leading",
 ]
-
-
-def log_gamma(x):
-    """Natural log of the Gamma function for positive real ``x``.
-
-    Thin wrapper over :func:`scipy.special.gammaln` with an explicit domain
-    check; accepts scalars or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0):
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    from scipy.special import gammaln  # here, not at the top: the import is ~0.27 s of a cold start
-    out = gammaln(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def gegenbauer_sequence(nmax: int, nu: float, x: float) -> np.ndarray:
-    """Gegenbauer (ultraspherical) polynomials C_0^nu(x) .. C_nmax^nu(x).
-
-    The single-argument view of :func:`gegenbauer_table`.
-    """
-    if abs(x) > 1.0:
-        raise DomainError(f"Gegenbauer argument must lie in [-1, 1], got {x!r}")
-    return gegenbauer_table(nmax, nu, x)
 
 
 def gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:

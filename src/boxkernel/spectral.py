@@ -34,7 +34,6 @@ from .specfun import gegenbauer_table
 __all__ = [
     "TruncationPolicy",
     "KernelEstimate",
-    "eigenvalue_exponent",
     "eigenfunction",
     "eigenfunctions",
     "truncation_tail_bound",
@@ -102,15 +101,6 @@ class KernelEstimate:
     @property
     def real(self) -> float:
         return self.value.real
-
-
-def eigenvalue_exponent(n: int, nu: float, lam: float) -> float:
-    """Decay exponent lambda (n+nu)^2 / 2 of mode ``n``."""
-    nu = require_nu(nu)
-    lam = require_lambda(lam)
-    if n < 0:
-        raise DomainError(f"mode index must be nonnegative, got {n}")
-    return lam * (n + nu) ** 2 / 2.0
 
 
 def _log_norms(nmax: int, nu: float) -> np.ndarray:
@@ -254,15 +244,6 @@ def _spectral_chain(nu: float, pairs, lambdas, policy: TruncationPolicy | None) 
     return [(len(w), tail, values) for (w, tail), values in zip(weights, sums)]
 
 
-def _kernel_spectral(nu: float, pairs, lam: float, policy: TruncationPolicy | None) -> list[KernelEstimate]:
-    """:func:`_spectral_chain` at one lambda, as estimates."""
-    [(n_terms, tail, values)] = _spectral_chain(nu, pairs, [lam], policy)
-    return [
-        KernelEstimate(value=complex(value, 0.0), method="spectral", terms_used=n_terms, tail_bound=tail)
-        for value in values
-    ]
-
-
 def kernel_spectral(
     nu: float,
     theta_a: float,
@@ -276,7 +257,8 @@ def kernel_spectral(
     final reduction uses exact (fsum) summation to protect the 1e-10
     cross-method comparisons downstream.
     """
-    return _kernel_spectral(nu, [(theta_a, theta_b)], lam, policy)[0]
+    [(n_terms, tail, [value])] = _spectral_chain(nu, [(theta_a, theta_b)], [lam], policy)
+    return KernelEstimate(value=complex(value, 0.0), method="spectral", terms_used=n_terms, tail_bound=tail)
 
 
 def kernel_spectral_profile(

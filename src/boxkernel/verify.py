@@ -20,14 +20,13 @@ import numpy as np
 
 from .closedform import addition_formula_lhs, addition_formula_rhs, kernel_closed
 from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu
-from .pathsum import PRESCRIPTIONS, PathSumConfig, _kernel_pathsum, _pathsum_chain, reflection_phase
+from .pathsum import PRESCRIPTIONS, PathSumConfig, _pathsum_chain, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
     kernel_spectral,
     kernel_spectral_profile,
     _eigenfunction_matrix,
-    _kernel_spectral,
     _log_norms,
     _spectral_chain,
 )
@@ -203,35 +202,32 @@ def evaluate_method(
     lam: float,
     config: EvalConfig | None = None,
 ) -> KernelEstimate:
-    """Dispatch a kernel evaluation by method tag."""
-    return _evaluate_block(method, nu, [(theta, theta_p)], lam, config or EvalConfig())[0]
-
-
-def _evaluate_block(method: str, nu: float, pairs, lam: float, config: EvalConfig) -> list[KernelEstimate]:
-    """``method`` at every (theta, theta_p) of ``pairs`` at one lambda, as estimates; the path sums
-    go through the per-pair loop, which refuses at the first pair it meets."""
+    """Dispatch a kernel evaluation by method tag to the method's public scalar kernel."""
+    config = config or EvalConfig()
     if method == "spectral":
-        return _kernel_spectral(nu, pairs, lam, config.policy)
+        return kernel_spectral(nu, theta, theta_p, lam, config.policy)
     if method == "closed_form":
-        return [kernel_closed(nu, theta, theta_p, lam) for theta, theta_p in pairs]
-    if method in _FIXED_COUPLING:
-        if nu != _FIXED_COUPLING[method]:
-            raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
-        return _kernel_pathsum(_FIXED_COUPLING[method], method, pairs, lam, config.path)
+        return kernel_closed(nu, theta, theta_p, lam)
+    if method in _FIXED_COUPLING and nu != _FIXED_COUPLING[method]:
+        raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
+    if method == "path_sum_nu1":
+        return kernel_pathsum_nu1(theta, theta_p, lam, config.path)
+    if method == "path_sum_nu2":
+        return kernel_pathsum_nu2(theta, theta_p, lam, config.path)
     if method == "path_sum_general":
-        return _kernel_pathsum(nu, method, pairs, lam, config.path)
+        return kernel_pathsum_general(nu, theta, theta_p, lam, config.path)
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
     """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
-    lambda-major, through the method's chain core; the closed form, and a method that refuses ``nu``,
-    go lambda by lambda through :func:`_evaluate_block`."""
+    lambda-major, through the method's chain core.  The closed form has none, and a fixed-coupling
+    path sum at another ``nu`` refuses: both go point by point through :func:`evaluate_method`."""
     if method == "spectral":
         return [complex(value, 0.0) for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
     if method == "path_sum_general" or _FIXED_COUPLING.get(method) == nu:
-        return _pathsum_chain(_FIXED_COUPLING.get(method, nu), method, pairs, lambdas, config.path)
-    return [est.value for lam in lambdas for est in _evaluate_block(method, nu, pairs, lam, config)]
+        return _pathsum_chain(_FIXED_COUPLING.get(method, nu), pairs, lambdas, config.path)
+    return [evaluate_method(method, nu, theta, theta_p, lam, config).value for lam in lambdas for theta, theta_p in pairs]
 
 
 def _is_halving_chain(lambdas) -> bool:
@@ -264,15 +260,17 @@ def compare_methods(
     spectral route resolves N per lambda and builds its norms and
     eigenfunction columns once, at the largest N; the path sums take one
     array image sum over the chain from ``pathsum._ARRAY_MIN_POINTS``
-    (pair, lambda) points up to a term cap.  The values are bitwise those of
-    the scalar kernels.
+    (pair, lambda) points up to a term cap, and the per-pair loop otherwise.
+    The closed form has no chain core and goes point by point through
+    :func:`evaluate_method`.  The values are bitwise those of the scalar
+    kernels, which are the same cores at one point.
 
-    A refusal is the one that evaluating lambda by lambda, in chain order,
-    ``method_a`` over the whole grid and then ``method_b``, meets first: an
-    earlier lambda's before a later one's, and within one lambda
-    ``method_a``'s before ``method_b``'s.  A chain core refuses in its own
-    order, so on any refusal the chain is replayed that way, lambda by lambda
-    through the per-lambda cores, and the replay raises.
+    A refusal is the one that evaluating point by point meets first: lambda
+    by lambda in chain order, ``method_a`` over the whole grid and then
+    ``method_b``, each pair through :func:`evaluate_method`.  A chain core
+    refuses in its own order (the array image sum checks every potential
+    correction before it takes any weight), so on any refusal the chain is
+    replayed in that order, and the replay raises.
     """
     nu = require_nu(nu)
     lambda_chain = [require_lambda(l) for l in lambda_chain]
@@ -288,7 +286,8 @@ def compare_methods(
     except (DomainError, PolicyUnresolvableError, OverflowError):
         for lam in lambda_chain:
             for method in (method_a, method_b):
-                _evaluate_block(method, nu, theta_grid, lam, config)
+                for theta, theta_p in theta_grid:
+                    evaluate_method(method, nu, theta, theta_p, lam, config)
         raise
     abs_dev = tuple(abs(a.real - b.real) for a, b in zip(value_a, value_b))
     denoms = [max(abs(a.real), abs(b.real)) for a, b in zip(value_a, value_b)]

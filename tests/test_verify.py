@@ -149,6 +149,9 @@ class TestEvaluateMethod:
             evaluate_method("path_sum_nu1", 2.0, 1.0, 2.0, 0.3)
         with pytest.raises(DomainError):
             evaluate_method("path_sum_nu2", 1.0, 1.0, 2.0, 0.3)
+        for methods in (("path_sum_nu1", "spectral"), ("spectral", "path_sum_nu1")):
+            with pytest.raises(DomainError, match="path_sum_nu1 is defined at nu = 1 only"):
+                compare_methods(2.0, [(1.0, 2.0)], [0.3], *methods)
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
@@ -315,6 +318,14 @@ class TestCompareMethods:
             compare_methods(2.5, self.WALL_GRID[:n_pairs], [5.0], "spectral", "path_sum_general", cfg)
         with pytest.raises(OverflowError):
             compare_methods(2.5, self.WALL_GRID[:n_pairs], [5.0], "path_sum_general", "spectral", cfg)
+
+    @pytest.mark.parametrize("methods", [("spectral", "path_sum_general"), ("path_sum_general", "spectral")])
+    def test_the_array_core_does_not_choose_the_refusal(self, methods):
+        # at lambda = 5 pair 1's odd weight overflows math.exp and pair 2's correction is inf: the array
+        # sum (5 points) refuses pair 2 with DomainError, the per-point order meets pair 1's overflow first
+        grid = [(0.01, 0.01), (1e-300, 1e-10), (1.0, 1.2), (2.0, 0.7), (1.5, 1.5)]
+        with pytest.raises(OverflowError, match="^math range error$"):
+            compare_methods(2.5, grid, [5.0], *methods)
 
     def test_nan_deviation_propagates(self, monkeypatch):
         from boxkernel import verify
