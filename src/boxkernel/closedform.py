@@ -19,12 +19,13 @@ sum.  Both sides carry a shared ``exp(-1/lambda)`` regulator so the identity can
 be tested at small lambda where the raw sides grow like ``exp(1/lambda)``.
 """
 
+import bisect
 import math
 
 import numpy as np
 
 from .errors import require_count, require_lambda, require_point
-from .spectral import KernelEstimate, _mode_sums
+from .spectral import KernelEstimate, _log_envelope, _mode_sums
 from .specfun import _bessel_i_scaled_orders, bessel_i_scaled
 
 __all__ = [
@@ -51,14 +52,48 @@ def kernel_closed(nu: float, theta: float, theta_p: float, lam: float) -> Kernel
     return KernelEstimate(value=complex(value, 0.0), method="closed_form", terms_used=1)
 
 
-def addition_formula_terms(lam: float) -> int:
-    """Series length that pushes the addition-formula tail below 1e-16.
+# The addition series stops once its tail majorant is 2^-60 of the first term's envelope,
+# below the rounding floor of a sum whose first term is of that size.
+_LOG_SERIES_TAIL = -60.0 * math.log(2.0)
 
-    The scaled Bessel factor decays factorially once the order passes
-    z = 1/lambda, so z plus a few sqrt(z) widths is enough.
+
+def addition_formula_terms(lam: float) -> int:
+    """Cap on the addition series' length: z + 12 sqrt(z) + 40 terms at z = 1/lambda.
+
+    The scaled Bessel factor decays factorially once the order passes z, so
+    z plus a few sqrt(z) widths is enough.  :func:`addition_formula_lhs`
+    stops well before the cap wherever its tail bound allows, and at the
+    cap where it does not (large nu).
     """
     z = 1.0 / require_lambda(lam)
     return int(z + 12.0 * math.sqrt(z) + 40.0)
+
+
+def _log_term_bound(m: int, nu: float, z: float) -> float:
+    """log of a bound on ``t_m / t_0``, with ``t_m = e^{-z} I_{nu+m}(z) A_m^2`` the majorant of the
+    series' term m: Amos' ratio bound summed by the midpoint rule gives ``I_{nu+m}(z) / I_nu(z)
+    <= exp(-(F(nu+m) - F(nu)))``, ``F(x) = x asinh(x/z) - hypot(x, z)`` (docs/tail_bound.md).
+    The hypot difference is taken as a quotient, which does not cancel at z >> nu + m."""
+    a, b = nu, nu + m
+    log_bessel = -(b * math.asinh(b / z) - a * math.asinh(a / z) - (b - a) * (b + a) / (math.hypot(b, z) + math.hypot(a, z)))
+    return log_bessel + 2.0 * (_log_envelope(float(m), nu) - _log_envelope(0.0, nu))
+
+
+def _series_length(nu: float, lam: float) -> int:
+    """The first N in [1, cap] whose geometric tail majorant over t_0, ``R_N / (1 - r_N)`` with
+    ``R_N`` the bound of :func:`_log_term_bound` and ``r_N = R_{N+1} / R_N``, is at most 2^-60,
+    found by bisection (no N meets it until r_N < 1, and from there the majorant decreases);
+    the cap :func:`addition_formula_terms` where none does.  Compared in log space: ``R_N``
+    overflows at large nu."""
+    z = 1.0 / lam
+    cap = addition_formula_terms(lam)
+
+    def meets(n: int) -> bool:
+        log_t = _log_term_bound(n, nu, z)
+        log_r = _log_term_bound(n + 1, nu, z) - log_t
+        return log_r < 0.0 and log_t - math.log(-math.expm1(log_r)) <= _LOG_SERIES_TAIL
+
+    return min(cap, 1 + bisect.bisect_left(range(1, cap + 1), True, key=meets))
 
 
 def addition_formula_lhs(
@@ -70,9 +105,15 @@ def addition_formula_lhs(
     / Gamma(2nu+n) e^{-1/lambda} I_{nu+n}(1/lambda) C_n(cos theta) C_n(cos theta')``
     is ``sqrt(2 pi / lambda) e^{-1/lambda} I_{nu+n}(1/lambda) phi_n(theta) phi_n(theta')``:
     the spectral mode sum with the Bessel-link weights of ``check_gaussian_bessel_link``.
+
+    With ``n_terms`` unset the series stops at the first N whose dropped tail is proven
+    to be at most 2^-60 of the first term's envelope ``sqrt(2 pi / lambda) e^{-1/lambda}
+    I_nu(1/lambda) A_0^2``, uniformly in the angles; N grows like ``sqrt(z log(1/eps))``
+    with z = 1/lambda, not like z.  Where no N up to the cap :func:`addition_formula_terms`
+    meets that bound (large nu), the series runs to the cap.  See docs/tail_bound.md.
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
-    n_terms = addition_formula_terms(lam) if n_terms is None else require_count(n_terms, "n_terms")
+    n_terms = _series_length(nu, lam) if n_terms is None else require_count(n_terms, "n_terms")
     n = np.arange(n_terms, dtype=float)
     return math.sqrt(2.0 * math.pi / lam) * _mode_sums([_bessel_i_scaled_orders(nu + n, 1.0 / lam)], nu, [(theta, theta_p)])[0][0]
 

@@ -106,9 +106,11 @@ class KernelEstimate:
 def _log_norms(nmax: int, nu: float) -> np.ndarray:
     """Log of the eigenfunction normalisation constants for n = 0..nmax.  ``lgamma(n+1) - lgamma(n+2nu)``
     is ``-lgamma(2nu) + sum_{j<n} log1p((1-2nu)/(j+2nu))``, a sum that does not cancel as the difference
-    of the two ~3e4 log-gammas at n = 4096 does (to ~6e-12)."""
+    of the two ~3e4 log-gammas at n = 4096 does (to ~6e-12).  From nu ~ 1e16 a ratio rounds to -1
+    and its log1p is -inf, without numpy's divide warning."""
     n = np.arange(nmax + 1, dtype=float)
-    log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((1.0 - 2.0 * nu) / (n[:-1] + 2.0 * nu)))))
+    with np.errstate(divide="ignore"):
+        log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((1.0 - 2.0 * nu) / (n[:-1] + 2.0 * nu)))))
     return nu * math.log(2.0) + math.lgamma(nu) - 0.5 * (math.lgamma(2.0 * nu) + _LOG_2PI) + 0.5 * (np.log(n + nu) + log_ratio)
 
 

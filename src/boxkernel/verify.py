@@ -49,6 +49,7 @@ __all__ = [
 
 METHODS = ("spectral", "closed_form", "path_sum_nu1", "path_sum_nu2", "path_sum_general")
 _FIXED_COUPLING = {"path_sum_nu1": 1.0, "path_sum_nu2": 2.0}
+_REFUSALS = (DomainError, PolicyUnresolvableError, OverflowError)
 
 SUITES = (
     "orthonormality",
@@ -270,7 +271,9 @@ def compare_methods(
     ``method_b``, each pair through :func:`evaluate_method`.  A chain core
     refuses in its own order (the array image sum checks every potential
     correction before it takes any weight), so on any refusal the chain is
-    replayed in that order, and the replay raises.
+    run again one lambda at a time through the chain cores, and the first
+    lambda where a core refuses is replayed point by point in that order,
+    which raises.
     """
     nu = require_nu(nu)
     lambda_chain = [require_lambda(l) for l in lambda_chain]
@@ -283,11 +286,15 @@ def compare_methods(
     grid = tuple((theta, theta_p, lam) for lam in lambda_chain for theta, theta_p in theta_grid)
     try:
         value_a, value_b = (tuple(_evaluate_chain(m, nu, theta_grid, lambda_chain, config)) for m in (method_a, method_b))
-    except (DomainError, PolicyUnresolvableError, OverflowError):
+    except _REFUSALS:
         for lam in lambda_chain:
-            for method in (method_a, method_b):
-                for theta, theta_p in theta_grid:
-                    evaluate_method(method, nu, theta, theta_p, lam, config)
+            try:
+                for method in (method_a, method_b):
+                    _evaluate_chain(method, nu, theta_grid, [lam], config)
+            except _REFUSALS:
+                for method in (method_a, method_b):
+                    for theta, theta_p in theta_grid:
+                        evaluate_method(method, nu, theta, theta_p, lam, config)
         raise
     abs_dev = tuple(abs(a.real - b.real) for a, b in zip(value_a, value_b))
     denoms = [max(abs(a.real), abs(b.real)) for a, b in zip(value_a, value_b)]

@@ -6,10 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import boxkernel
+from boxkernel import verify
 from boxkernel import SUITES, PathSumConfig, TruncationPolicy, compare_methods, kernel_closed, kernel_spectral, run_suites
 from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, build_parser, main
 
@@ -315,6 +317,30 @@ class TestExitCodes:
         )
         assert got == code
         assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
+
+    def test_norms_past_float_precision_write_only_the_refusal(self, capsys):
+        # from nu ~ 1e16 a log1p ratio of the norms is -inf; numpy's divide warning must not reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "kernel", "--nu", "1e17", "--theta", "1", "--theta-p", "1", "--lambda", "1e-30",
+                "--method", "spectral", "--n-terms", "100",
+            )
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("domain error: eigenfunction table") and len(err.splitlines()) == 1
+
+    def test_a_refused_chain_is_replayed_point_by_point_at_the_refusing_lambda_only(self, capsys, monkeypatch):
+        # the spectral sum refuses at lambda = 1e-7; the 3 lambdas before it (2 methods x 1,600 points) go
+        # through the chain cores again, and the pointwise replay stops at 1e-7's first point
+        calls = []
+        scalar = verify.evaluate_method
+        monkeypatch.setattr(verify, "evaluate_method", lambda *args: calls.append(args[:5]) or scalar(*args))
+        code, out, err = run_cli(
+            capsys, "compare", "--nu", "2.5", "--methods", "spectral,pathsum-general",
+            "--lambda-chain", "0.4,0.2,0.1,1e-7", "--grid-n", "40",
+        )
+        assert code == EXIT_POLICY and out == "" and "lambda=1e-07" in err
+        assert calls == [("spectral", 2.5, math.pi / 10.0, math.pi / 10.0, 1e-7)]  # the first grid point
 
     def test_spectral_tail_overflow_is_the_term_cap(self, capsys):
         code, out, err = run_cli(

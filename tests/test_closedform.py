@@ -12,19 +12,24 @@ the opposite sign on that exponent, see the convergence notes.)
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+from scipy.special import ive
+
 from boxkernel import (
     DomainError,
+    eigenfunctions,
     kernel_spectral,
     addition_formula_lhs,
     addition_formula_rhs,
     addition_formula_terms,
     kernel_closed,
 )
+from boxkernel.closedform import _series_length
 
 mpmath.mp.dps = 40
 
@@ -176,3 +181,72 @@ class TestAdditionFormula:
             rhs = addition_formula_rhs(nu, theta, theta_p, lam)
             assert abs(lhs - rhs) <= 1e-10 * rhs + 1e-300, (nu, theta, theta_p, lam, lhs, rhs)
         assert refused < 10
+
+
+class TestAdditionSeriesLength:
+    """The default length stops where a proven tail majorant is 2^-60 of the first term's envelope."""
+
+    def test_amos_ratio_bound(self):
+        # I_{m+1}(z) / I_m(z) <= exp(-asinh((m + 1/2) / z)), the step of the Bessel factor's majorant
+        rng = np.random.default_rng(1974)
+        for _ in range(60):
+            m = mpmath.mpf(math.exp(rng.uniform(math.log(0.5), math.log(1e3))))
+            z = mpmath.mpf(math.exp(rng.uniform(math.log(1e-2), math.log(1e5))))
+            ratio = mpmath.besseli(m + 1, z) / mpmath.besseli(m, z)
+            assert ratio <= mpmath.exp(-mpmath.asinh((m + 0.5) / z)), (m, z)
+
+    def test_majorant_bounds_the_dropped_terms(self):
+        # nu log-uniform in [0.5, 300], lambda in [5e-4, 30], any angles: the terms from N to the cap
+        # sum to at most 2^-60 t_0, with t_0 = sqrt(2 pi / lambda) e^{-z} I_nu(z) A_0^2 the first term's envelope
+        rng = np.random.default_rng(60)
+        checked = 0
+        for _ in range(40):
+            nu = math.exp(rng.uniform(math.log(0.5), math.log(300.0)))
+            lam = math.exp(rng.uniform(math.log(5e-4), math.log(30.0)))
+            ta, tb = rng.uniform(1e-3, math.pi - 1e-3, 2)
+            n, cap = _series_length(nu, lam), addition_formula_terms(lam)
+            try:
+                full = addition_formula_lhs(nu, ta, tb, lam, n_terms=cap)
+            except DomainError:  # the eigenfunction table leaves the float range by the cap
+                continue
+            log_a0_sq = nu * math.log(4.0) + 2.0 * math.lgamma(nu) + math.log(nu) - math.log(2.0 * math.pi) - math.lgamma(2.0 * nu)
+            bound = 2.0 ** -60 * math.sqrt(2.0 * math.pi / lam) * ive(nu, 1.0 / lam) * math.exp(log_a0_sq)
+            terms = ive(nu + np.arange(n, cap), 1.0 / lam) * (eigenfunctions(cap - 1, nu, ta) * eigenfunctions(cap - 1, nu, tb))[n:]
+            assert math.sqrt(2.0 * math.pi / lam) * math.fsum(np.abs(terms).tolist()) <= bound, (nu, ta, tb, lam)
+            assert abs(addition_formula_lhs(nu, ta, tb, lam) - full) <= bound + math.ulp(full), (nu, ta, tb, lam)
+            checked += 1
+        assert checked >= 30
+
+    def test_benchmark_and_suite_inputs_are_bitwise_the_capped_series(self):
+        # the 12 addition inputs of the crosscheck benchmark (seed 1) and the 40 of the verify addition suite
+        rng = np.random.default_rng(1)
+        inputs = []
+        for lam in (0.1, 0.01, 0.002):
+            for _ in range(4):
+                ta = rng.uniform(0.2, math.pi - 0.2)
+                tb = min(max(ta + rng.uniform(-1.0, 1.0) * min(1.0, 3.0 * math.sqrt(lam)), 0.1), math.pi - 0.1)
+                inputs.append((2.7, ta, tb, lam))
+        rng = np.random.default_rng(20240)
+        for _ in range(40):
+            nu, lam, ta = rng.uniform(0.5, 4.0), 1.0 / rng.uniform(0.5, 100.0), rng.uniform(0.2, math.pi - 0.2)
+            tb = min(max(ta + rng.uniform(-1.0, 1.0) * min(1.0, 3.0 * math.sqrt(lam)), 0.1), math.pi - 0.1)
+            inputs.append((nu, ta, tb, lam))
+        for nu, ta, tb, lam in inputs:
+            assert _series_length(nu, lam) < addition_formula_terms(lam)
+            assert addition_formula_lhs(nu, ta, tb, lam) == addition_formula_lhs(nu, ta, tb, lam, n_terms=addition_formula_terms(lam))
+
+    def test_length_grows_like_inverse_sqrt_lambda(self):
+        # a hundredfold smaller lambda: ~10x the terms (sqrt(z log(1/eps))), where the cap takes 43x
+        assert _series_length(2.7, 1e-4) / _series_length(2.7, 1e-2) < 15.0
+        assert addition_formula_terms(1e-4) / addition_formula_terms(1e-2) > 43.0
+
+    def test_the_cap_is_kept_where_the_bound_is_not_met(self):
+        # at nu = 1e5 the envelope C_n^nu(1) outgrows the Bessel factor's decay up to the cap
+        assert _series_length(1e5, 1e-3) == addition_formula_terms(1e-3)
+
+    def test_norms_past_float_precision_refuse_without_a_warning(self):
+        # from nu ~ 1e16 a log1p ratio of the norms is -inf; the table check refuses, numpy stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="eigenfunction table"):
+                addition_formula_lhs(1e17, 1.0, 1.0, 0.1)
