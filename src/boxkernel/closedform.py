@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import require_count, require_lambda, require_point
+from .errors import DomainError, require_count, require_lambda, require_point
 from .spectral import KernelEstimate, _log_envelope, _mode_sums
 from .specfun import _bessel_i_scaled_orders, bessel_i_scaled
 
@@ -84,7 +84,7 @@ def _series_length(nu: float, lam: float) -> int:
     ``R_N`` the bound of :func:`_log_term_bound` and ``r_N = R_{N+1} / R_N``, is at most 2^-60,
     found by bisection (no N meets it until r_N < 1, and from there the majorant decreases);
     the cap :func:`addition_formula_terms` where none does.  Compared in log space: ``R_N``
-    overflows at large nu."""
+    overflows at large nu.  ``DomainError`` where the log bound itself leaves the float range."""
     z = 1.0 / lam
     cap = addition_formula_terms(lam)
 
@@ -93,7 +93,10 @@ def _series_length(nu: float, lam: float) -> int:
         log_r = _log_term_bound(n + 1, nu, z) - log_t
         return log_r < 0.0 and log_t - math.log(-math.expm1(log_r)) <= _LOG_SERIES_TAIL
 
-    return min(cap, 1 + bisect.bisect_left(range(1, cap + 1), True, key=meets))
+    try:
+        return min(cap, 1 + bisect.bisect_left(range(1, cap + 1), True, key=meets))
+    except OverflowError:  # an envelope log-gamma, from nu ~ 1e305
+        raise DomainError(f"addition series: the term bound leaves the float range at nu = {nu:g}") from None
 
 
 def addition_formula_lhs(

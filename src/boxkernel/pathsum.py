@@ -92,6 +92,10 @@ class PathSumConfig:
             raise DomainError(f"prescription must be 'A' or 'B', got {self.prescription!r}")
 
 
+# The config of every call that passes none; frozen, so one instance serves them all.
+_DEFAULT_PATH = PathSumConfig()
+
+
 @dataclass(frozen=True)
 class ReflectionTerm:
     """One saddle contribution: value = phase * exp(gauss_exponent + potential_correction),
@@ -146,7 +150,7 @@ def decompose(
     ``4 k_max + 2``).
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
-    config = config or PathSumConfig()
+    config = config or _DEFAULT_PATH
     labels = [(k, parity) for k in range(-config.k_max, config.k_max + 1) for parity in ("even", "odd")]
     terms = zip(labels, _phases(nu, config.k_max, config.prescription), sorted(_exponents(nu, theta, theta_p, lam, config.k_max)))
     return [ReflectionTerm(k, parity, phase, gauss, potential) for (k, parity), phase, (_, gauss, potential) in terms]
@@ -197,7 +201,7 @@ def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int, 
 def _loop_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[complex]:
     """The reference path-sum core: the :func:`decompose` terms of each pair at one lambda, summed
     with exact (fsum) reduction, without building them as objects.  The arguments are taken as
-    validated (:func:`_pathsum_chain`).
+    validated (:func:`_pathsum_chain`, :func:`_point_estimate`).
 
     Each weight is a ``math.exp``, so a term whose potential correction
     overflows raises ``OverflowError`` rather than turning into inf.  Images
@@ -209,10 +213,12 @@ def _loop_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[co
     norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
     values = []
     for theta, theta_p in pairs:
-        terms = [(phases[i], math.exp(gauss + potential)) for i, gauss, potential in _exponents(nu, theta, theta_p, lam, config.k_max, live=True)]
-        re = math.fsum([phase.real * w for phase, w in terms])
-        im = math.fsum([phase.imag * w for phase, w in terms])
-        values.append(complex(norm * re, norm * im))
+        re, im = [], []
+        for i, gauss, potential in _exponents(nu, theta, theta_p, lam, config.k_max, live=True):
+            w, phase = math.exp(gauss + potential), phases[i]
+            re.append(phase.real * w)
+            im.append(phase.imag * w)
+        values.append(complex(norm * math.fsum(re), norm * math.fsum(im)))
     return values
 
 
@@ -258,12 +264,11 @@ def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> l
     """The path-sum core: the value at every (theta, theta') of ``pairs`` and every lambda of
     ``lambdas``, lambda-major, after one validation of the arguments.  From ``_ARRAY_MIN_POINTS``
     points up to ``_ARRAY_MAX_TERMS`` terms it is one array sum over the chain (:func:`_array_values`),
-    otherwise lambda by lambda through :func:`_loop_values`; a scalar kernel is one point, so it
-    always takes the loop.  The values are bitwise equal, but the refusals are not: the loop
-    refuses at the first pair it meets, the array sum checks every correction before it takes
-    any weight, so it may refuse a later pair with ``DomainError`` where the loop meets an
-    earlier pair's ``OverflowError`` first."""
-    config = config or PathSumConfig()
+    otherwise lambda by lambda through :func:`_loop_values`.  The values are bitwise equal, but the
+    refusals are not: the loop refuses at the first pair it meets, the array sum checks every
+    correction before it takes any weight, so it may refuse a later pair with ``DomainError``
+    where the loop meets an earlier pair's ``OverflowError`` first."""
+    config = config or _DEFAULT_PATH
     nu = require_nu(nu)
     pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in pairs]
     lambdas = [require_lambda(lam) for lam in lambdas]
@@ -274,10 +279,12 @@ def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> l
 
 
 def _point_estimate(nu: float, method: str, theta: float, theta_p: float, lam: float, config: PathSumConfig | None) -> KernelEstimate:
-    """:func:`_pathsum_chain` at one point, as an estimate; ``terms_used`` is the nominal ``4 k_max + 2``."""
-    config = config or PathSumConfig()
-    [value] = _pathsum_chain(nu, [(theta, theta_p)], [lam], config)
-    theta, theta_p = float(theta), float(theta_p)  # the angles the chain has validated
+    """The path sum at one point, as an estimate; ``terms_used`` is the nominal ``4 k_max + 2``.  One
+    point is below ``_ARRAY_MIN_POINTS``, where :func:`_pathsum_chain` always takes the loop, so the
+    arguments are validated here and go to :func:`_loop_values` directly."""
+    config = config or _DEFAULT_PATH
+    nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
+    [value] = _loop_values(nu, [(theta, theta_p)], lam, config)
     near_boundary = min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN
     return KernelEstimate(value=value, method=method, terms_used=4 * config.k_max + 2, near_boundary=near_boundary)
 

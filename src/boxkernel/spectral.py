@@ -49,6 +49,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # table already takes 128 MB, so larger counts are input errors.
 _MAX_TERMS = 100_000
 
+# The largest coupling whose eigenfunction norms are accurate to the cross-method checks (:func:`_log_norms`).
+_MAX_NU = 1e4
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -80,6 +83,10 @@ class TruncationPolicy:
         return cls(epsilon_tail=epsilon_tail, n_cap=n_cap)
 
 
+# The policy of every call that passes none; frozen, so one instance serves them all.
+_DEFAULT_POLICY = TruncationPolicy()
+
+
 @dataclass(frozen=True)
 class KernelEstimate:
     """A kernel value with its provenance.
@@ -106,11 +113,17 @@ class KernelEstimate:
 def _log_norms(nmax: int, nu: float) -> np.ndarray:
     """Log of the eigenfunction normalisation constants for n = 0..nmax.  ``lgamma(n+1) - lgamma(n+2nu)``
     is ``-lgamma(2nu) + sum_{j<n} log1p((1-2nu)/(j+2nu))``, a sum that does not cancel as the difference
-    of the two ~3e4 log-gammas at n = 4096 does (to ~6e-12).  From nu ~ 1e16 a ratio rounds to -1
-    and its log1p is -inf, without numpy's divide warning."""
+    of the two ~3e4 log-gammas at n = 4096 does (to ~6e-12).
+
+    The constant ``lgamma(nu) - lgamma(2nu) / 2`` still cancels, to about eps * lgamma(2nu): against
+    mpmath (n <= 4096) the log error is at most 2.8e-11 for nu in [1e3, 1e4], then 3.3e-10 at nu = 1e5,
+    2.4e-8 at 1e7 and 4.9 at 1e15, where a kernel value is off by orders of magnitude.  A log error
+    is a relative error of each eigenfunction, so above ``_MAX_NU`` = 1e4, where it could pass the
+    1e-10 of the cross-method checks, ``DomainError`` is raised for both mode sums."""
+    if nu > _MAX_NU:
+        raise DomainError(f"eigenfunction table: the normalisation is accurate for nu <= {_MAX_NU:g} only, got nu = {nu:g}")
     n = np.arange(nmax + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((1.0 - 2.0 * nu) / (n[:-1] + 2.0 * nu)))))
+    log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((1.0 - 2.0 * nu) / (n[:-1] + 2.0 * nu)))))
     return nu * math.log(2.0) + math.lgamma(nu) - 0.5 * (math.lgamma(2.0 * nu) + _LOG_2PI) + 0.5 * (np.log(n + nu) + log_ratio)
 
 
@@ -196,7 +209,7 @@ def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
 def _mode_weights(nu: float, lam: float, policy: TruncationPolicy | None) -> tuple[np.ndarray, float]:
     """Weights exp(-lambda (n+nu)^2 / 2) of the modes n = 0..N-1 that ``policy`` keeps, and their tail bound.
     The array is built afresh on each call; only N and the bound are memoised (:func:`_resolve`)."""
-    n_terms, tail = _resolve(nu, lam, policy or TruncationPolicy())
+    n_terms, tail = _resolve(nu, lam, policy or _DEFAULT_POLICY)
     n = np.arange(n_terms, dtype=float)
     return np.exp(-lam * (n + nu) ** 2 / 2.0), tail
 

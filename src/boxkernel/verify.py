@@ -20,12 +20,13 @@ import numpy as np
 
 from .closedform import addition_formula_lhs, addition_formula_rhs, kernel_closed
 from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu
-from .pathsum import PRESCRIPTIONS, PathSumConfig, _pathsum_chain, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2, reflection_phase
+from .pathsum import PRESCRIPTIONS, PathSumConfig, _DEFAULT_PATH, _pathsum_chain, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
     kernel_spectral,
     kernel_spectral_profile,
+    _DEFAULT_POLICY,
     _eigenfunction_matrix,
     _log_norms,
     _spectral_chain,
@@ -80,6 +81,10 @@ class EvalConfig:
 
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
     path: PathSumConfig = field(default_factory=PathSumConfig)
+
+
+# The config of every call that passes none, made of the routes' own shared defaults.
+_DEFAULT_CONFIG = EvalConfig(_DEFAULT_POLICY, _DEFAULT_PATH)
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,7 @@ def evaluate_method(
     config: EvalConfig | None = None,
 ) -> KernelEstimate:
     """Dispatch a kernel evaluation by method tag to the method's public scalar kernel."""
-    config = config or EvalConfig()
+    config = config or _DEFAULT_CONFIG
     if method == "spectral":
         return kernel_spectral(nu, theta, theta_p, lam, config.policy)
     if method == "closed_form":
@@ -281,7 +286,7 @@ def compare_methods(
         raise DomainError("comparison needs a nonempty grid and lambda chain")
     if not _decreasing(lambda_chain):
         raise DomainError("lambda chain must be strictly decreasing")
-    config = config or EvalConfig()
+    config = config or _DEFAULT_CONFIG
 
     grid = tuple((theta, theta_p, lam) for lam in lambda_chain for theta, theta_p in theta_grid)
     try:
@@ -322,10 +327,13 @@ def compare_methods(
     return replace(report, convergence_ratios=report.per_lambda_ratios) if _is_halving_chain(lambda_chain) else report
 
 
-def _chain_devs(method, nu, theta, theta_p, chain, config):
-    """Values of ``method`` along a lambda chain, and |Re v - s| / |s| against the spectral s."""
-    report = compare_methods(nu, [(theta, theta_p)], chain, "spectral", method, config)
-    return report.value_b, [d / abs(s.real) for d, s in zip(report.abs_dev, report.value_a)]
+def _chain_devs(method, nu, points, chain, config):
+    """Per (theta, theta') of ``points``, the values of ``method`` along a lambda chain and
+    |Re v - s| / |s| against the spectral s, from one comparison over all the points."""
+    report = compare_methods(nu, points, chain, "spectral", method, config)
+    devs = [d / abs(s.real) for d, s in zip(report.abs_dev, report.value_a)]
+    # the rows are lambda-major, so one point's chain is every len(points)-th row
+    return [(report.value_b[i::len(points)], devs[i::len(points)]) for i in range(len(points))]
 
 
 def run_suites(suites, nu: float, config: EvalConfig | None = None):
@@ -339,7 +347,7 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
     if not set(suites) <= set(SUITES):
         raise DomainError(f"unknown suite in {tuple(suites)}; expected names from {', '.join(SUITES)}")
     nu = require_nu(nu)
-    config = config or EvalConfig()
+    config = config or _DEFAULT_CONFIG
     canonical_points = ((1.0, 1.0), (0.7, 0.9), (2.0, 1.4))
     chain = (0.4, 0.2, 0.1, 0.05)
     if "orthonormality" in suites:
@@ -382,13 +390,12 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
         )
         yield ("phases", "integer-nu collapse, both prescriptions", 0.0 if exact else 1.0, 0.0, exact)
     if "nu2-decomposition" in suites:
-        runs = [_chain_devs("path_sum_nu2", 2.0, ta, tb, chain, config) for ta, tb in canonical_points]
+        runs = _chain_devs("path_sum_nu2", 2.0, canonical_points, chain, config)
         general = [evaluate_method("path_sum_general", 2.0, ta, tb, chain[2], config).value for ta, tb in canonical_points]
         ok = all(_decreasing(devs) and g == values[2] for (values, devs), g in zip(runs, general))
         yield ("nu2-decomposition", "monotone + exact nu2==general", max(devs[-1] for _, devs in runs), math.inf, ok)
     if "general-decomposition" in suites:
-        runs = [_chain_devs("path_sum_general", gnu, ta, tb, chain, config)
-                for gnu in (0.75, 1.3, 2.5) for ta, tb in canonical_points]
+        runs = [run for gnu in (0.75, 1.3, 2.5) for run in _chain_devs("path_sum_general", gnu, canonical_points, chain, config)]
         ok = all(_decreasing(devs) and _decreasing([abs(v.imag) / abs(v.real) for v in values]) for values, devs in runs)
         yield ("general-decomposition", "Re dev and |Im/Re| decreasing", 0.0 if ok else 1.0, math.inf, ok)
     if "semigroup" in suites:
@@ -398,6 +405,6 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
     if "closed-form-order" in suites:
         ratios = []
         for cnu, th, cchain in ((1.0, 0.7, chain), (2.0, 1.2, chain), (3.0, 1.2, (0.2, 0.1, 0.05, 0.025))):
-            _, devs = _chain_devs("closed_form", cnu, th, th, cchain, config)
+            [(_, devs)] = _chain_devs("closed_form", cnu, [(th, th)], cchain, config)
             ratios += [a / b for a, b in zip(devs, devs[1:])]
         yield ("closed-form-order", "halving ratios in [2, 8]", min(ratios), math.inf, all(2.0 <= r <= 8.0 for r in ratios))

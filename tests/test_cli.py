@@ -1,6 +1,7 @@
 """Command-line interface: pass-through values, CSV round-trips, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import warnings
 import pytest
 
 import boxkernel
-from boxkernel import verify
+from boxkernel import pathsum, spectral, verify
 from boxkernel import SUITES, PathSumConfig, TruncationPolicy, compare_methods, kernel_closed, kernel_spectral, run_suites
 from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, build_parser, main
 
@@ -329,6 +330,15 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("domain error: eigenfunction table") and len(err.splitlines()) == 1
 
+    def test_norms_past_their_accuracy_are_exit_3(self, capsys):
+        # the one kept mode's norm was off by e^4.9: the command printed 2.03e11 where mpmath gives 1.08e7
+        code, out, err = run_cli(
+            capsys, "kernel", "--nu", "1e15", "--theta", "1.5707963267948966", "--theta-p", "1.5707963267948966",
+            "--lambda", "1e-30", "--method", "spectral", "--n-terms", "1",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("domain error: eigenfunction table") and "nu <= 10000" in err
+
     def test_a_refused_chain_is_replayed_point_by_point_at_the_refusing_lambda_only(self, capsys, monkeypatch):
         # the spectral sum refuses at lambda = 1e-7; the 3 lambdas before it (2 methods x 1,600 points) go
         # through the chain cores again, and the pointwise replay stops at 1e-7's first point
@@ -385,6 +395,15 @@ class TestDefaults:
         policy, path = TruncationPolicy(), PathSumConfig()
         assert (args.n_terms, args.epsilon_tail, args.n_cap) == (policy.n_terms, policy.epsilon_tail, policy.n_cap)
         assert (args.k_max, args.prescription) == (path.k_max, path.prescription)
+
+    def test_shared_defaults_are_the_field_defaults(self):
+        # a call that passes no config uses one shared instance per class, equal to a fresh default
+        shared = verify._DEFAULT_CONFIG
+        assert shared == verify.EvalConfig() and shared.policy is spectral._DEFAULT_POLICY and shared.path is pathsum._DEFAULT_PATH
+        args = build_parser().parse_args(["verify"])
+        for instance in (shared.policy, shared.path):
+            for field in dataclasses.fields(instance):
+                assert getattr(instance, field.name) == field.default == getattr(args, field.name)
 
 
 class TestColdStart:

@@ -244,6 +244,12 @@ class TestAdditionSeriesLength:
         # at nu = 1e5 the envelope C_n^nu(1) outgrows the Bessel factor's decay up to the cap
         assert _series_length(1e5, 1e-3) == addition_formula_terms(1e-3)
 
+    def test_term_bound_past_the_float_range_is_domain_error(self):
+        # an envelope log-gamma overflows from nu ~ 1e305; that was a raw OverflowError
+        for nu in (2.5e305, 1e306):
+            with pytest.raises(DomainError, match="addition series"):
+                addition_formula_lhs(nu, 1.0, 1.0, 0.1)
+
     def test_norms_past_float_precision_refuse_without_a_warning(self):
         # from nu ~ 1e16 a log1p ratio of the norms is -inf; the table check refuses, numpy stays silent
         with warnings.catch_warnings():

@@ -54,6 +54,22 @@ class TestEigenfunction:
         kernel_spectral_profile(2.5, 0.4, np.array([1.1, 2.0]), 0.05)
         assert len(calls) == 2
 
+    def test_norms_refuse_past_their_accurate_range(self):
+        # the norms' log error grows like eps * lgamma(2 nu): 2.8e-11 up to nu = 1e4, 4.9 at nu = 1e15
+        for nu in (np.nextafter(1e4, np.inf), 1e15):
+            with pytest.raises(DomainError, match="accurate for nu <= 10000 only"):
+                _log_norms(3, nu)
+            with pytest.raises(DomainError, match="eigenfunction table"):
+                kernel_spectral(nu, math.pi / 2, math.pi / 2, 1e-30, TruncationPolicy.fixed(1))
+            with pytest.raises(DomainError, match="eigenfunction table"):
+                addition_formula_lhs(nu, 1.0, 1.0, 0.1, n_terms=3)
+
+    def test_values_up_to_the_orthonormality_range_are_unchanged(self):
+        # the ceiling adds a refusal only: at nu = 1000 (and at the ceiling) the values are the earlier bits
+        assert eigenfunctions(3, 1000.0, 1.5).tolist() == [0.3439230483405393, 1.0885319816334362, 2.1946146501495405, 3.1268675102718544]
+        assert repr(kernel_spectral(1000.0, 1.5, 1.6, 1e-3, TruncationPolicy.fixed(60)).value) == "(5.0023239544388306e-219+0j)"
+        assert repr(kernel_spectral(1e4, 1.5, 1.6, 1e-6, TruncationPolicy.fixed(5)).value) == "(1.2510347205892371e-28+0j)"
+
     def test_nu1_reduces_to_sine_basis(self):
         assert eigenfunction(0, 1.0, math.pi / 2) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
         assert eigenfunction(1, 1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-13)

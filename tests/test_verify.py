@@ -10,6 +10,7 @@ import pytest
 from boxkernel import (
     DomainError,
     EvalConfig,
+    METHODS,
     PathSumConfig,
     PolicyUnresolvableError,
     TruncationPolicy,
@@ -143,6 +144,19 @@ class TestEvaluateMethod:
         assert s.method == "spectral"
         c = evaluate_method("closed_form", 1.5, 1.0, 2.0, 0.3, cfg)
         assert c.method == "closed_form"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_default_config_builds_no_config(self, method, monkeypatch):
+        # a call without a config takes the shared defaults: no config object is built per call
+        nu = {"path_sum_nu1": 1.0, "path_sum_nu2": 2.0}.get(method, 2.5)
+        explicit = evaluate_method(method, nu, 0.7, 1.9, 0.05, EvalConfig())
+        built = []
+        for cls in (EvalConfig, PathSumConfig, TruncationPolicy):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, **k: built.append(type(self)) or init(self, *a, **k))
+        default = evaluate_method(method, nu, 0.7, 1.9, 0.05)
+        assert built == []
+        assert repr(default) == repr(explicit)
 
     def test_specialised_methods_guard_nu(self):
         with pytest.raises(DomainError):
@@ -373,3 +387,18 @@ class TestRunSuites:
         monkeypatch.setattr(verify, "gauss_legendre_on_0_pi", no_rule)
         with pytest.raises(DomainError, match="nu <= 1000"):
             list(run_suites(("orthonormality",), 1e9))
+
+    def test_decomposition_suites_compare_each_coupling_once(self, monkeypatch):
+        # all three canonical points share one comparison per coupling; each point's chain is bitwise
+        # the one its own comparison gives
+        from boxkernel import verify
+
+        couplings = []
+        compare = verify.compare_methods
+        monkeypatch.setattr(verify, "compare_methods", lambda nu, *args: couplings.append(nu) or compare(nu, *args))
+        rows = list(run_suites(("nu2-decomposition", "general-decomposition"), 2.7))
+        assert couplings == [2.0, 0.75, 1.3, 2.5] and all(passed for *_, passed in rows)
+        points, chain, cfg = [(1.0, 1.0), (0.7, 0.9), (2.0, 1.4)], (0.4, 0.2, 0.1, 0.05), EvalConfig()
+        for method, nu in (("path_sum_nu2", 2.0), ("path_sum_general", 0.75), ("path_sum_general", 2.5)):
+            batched = verify._chain_devs(method, nu, points, chain, cfg)
+            assert repr(batched) == repr([verify._chain_devs(method, nu, [p], chain, cfg)[0] for p in points])
