@@ -21,11 +21,12 @@ be tested at small lambda where the raw sides grow like ``exp(1/lambda)``.
 
 import bisect
 import math
+import sys
 
 import numpy as np
 
 from .errors import DomainError, require_count, require_lambda, require_point
-from .spectral import KernelEstimate, _log_envelope, _mode_sums
+from .spectral import KernelEstimate, _log_envelope, _mode_sums, _require_norm_range
 from .specfun import _bessel_i_scaled_orders, bessel_i_scaled
 
 __all__ = [
@@ -63,10 +64,14 @@ def addition_formula_terms(lam: float) -> int:
     The scaled Bessel factor decays factorially once the order passes z, so
     z plus a few sqrt(z) widths is enough.  :func:`addition_formula_lhs`
     stops well before the cap wherever its tail bound allows, and at the
-    cap where it does not (large nu).
+    cap where it does not (large nu).  ``DomainError`` below lambda ~ 1.08e-19, where the cap is past
+    the largest index, ``sys.maxsize``.
     """
     z = 1.0 / require_lambda(lam)
-    return int(z + 12.0 * math.sqrt(z) + 40.0)
+    cap = z + 12.0 * math.sqrt(z) + 40.0
+    if not cap <= sys.maxsize:  # z is inf at subnormal lambda
+        raise DomainError(f"addition series: at lambda = {lam:g} its cap of {cap:g} terms is past the largest index, {sys.maxsize}")
+    return int(cap)
 
 
 def _log_term_bound(m: int, nu: float, z: float) -> float:
@@ -84,7 +89,7 @@ def _series_length(nu: float, lam: float) -> int:
     ``R_N`` the bound of :func:`_log_term_bound` and ``r_N = R_{N+1} / R_N``, is at most 2^-60,
     found by bisection (no N meets it until r_N < 1, and from there the majorant decreases);
     the cap :func:`addition_formula_terms` where none does.  Compared in log space: ``R_N``
-    overflows at large nu.  ``DomainError`` where the log bound itself leaves the float range."""
+    overflows at large nu."""
     z = 1.0 / lam
     cap = addition_formula_terms(lam)
 
@@ -93,10 +98,7 @@ def _series_length(nu: float, lam: float) -> int:
         log_r = _log_term_bound(n + 1, nu, z) - log_t
         return log_r < 0.0 and log_t - math.log(-math.expm1(log_r)) <= _LOG_SERIES_TAIL
 
-    try:
-        return min(cap, 1 + bisect.bisect_left(range(1, cap + 1), True, key=meets))
-    except OverflowError:  # an envelope log-gamma, from nu ~ 1e305
-        raise DomainError(f"addition series: the term bound leaves the float range at nu = {nu:g}") from None
+    return min(cap, 1 + bisect.bisect_left(range(1, cap + 1), True, key=meets))
 
 
 def addition_formula_lhs(
@@ -116,6 +118,7 @@ def addition_formula_lhs(
     meets that bound (large nu), the series runs to the cap.  See docs/tail_bound.md.
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
+    _require_norm_range(nu)
     n_terms = _series_length(nu, lam) if n_terms is None else require_count(n_terms, "n_terms")
     n = np.arange(n_terms, dtype=float)
     return math.sqrt(2.0 * math.pi / lam) * _mode_sums([_bessel_i_scaled_orders(nu + n, 1.0 / lam)], nu, [(theta, theta_p)])[0][0]

@@ -34,7 +34,6 @@ from .specfun import gegenbauer_table
 __all__ = [
     "TruncationPolicy",
     "KernelEstimate",
-    "eigenfunction",
     "eigenfunctions",
     "truncation_tail_bound",
     "kernel_spectral",
@@ -74,14 +73,6 @@ class TruncationPolicy:
             raise DomainError(f"epsilon_tail must be finite and > 0, got {self.epsilon_tail}")
         require_count(self.n_cap, "n_cap", _MAX_TERMS)
 
-    @classmethod
-    def fixed(cls, n_terms: int) -> "TruncationPolicy":
-        return cls(n_terms=n_terms)
-
-    @classmethod
-    def to_tail(cls, epsilon_tail: float, n_cap: int = n_cap) -> "TruncationPolicy":
-        return cls(epsilon_tail=epsilon_tail, n_cap=n_cap)
-
 
 # The policy of every call that passes none; frozen, so one instance serves them all.
 _DEFAULT_POLICY = TruncationPolicy()
@@ -110,6 +101,12 @@ class KernelEstimate:
         return self.value.real
 
 
+def _require_norm_range(nu: float) -> None:
+    """``DomainError`` past ``_MAX_NU``, where the eigenfunction norms lose accuracy (:func:`_log_norms`)."""
+    if nu > _MAX_NU:
+        raise DomainError(f"eigenfunction table: the normalisation is accurate for nu <= {_MAX_NU:g} only, got nu = {nu:g}")
+
+
 def _log_norms(nmax: int, nu: float) -> np.ndarray:
     """Log of the eigenfunction normalisation constants for n = 0..nmax.  ``lgamma(n+1) - lgamma(n+2nu)``
     is ``-lgamma(2nu) + sum_{j<n} log1p((1-2nu)/(j+2nu))``, a sum that does not cancel as the difference
@@ -119,16 +116,15 @@ def _log_norms(nmax: int, nu: float) -> np.ndarray:
     mpmath (n <= 4096) the log error is at most 2.8e-11 for nu in [1e3, 1e4], then 3.3e-10 at nu = 1e5,
     2.4e-8 at 1e7 and 4.9 at 1e15, where a kernel value is off by orders of magnitude.  A log error
     is a relative error of each eigenfunction, so above ``_MAX_NU`` = 1e4, where it could pass the
-    1e-10 of the cross-method checks, ``DomainError`` is raised for both mode sums."""
-    if nu > _MAX_NU:
-        raise DomainError(f"eigenfunction table: the normalisation is accurate for nu <= {_MAX_NU:g} only, got nu = {nu:g}")
+    1e-10 of the cross-method checks, ``DomainError`` is raised for both mode sums (:func:`_require_norm_range`)."""
+    _require_norm_range(nu)
     n = np.arange(nmax + 1, dtype=float)
     log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((1.0 - 2.0 * nu) / (n[:-1] + 2.0 * nu)))))
     return nu * math.log(2.0) + math.lgamma(nu) - 0.5 * (math.lgamma(2.0 * nu) + _LOG_2PI) + 0.5 * (np.log(n + nu) + log_ratio)
 
 
-def eigenfunction(n: int, nu: float, theta: float) -> float:
-    """Orthonormal eigenfunction phi_n(theta), read from the table of :func:`eigenfunctions`.
+def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
+    """The orthonormal eigenfunctions phi_0(theta) .. phi_nmax(theta), in one recurrence pass.
 
     The table is ``exp(log N_n + nu log sin theta) * C_n^nu(cos theta)``: the
     normalisation N_n and the sin^nu factor form one exponent, with log N_n a
@@ -137,13 +133,6 @@ def eigenfunction(n: int, nu: float, theta: float) -> float:
     C_n^nu(1) ~ n^(2 nu - 1) / Gamma(2 nu) near the walls and overflows at large
     n and nu; there a ``DomainError`` is raised.
     """
-    if n < 0:
-        raise DomainError(f"mode index must be nonnegative, got {n}")
-    return float(eigenfunctions(n, nu, theta)[-1])
-
-
-def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
-    """phi_0(theta) .. phi_nmax(theta) in one recurrence pass."""
     nu = require_nu(nu)
     theta = require_theta(theta)
     return _eigenfunction_matrix(_log_norms(nmax, nu), nu, theta)
@@ -217,7 +206,9 @@ def _mode_weights(nu: float, lam: float, policy: TruncationPolicy | None) -> tup
 @functools.lru_cache(maxsize=256)
 def _resolve(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, float]:
     """The mode count N that ``policy`` keeps at (nu, lambda), and its tail bound: the first N of a
-    linear scan over :func:`truncation_tail_bound`.  A refusal raises and is not cached."""
+    linear scan over :func:`truncation_tail_bound`.  A refusal raises and is not cached; past the
+    norms' range it comes before any bound."""
+    _require_norm_range(nu)
     if policy.n_terms is not None:
         return policy.n_terms, truncation_tail_bound(nu, lam, policy.n_terms)
     for n_terms in range(1, policy.n_cap + 1):

@@ -14,7 +14,7 @@ scalar kernels), so every report is reproducible bit for bit from its inputs.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +69,6 @@ SUITES = (
 class QuadratureRule:
     """Nodes and weights on (0, pi)."""
 
-    npoints: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -79,12 +78,12 @@ class EvalConfig:
     """Everything needed to evaluate any method: spectral truncation policy
     plus reflection-sum truncation and phase prescription."""
 
-    policy: TruncationPolicy = field(default_factory=TruncationPolicy)
-    path: PathSumConfig = field(default_factory=PathSumConfig)
+    policy: TruncationPolicy = _DEFAULT_POLICY
+    path: PathSumConfig = _DEFAULT_PATH
 
 
-# The config of every call that passes none, made of the routes' own shared defaults.
-_DEFAULT_CONFIG = EvalConfig(_DEFAULT_POLICY, _DEFAULT_PATH)
+# The config of every call that passes none; frozen, so one instance serves them all.
+_DEFAULT_CONFIG = EvalConfig()
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def gauss_legendre_on_0_pi(npoints: int) -> QuadratureRule:
     if npoints < 2:
         raise DomainError("quadrature needs npoints >= 2")
     x, w = np.polynomial.legendre.leggauss(npoints)
-    rule = QuadratureRule(npoints=npoints, nodes=(x + 1.0) * (math.pi / 2.0), weights=w * (math.pi / 2.0))
+    rule = QuadratureRule(nodes=(x + 1.0) * (math.pi / 2.0), weights=w * (math.pi / 2.0))
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule

@@ -46,7 +46,7 @@ from boxkernel import (
     reflection_phase,
 )
 
-POLICY = TruncationPolicy.to_tail(1e-12)
+POLICY = TruncationPolicy(epsilon_tail=1e-12)
 PATHS = PathSumConfig(k_max=8)
 
 

@@ -292,15 +292,15 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert err.startswith("overflow:")
 
-    @pytest.mark.parametrize("nu, theta, method, route", [
-        ("2.5", "1e-200", "pathsum-general", "path sum"),  # sin theta sin theta' underflows to 0
-        ("1e160", "1", "pathsum-general", "path sum"),  # nu (nu - 1) overflows
-        ("1e160", "1", "spectral", "spectral sum"),  # (n + nu)^2 overflows
-        ("1e160", "1", "closed-form", "Bessel function"),  # the order is past ive's range: NaN
+    @pytest.mark.parametrize("nu, theta, method, route, lam", [
+        ("2.5", "1e-200", "pathsum-general", "path sum", "0.1"),  # sin theta sin theta' underflows to 0
+        ("1e160", "1", "pathsum-general", "path sum", "0.1"),  # nu (nu - 1) overflows
+        ("1", "1", "spectral", "spectral sum", "1e308"),  # lambda (n + nu)^2 / 2 overflows
+        ("1e160", "1", "closed-form", "Bessel function", "0.1"),  # the order is past ive's range: NaN
     ])
-    def test_correction_or_weights_past_the_float_range_name_the_route(self, capsys, nu, theta, method, route):
+    def test_correction_or_weights_past_the_float_range_name_the_route(self, capsys, nu, theta, method, route, lam):
         code, out, err = run_cli(
-            capsys, "kernel", "--nu", nu, "--theta", theta, "--theta-p", theta, "--lambda", "0.1", "--method", method,
+            capsys, "kernel", "--nu", nu, "--theta", theta, "--theta-p", theta, "--lambda", lam, "--method", method,
         )
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith(f"domain error: {route}: ") and len(err.splitlines()) == 1
@@ -338,6 +338,19 @@ class TestExitCodes:
         )
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("domain error: eigenfunction table") and "nu <= 10000" in err
+
+    @pytest.mark.parametrize("nu, n_cap", [("15000", "4096"), ("15000", "100000"), ("1e160", "4096")])
+    def test_coupling_past_the_norms_range_is_exit_3_before_any_resolve(self, capsys, monkeypatch, nu, n_cap):
+        # the documented exit 3 for nu > 1e4, whatever the cap; at the default cap nu = 15000 scanned
+        # 4,096 tail bounds and exited 4, and nu = 1e160 refused for the weights' float range
+        calls = []
+        monkeypatch.setattr(spectral, "truncation_tail_bound", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "kernel", "--nu", nu, "--theta", "1", "--theta-p", "1.2", "--lambda", "1e-4",
+            "--method", "spectral", "--n-cap", n_cap,
+        )
+        assert (code, out, calls) == (EXIT_DOMAIN, "", [])
+        assert err == f"domain error: eigenfunction table: the normalisation is accurate for nu <= 10000 only, got nu = {float(nu):g}\n"
 
     def test_a_refused_chain_is_replayed_point_by_point_at_the_refusing_lambda_only(self, capsys, monkeypatch):
         # the spectral sum refuses at lambda = 1e-7; the 3 lambdas before it (2 methods x 1,600 points) go
@@ -379,6 +392,44 @@ class TestExitCodes:
             "--lambda-chain", "0.4", "--theta", "1.0", "--theta-p", str(math.pi + 0.1),
         )
         assert code == EXIT_DOMAIN
+
+
+class TestUsageErrors:
+    BASE = ("--nu", "1", "--methods", "spectral,closed")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--lambda-chain", "0.4,x", "--grid-n", "2"), "--lambda-chain must be comma-separated floats: could not convert string to float: 'x'"),
+        (("--lambda-chain", ",", "--grid-n", "2"), "--lambda-chain is empty"),
+        (("--lambda-chain", "0.4", "--grid-n", "0"), "--grid-n must be >= 1"),
+        (("--lambda-chain", "0.4", "--grid-n", "2", "--grid-margin", "0"), "--grid-margin must lie in (0, pi/2)"),
+        (("--lambda-chain", "0.4", "--grid-n", "2", "--grid-margin", "1.6"), "--grid-margin must lie in (0, pi/2)"),
+        (("--lambda-chain", "0.4", "--theta", "1"), "provide either --grid-n or both --theta and --theta-p"),
+        (("--lambda-chain", "0.4"), "provide either --grid-n or both --theta and --theta-p"),
+    ])
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_malformed_grid_or_chain_is_exit_3(self, capsys, command, argv, message):
+        code, out, err = run_cli(capsys, command, *self.BASE, *argv)
+        assert (code, out, err) == (EXIT_DOMAIN, "", f"domain error: {message}\n")
+
+    @pytest.mark.parametrize("methods", ["spectral", "spectral,closed,pathsum-nu1", ","])
+    def test_methods_need_exactly_two_tags(self, capsys, methods):
+        code, out, err = run_cli(capsys, "sweep", "--nu", "1", "--methods", methods, "--lambda-chain", "0.4", "--grid-n", "2")
+        assert (code, out, err) == (EXIT_DOMAIN, "", "domain error: --methods needs exactly two comma-separated method tags\n")
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--nu", "2.5", "--lambda", "0.05", "--theta", "0.02", "--theta-p", "1.3", "--method", "pathsum-general"),
+        ("compare", "--nu", "2.5", "--methods", "spectral,pathsum-general", "--lambda-chain", "0.4,0.2", "--grid-n", "3", "--output", "csv"),
+        ("sweep", "--nu", "2", "--methods", "spectral,pathsum-nu2", "--lambda-chain", "0.4,0.2", "--grid-n", "2"),
+        ("verify", "--suite", "phases", "--output", "csv"),
+    ])
+    def test_file_holds_exactly_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        path = tmp_path / "out.txt"
+        code_to_file, out_to_file, err_to_file = run_cli(capsys, *argv, "--output-path", str(path))
+        assert (code_to_file, out_to_file, err_to_file) == (code, "", err) and code == EXIT_OK
+        assert path.read_bytes() == out.encode()
 
 
 class TestDefaults:

@@ -58,6 +58,11 @@ class TestKernelClosed:
             b = kernel_closed(nu, 2.3, 0.7, 0.21)
             assert a.value == b.value
 
+    def test_lambda_outside_its_domain_rejected(self):
+        for lam in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(DomainError, match="lambda must be positive and finite"):
+                kernel_closed(1.5, 1.0, 1.2, lam)
+
     def test_real_and_positive(self):
         for nu in (0.5, 1.0, 2.6):
             est = kernel_closed(nu, 1.2, 1.9, 0.15)
@@ -245,10 +250,13 @@ class TestAdditionSeriesLength:
         assert _series_length(1e5, 1e-3) == addition_formula_terms(1e-3)
 
     def test_term_bound_past_the_float_range_is_domain_error(self):
-        # an envelope log-gamma overflows from nu ~ 1e305; that was a raw OverflowError
-        for nu in (2.5e305, 1e306):
+        # below lambda ~ 1.08e-19 the cap is past sys.maxsize, which the length bisection cannot index:
+        # that was an OverflowError relabelled as the term bound leaving the float range at nu
+        for lam in (1e-20, 1e-310, 5e-324):
+            with pytest.raises(DomainError, match=r"^addition series: at lambda = .* past the largest index"):
+                addition_formula_lhs(2.5, 1.0, 1.0, lam)
             with pytest.raises(DomainError, match="addition series"):
-                addition_formula_lhs(nu, 1.0, 1.0, 0.1)
+                addition_formula_terms(lam)
 
     def test_norms_past_float_precision_refuse_without_a_warning(self):
         # from nu ~ 1e16 a log1p ratio of the norms is -inf; the table check refuses, numpy stays silent

@@ -1,5 +1,7 @@
 """Package root: every public name comes from exactly one module's ``__all__``."""
 
+import dataclasses
+
 import boxkernel
 from boxkernel import closedform, errors, pathsum, specfun, spectral, verify
 
@@ -20,6 +22,9 @@ EARLIER_ROOT_NAMES = (
     "__version__",
 )
 
+# Earlier root names that only restated another entry point: eigenfunction(n, nu, theta) is eigenfunctions(n, nu, theta)[n].
+REMOVED_ROOT_NAMES = {"eigenfunction"}
+
 
 def test_root_all_is_the_module_lists():
     names = [name for module in MODULES for name in module.__all__]
@@ -35,7 +40,17 @@ def test_every_module_name_is_the_same_object_at_the_root():
 
 def test_earlier_names_stay_and_two_are_added():
     assert set(boxkernel.__all__) - set(EARLIER_ROOT_NAMES) == {"kernel_spectral_profile", "gegenbauer_table"}
-    assert set(EARLIER_ROOT_NAMES) <= set(boxkernel.__all__)
+    assert set(EARLIER_ROOT_NAMES) - set(boxkernel.__all__) == REMOVED_ROOT_NAMES
+    assert not REMOVED_ROOT_NAMES & set(dir(boxkernel))
+
+
+def test_one_way_in_per_object():
+    # a policy is built by its constructor, a rule's size is len(rule.nodes), and the default config
+    # is made of the routes' own shared defaults
+    assert not hasattr(spectral.TruncationPolicy, "fixed") and not hasattr(spectral.TruncationPolicy, "to_tail")
+    assert "npoints" not in {field.name for field in dataclasses.fields(verify.QuadratureRule)}
+    config = verify.EvalConfig()
+    assert config.policy is spectral._DEFAULT_POLICY and config.path is pathsum._DEFAULT_PATH
 
 
 def test_validators_stay_internal():

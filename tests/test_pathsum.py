@@ -84,6 +84,11 @@ class TestReflectionPhase:
         with pytest.raises(DomainError):
             reflection_phase(0, "sideways", 1.0)
 
+    def test_unknown_prescription_rejected(self):
+        for prescription in ("C", "a", ""):
+            with pytest.raises(DomainError, match="prescription must be 'A' or 'B'"):
+                reflection_phase(1, "odd", 1.5, prescription)
+
 
 class TestDecompose:
     def test_k0_even_term_structure(self):

@@ -164,6 +164,11 @@ class TestBesselAsymptoticLeading:
             ref = math.exp(-(4.0 * mu * mu - 1.0) / (8.0 * z)) / math.sqrt(2.0 * math.pi * z)
             assert scaled == pytest.approx(ref, rel=1e-13)
 
+    def test_nonpositive_argument_rejected(self):
+        for z in (0.0, -1.0):
+            with pytest.raises(DomainError, match="Bessel argument must be positive"):
+                bessel_asymptotic_leading(0.5, z, keep_reflected=True)
+
     def test_error_against_series_value(self):
         err = abs(
             bessel_asymptotic_leading(1.5, 100.0) * math.exp(-100.0) - bessel_i_scaled(1.5, 100.0)

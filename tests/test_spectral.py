@@ -16,12 +16,11 @@ from boxkernel import (
     PolicyUnresolvableError,
     TruncationPolicy,
     addition_formula_lhs,
-    eigenfunction,
     eigenfunctions,
     kernel_spectral,
     truncation_tail_bound,
 )
-from boxkernel import spectral
+from boxkernel import closedform, spectral
 from boxkernel.spectral import _log_norms, _mode_weights, _resolve, _spectral_chain, kernel_spectral_profile
 
 
@@ -54,52 +53,70 @@ class TestEigenfunction:
         kernel_spectral_profile(2.5, 0.4, np.array([1.1, 2.0]), 0.05)
         assert len(calls) == 2
 
-    def test_norms_refuse_past_their_accurate_range(self):
-        # the norms' log error grows like eps * lgamma(2 nu): 2.8e-11 up to nu = 1e4, 4.9 at nu = 1e15
-        for nu in (np.nextafter(1e4, np.inf), 1e15):
+    def test_norms_refuse_past_their_accurate_range(self, monkeypatch):
+        # the norms' log error grows like eps * lgamma(2 nu): 2.8e-11 up to nu = 1e4, 4.9 at nu = 1e15.
+        # Both mode sums refuse before any tail bound or series length is computed: at nu = 15000 the
+        # resolve scanned ~12 ms to its cap (exit 4), and at 1e160 and 1e306 it met the weights' or the
+        # term bound's float range first
+        calls = []
+        monkeypatch.setattr(spectral, "truncation_tail_bound", lambda *args: calls.append(args))
+        monkeypatch.setattr(closedform, "_series_length", lambda *args: calls.append(args))
+        for nu in (np.nextafter(1e4, np.inf), 15000.0, 1e15, 1e160, 1e306):
             with pytest.raises(DomainError, match="accurate for nu <= 10000 only"):
                 _log_norms(3, nu)
-            with pytest.raises(DomainError, match="eigenfunction table"):
-                kernel_spectral(nu, math.pi / 2, math.pi / 2, 1e-30, TruncationPolicy.fixed(1))
-            with pytest.raises(DomainError, match="eigenfunction table"):
-                addition_formula_lhs(nu, 1.0, 1.0, 0.1, n_terms=3)
+            for policy in (None, TruncationPolicy(n_cap=100_000), TruncationPolicy(n_terms=1)):
+                with pytest.raises(DomainError, match="eigenfunction table: the normalisation is accurate for nu <= 10000 only"):
+                    kernel_spectral(nu, math.pi / 2, math.pi / 2, 1e-4, policy)
+                with pytest.raises(DomainError, match="eigenfunction table: the normalisation is accurate for nu <= 10000 only"):
+                    kernel_spectral_profile(nu, 1.0, np.array([1.2, 2.0]), 1e-4, policy)
+            for n_terms in (3, None):
+                with pytest.raises(DomainError, match="eigenfunction table: the normalisation is accurate for nu <= 10000 only"):
+                    addition_formula_lhs(nu, 1.0, 1.0, 1e-3, n_terms=n_terms)
+        assert calls == []
 
     def test_values_up_to_the_orthonormality_range_are_unchanged(self):
         # the ceiling adds a refusal only: at nu = 1000 (and at the ceiling) the values are the earlier bits
         assert eigenfunctions(3, 1000.0, 1.5).tolist() == [0.3439230483405393, 1.0885319816334362, 2.1946146501495405, 3.1268675102718544]
-        assert repr(kernel_spectral(1000.0, 1.5, 1.6, 1e-3, TruncationPolicy.fixed(60)).value) == "(5.0023239544388306e-219+0j)"
-        assert repr(kernel_spectral(1e4, 1.5, 1.6, 1e-6, TruncationPolicy.fixed(5)).value) == "(1.2510347205892371e-28+0j)"
+        assert repr(kernel_spectral(1000.0, 1.5, 1.6, 1e-3, TruncationPolicy(n_terms=60)).value) == "(5.0023239544388306e-219+0j)"
+        assert repr(kernel_spectral(1e4, 1.5, 1.6, 1e-6, TruncationPolicy(n_terms=5)).value) == "(1.2510347205892371e-28+0j)"
 
     def test_nu1_reduces_to_sine_basis(self):
-        assert eigenfunction(0, 1.0, math.pi / 2) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
-        assert eigenfunction(1, 1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-13)
+        assert eigenfunctions(0, 1.0, math.pi / 2)[0] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
+        assert eigenfunctions(1, 1.0, math.pi / 2)[1] == pytest.approx(0.0, abs=1e-13)
         for theta in np.linspace(0.1, math.pi - 0.1, 11):
             for n in (0, 3, 17):
                 ref = math.sqrt(2.0 / math.pi) * math.sin((n + 1) * theta)
-                assert eigenfunction(n, 1.0, theta) == pytest.approx(ref, abs=1e-13)
+                assert eigenfunctions(n, 1.0, theta)[n] == pytest.approx(ref, abs=1e-13)
 
     def test_vanishes_like_sin_power_nu_at_the_wall(self):
         for nu in (0.5, 1.3, 2.7):
-            r1 = eigenfunction(0, nu, 1e-3) / math.sin(1e-3) ** nu
-            r2 = eigenfunction(0, nu, 1e-5) / math.sin(1e-5) ** nu
+            r1 = eigenfunctions(0, nu, 1e-3)[0] / math.sin(1e-3) ** nu
+            r2 = eigenfunctions(0, nu, 1e-5)[0] / math.sin(1e-5) ** nu
             assert r1 == pytest.approx(r2, rel=1e-6)
 
     def test_block_matches_scalar(self):
         block = eigenfunctions(25, 1.8, 1.1)
         for n in (0, 9, 25):
-            assert block[n] == pytest.approx(eigenfunction(n, 1.8, 1.1), rel=1e-14)
+            assert block[n] == pytest.approx(eigenfunctions(n, 1.8, 1.1)[n], rel=1e-14)
 
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
-            eigenfunction(0, 1.0, 0.0)
+            eigenfunctions(0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            eigenfunction(0, 1.0, math.pi)
+            eigenfunctions(0, 1.0, math.pi)
+        with pytest.raises(DomainError, match="nmax must be nonnegative"):
+            eigenfunctions(-1, 1.0, 1.0)
 
 
 class TestTruncationTailBound:
     def test_nonincreasing_in_n(self):
         bounds = [truncation_tail_bound(1.0, 0.5, n) for n in range(2, 40)]
         assert all(bounds[i] >= bounds[i + 1] for i in range(len(bounds) - 1))
+
+    def test_start_below_one_rejected(self):
+        for n_start in (0, -1):
+            with pytest.raises(DomainError, match="n_start >= 1"):
+                truncation_tail_bound(1.0, 0.5, n_start)
 
     def test_goes_to_zero(self):
         assert truncation_tail_bound(1.3, 0.5, 200) < 1e-300
@@ -116,8 +133,8 @@ class TestTruncationTailBound:
         # less than the reported bound
         for nu, lam in ((1.0, 0.3), (2.7, 0.8), (0.5, 0.15)):
             for ta, tb in ((1.0, 1.0), (0.4, 2.6)):
-                short = kernel_spectral(nu, ta, tb, lam, TruncationPolicy.fixed(12))
-                long = kernel_spectral(nu, ta, tb, lam, TruncationPolicy.fixed(212))
+                short = kernel_spectral(nu, ta, tb, lam, TruncationPolicy(n_terms=12))
+                long = kernel_spectral(nu, ta, tb, lam, TruncationPolicy(n_terms=212))
                 assert abs(long.real - short.real) <= short.tail_bound
 
 
@@ -146,8 +163,8 @@ class TestKernelSpectral:
             est = kernel_spectral(nu, 1.2, 1.9, lam)
             ground = (
                 math.exp(-lam * nu**2 / 2.0)
-                * eigenfunction(0, nu, 1.2)
-                * eigenfunction(0, nu, 1.9)
+                * eigenfunctions(0, nu, 1.2)[0]
+                * eigenfunctions(0, nu, 1.9)[0]
             )
             assert est.real == pytest.approx(ground, rel=1e-10)
 
@@ -165,11 +182,11 @@ class TestKernelSpectral:
         assert est.terms_used >= 1
 
     def test_fixed_policy_uses_exactly_n_terms(self):
-        est = kernel_spectral(1.0, 1.0, 1.0, 1.0, TruncationPolicy.fixed(7))
+        est = kernel_spectral(1.0, 1.0, 1.0, 1.0, TruncationPolicy(n_terms=7))
         assert est.terms_used == 7
 
     def test_n_terms_alone_fixes_the_policy(self):
-        assert TruncationPolicy.fixed(3) == TruncationPolicy(n_terms=3)
+        assert TruncationPolicy(n_terms=3) == TruncationPolicy(3)
         est = kernel_spectral(1.0, 1.0, 1.0, 1.0, TruncationPolicy(n_terms=3))
         assert est.terms_used == 3
         with pytest.raises(DomainError, match="epsilon_tail"):
@@ -179,11 +196,11 @@ class TestKernelSpectral:
         # constructor calls only: nothing is evaluated at these sizes
         for n in (10**9, 100_001):
             with pytest.raises(DomainError, match="n_terms"):
-                TruncationPolicy.fixed(n)
+                TruncationPolicy(n_terms=n)
             with pytest.raises(DomainError, match="n_cap"):
-                TruncationPolicy.to_tail(1e-12, n_cap=n)
-        assert TruncationPolicy.fixed(100_000).n_terms == 100_000
-        assert TruncationPolicy.to_tail(1e-12, n_cap=100_000).n_cap == 100_000
+                TruncationPolicy(epsilon_tail=1e-12, n_cap=n)
+        assert TruncationPolicy(n_terms=100_000).n_terms == 100_000
+        assert TruncationPolicy(epsilon_tail=1e-12, n_cap=100_000).n_cap == 100_000
 
     def test_term_counts_are_integers(self):
         for bad in (2.5, 3.0, "3", None):
@@ -191,8 +208,8 @@ class TestKernelSpectral:
                 TruncationPolicy(n_cap=bad)
         for bad in (2.5, 0, -3):
             with pytest.raises(DomainError, match="n_terms"):
-                TruncationPolicy.fixed(bad)
-        assert kernel_spectral(1.0, 1.0, 1.2, 0.5, TruncationPolicy.fixed(np.int64(7))).terms_used == 7
+                TruncationPolicy(n_terms=bad)
+        assert kernel_spectral(1.0, 1.0, 1.2, 0.5, TruncationPolicy(n_terms=np.int64(7))).terms_used == 7
 
     def test_resolve_is_the_linear_scan(self):
         # the resolved N is the first N of a linear scan over the public tail bound, with that
@@ -209,7 +226,7 @@ class TestKernelSpectral:
         for _ in range(150):
             nu = math.exp(rng.uniform(math.log(0.5), math.log(200.0)))
             lam = 10.0 ** rng.uniform(-3.5, 1.0)
-            policy = TruncationPolicy.to_tail(float(rng.choice([1e-15, 1e-12, 1e-8])), n_cap=int(rng.choice([40, 4096])))
+            policy = TruncationPolicy(epsilon_tail=float(rng.choice([1e-15, 1e-12, 1e-8])), n_cap=int(rng.choice([40, 4096])))
             expected = linear_scan(nu, lam, policy)
             if expected is None:
                 cap_hits += 1
@@ -223,10 +240,10 @@ class TestKernelSpectral:
     def test_resolve_memo_keeps_scalars_only(self):
         # a repeated (nu, lambda, policy) reads N and the tail bound from the memo, and the weight
         # array is built afresh, so no caller can alter another's weights
-        policy = TruncationPolicy.to_tail(1e-13)
+        policy = TruncationPolicy(epsilon_tail=1e-13)
         first, tail = _mode_weights(2.5, 0.0731, policy)
         hits = _resolve.cache_info().hits
-        again, tail_again = _mode_weights(2.5, 0.0731, TruncationPolicy.to_tail(1e-13))
+        again, tail_again = _mode_weights(2.5, 0.0731, TruncationPolicy(epsilon_tail=1e-13))
         assert _resolve.cache_info().hits == hits + 1
         assert (len(again), tail_again) == (len(first), tail)
         assert again is not first and np.array_equal(again, first)
@@ -234,29 +251,30 @@ class TestKernelSpectral:
         assert _mode_weights(2.5, 0.0731, policy)[0][0] == first[0] != 0.0
 
     def test_resolve_memo_does_not_cache_refusals(self):
-        policy = TruncationPolicy.to_tail(1e-12, n_cap=7)
+        policy = TruncationPolicy(epsilon_tail=1e-12, n_cap=7)
         for _ in range(2):
             with pytest.raises(PolicyUnresolvableError):
                 _mode_weights(1.0, 1e-3, policy)
         assert _resolve.cache_parameters()["maxsize"] is not None
 
     def test_to_tail_takes_the_field_default_cap(self):
-        assert TruncationPolicy.to_tail(1e-10).n_cap == TruncationPolicy().n_cap
+        # the cap's default is declared once, on the field: a tail target alone keeps it
+        assert TruncationPolicy(epsilon_tail=1e-10).n_cap == TruncationPolicy().n_cap
 
     def test_target_policy_meets_tail(self):
-        policy = TruncationPolicy.to_tail(1e-10)
+        policy = TruncationPolicy(epsilon_tail=1e-10)
         est = kernel_spectral(1.0, 1.0, 1.0, 0.2, policy)
         assert est.tail_bound <= 1e-10
 
     def test_non_finite_tail_target_rejected(self):
         with pytest.raises(DomainError):
-            TruncationPolicy.to_tail(float("inf"))
+            TruncationPolicy(epsilon_tail=float("inf"))
         with pytest.raises(DomainError):
-            TruncationPolicy.to_tail(float("nan"))
+            TruncationPolicy(epsilon_tail=float("nan"))
 
     def test_policy_unresolvable_signals_small_lambda(self):
         with pytest.raises(PolicyUnresolvableError):
-            kernel_spectral(1.0, 1.5, 1.6, 1e-6, TruncationPolicy.to_tail(1e-12, n_cap=50))
+            kernel_spectral(1.0, 1.5, 1.6, 1e-6, TruncationPolicy(epsilon_tail=1e-12, n_cap=50))
 
     def test_overflowing_gegenbauer_factor_is_domain_error(self):
         # C_n^nu(cos theta) overflows by degree 3204 while the sin^nu amplitude underflows to 0,
@@ -267,13 +285,16 @@ class TestKernelSpectral:
     def test_overflowing_profile_table_is_domain_error(self):
         # the array recurrence overflows in numpy; the table check reports it, not a RuntimeWarning
         with pytest.raises(DomainError, match="eigenfunction table"):
-            kernel_spectral_profile(150.0, 1.5, np.array([1e-3, 1.0]), 1e-4, TruncationPolicy.fixed(3001))
+            kernel_spectral_profile(150.0, 1.5, np.array([1e-3, 1.0]), 1e-4, TruncationPolicy(n_terms=3001))
 
     def test_boundary_angles_rejected(self):
         with pytest.raises(DomainError):
             kernel_spectral(1.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             kernel_spectral(1.0, 1.0, math.pi, 1.0)
+        for wall in (0.0, math.pi):
+            with pytest.raises(DomainError, match="profile angles must lie strictly inside"):
+                kernel_spectral_profile(1.5, 1.0, np.array([1.0, wall]), 0.5)
 
     def test_profile_matches_pointwise(self):
         thetas = np.linspace(0.3, 2.8, 7)

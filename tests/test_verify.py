@@ -115,6 +115,10 @@ class TestGaussianBesselLink:
         # two sides overflows instead of dividing by zero
         assert check_gaussian_bessel_link(60, 3.0, 1.0) == math.inf
 
+    def test_negative_mode_index_rejected(self):
+        with pytest.raises(DomainError, match="mode index must be nonnegative"):
+            check_gaussian_bessel_link(-1, 1.5, 0.1)
+
     def test_underflowing_bessel_value_is_a_domain_error(self):
         # exp(-z) I_5001(z) at z = 1e4 underflows while the true ratio is O(1)
         with pytest.raises(DomainError):
@@ -229,7 +233,7 @@ class TestCompareMethods:
             compare_methods(1.0, [(1.0, 1.0)], [0.1, 0.2], "spectral", "path_sum_nu1")
 
     def test_custom_config_is_honoured(self):
-        cfg = EvalConfig(policy=TruncationPolicy.fixed(40), path=PathSumConfig(k_max=4))
+        cfg = EvalConfig(policy=TruncationPolicy(n_terms=40), path=PathSumConfig(k_max=4))
         rep = compare_methods(1.0, [(1.0, 1.3)], [0.2], "spectral", "path_sum_nu1", cfg)
         assert rep.max_abs_dev <= 1e-12
 
@@ -286,7 +290,7 @@ class TestCompareMethods:
             axis = np.linspace(margin, math.pi - margin, 4).tolist()
             grid = [(a, b) for a in axis for b in axis] + [tuple(rng.uniform(0.01, math.pi - 0.01, 2)) for _ in range(4)]
             chain = sorted(10.0 ** rng.uniform(-2.5, 0.0, size=3), reverse=True)
-            policy = TruncationPolicy() if margin < 0.6 else TruncationPolicy.fixed(int(rng.integers(5, 60)))
+            policy = TruncationPolicy() if margin < 0.6 else TruncationPolicy(n_terms=int(rng.integers(5, 60)))
             cfg = EvalConfig(policy=policy, path=PathSumConfig(k_max=int(rng.integers(1, 10)), prescription=prescription))
             check(grid, chain, cfg)
         # (pairs, lambdas) on both sides of the path sums' array threshold of 5 points, with k_max 1 and 30:
