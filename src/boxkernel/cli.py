@@ -136,15 +136,18 @@ _COMPARE_HEADER = (
 
 
 def _compare_csv(report) -> list[str]:
-    lines = [_COMPARE_HEADER]
-    for (theta, theta_p, lam), va, vb, ad, rd in zip(
-        report.grid, report.value_a, report.value_b, report.abs_dev, report.rel_dev
-    ):
-        lines.append(
-            f"{theta:.17g},{theta_p:.17g},{lam:.17g},{report.method_a},{report.method_b},"
-            f"{va.real:.17g},{va.imag:.17g},{vb.real:.17g},{vb.imag:.17g},{ad:.17g},{rd:.17g}"
-        )
-    return lines
+    """The CSV rows of ``report``, whose grid is lambda-major over one list of pairs: each pair's
+    text and each lambda's (with the method names) are formatted once, and each row adds its six
+    values through one ``%.17g`` template, which prints every float as ``format(x, '.17g')`` does."""
+    n_pairs = len(report.grid) // len(report.per_lambda)
+    pair_texts = ["%.17g,%.17g," % (theta, theta_p) for theta, theta_p, _ in report.grid[:n_pairs]]
+    lam_texts = ["%.17g,%s,%s," % (lam, report.method_a, report.method_b) for lam, _, _ in report.per_lambda]
+    prefixes = [pair_text + lam_text for lam_text in lam_texts for pair_text in pair_texts]
+    values = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+    return [_COMPARE_HEADER] + [
+        prefix + values % (va.real, va.imag, vb.real, vb.imag, ad, rd)
+        for prefix, va, vb, ad, rd in zip(prefixes, report.value_a, report.value_b, report.abs_dev, report.rel_dev)
+    ]
 
 
 def _run_comparison(args):

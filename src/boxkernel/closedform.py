@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, require_count, require_lambda, require_point
-from .spectral import KernelEstimate, _log_envelope, _mode_sums, _require_norm_range
+from .spectral import _MAX_TERMS, KernelEstimate, _log_envelope, _mode_sums, _require_norm_range
 from .specfun import _bessel_i_scaled_orders, bessel_i_scaled
 
 __all__ = [
@@ -116,10 +116,19 @@ def addition_formula_lhs(
     I_nu(1/lambda) A_0^2``, uniformly in the angles; N grows like ``sqrt(z log(1/eps))``
     with z = 1/lambda, not like z.  Where no N up to the cap :func:`addition_formula_terms`
     meets that bound (large nu), the series runs to the cap.  See docs/tail_bound.md.
+
+    Like the spectral sum, the series keeps at most ``spectral._MAX_TERMS`` (100,000) terms: a
+    longer one, set or resolved (``nu = 2.5, lambda = 1e-14`` resolves 170,811,661), raises
+    ``DomainError`` before any array is built.
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     _require_norm_range(nu)
-    n_terms = _series_length(nu, lam) if n_terms is None else require_count(n_terms, "n_terms")
+    if n_terms is None:
+        n_terms = _series_length(nu, lam)
+        if n_terms > _MAX_TERMS:
+            raise DomainError(f"addition series: {n_terms} terms at nu = {nu:g}, lambda = {lam:g} are past the cap of {_MAX_TERMS}")
+    else:
+        n_terms = require_count(n_terms, "n_terms", _MAX_TERMS)
     n = np.arange(n_terms, dtype=float)
     return math.sqrt(2.0 * math.pi / lam) * _mode_sums([_bessel_i_scaled_orders(nu + n, 1.0 / lam)], nu, [(theta, theta_p)])[0][0]
 

@@ -237,6 +237,11 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     ``OverflowError``, but all corrections are checked before any weight is taken.  Numpy's
     floating-point warnings are off: a quotient past the float range is inf, as Python's is,
     and is refused or masked.
+
+    Where every live phase is real, as every phase is at integer nu (``_unit_phase`` gives
+    exactly +-1+0j), each imaginary term is a zero times a finite weight, so each imaginary sum
+    is fsum's +0.0 times ``norm``, +0.0: the values are built with an imaginary part of 0.0 and
+    the imaginary terms are not formed.
     """
     k_max, n_pairs = config.k_max, len(pairs)
     sines = {theta: math.sin(theta) for theta in {t for pair in pairs for t in pair}}
@@ -254,9 +259,12 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     rows, cols = np.nonzero(exponent > -_EXP_FLOOR)
     weights = np.fromiter(map(math.exp, exponent[rows, cols].tolist()), float, len(rows))
     phases = np.array(_phases(nu, k_max, config.prescription))[cols]
-    re, im = (weights * phases.real).tolist(), (weights * phases.imag).tolist()
+    re = (weights * phases.real).tolist()
     ends = np.bincount(rows, minlength=len(exponent)).cumsum().tolist()
     norms = [1.0 / math.sqrt(2.0 * math.pi * lam) for lam in lambdas for _ in range(n_pairs)]
+    if not phases.imag.any():
+        return [complex(norm * math.fsum(re[i:j]), 0.0) for norm, i, j in zip(norms, [0] + ends, ends)]
+    im = (weights * phases.imag).tolist()
     return [complex(norm * math.fsum(re[i:j]), norm * math.fsum(im[i:j])) for norm, i, j in zip(norms, [0] + ends, ends)]
 
 

@@ -48,6 +48,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # table already takes 128 MB, so larger counts are input errors.
 _MAX_TERMS = 100_000
 
+# Most products phi_n(a) phi_n(b) that one block of pairs holds in :func:`_mode_sums` (512 KB).
+_BLOCK_PRODUCTS = 1 << 16
+
 # The largest coupling whose eigenfunction norms are accurate to the cross-method checks (:func:`_log_norms`).
 _MAX_NU = 1e4
 
@@ -228,15 +231,31 @@ def _mode_sums(weights: list[np.ndarray], nu: float, pairs) -> list[list[float]]
     which at a grid axis' few angles is 4-5x faster than the array one (and bitwise equal).  A
     shorter row sums over a prefix of the columns, bitwise what columns of its own length give:
     the norms are a running sum and every other step is elementwise.  Forming
-    ``phi_n(a) phi_n(b)`` first makes each sum exactly symmetric in (a, b).  The sums are taken
-    pair by pair, so beyond the columns only one product and one weighted row are held at once."""
-    log_norms = _log_norms(max(map(len, weights)) - 1, nu)
+    ``phi_n(a) phi_n(b)`` first makes each sum exactly symmetric in (a, b).
+
+    The columns are stacked into one table, and the pairs are taken in blocks: a block's products
+    are one indexed multiply, and each weight row one multiply, one ``tolist`` and one fsum per
+    pair.  A block holds at most ``_BLOCK_PRODUCTS`` products, or one pair where the longest row
+    is longer, so beyond the columns at most max(2^16, N) products and one weighted block of them
+    are held at once.  One pair (the scalar kernels, the addition series) skips the table, whose
+    stacking and indexing would add ~10 us to each of its calls."""
+    n_max = max(map(len, weights))
+    log_norms = _log_norms(n_max - 1, nu)
     columns = {theta: _eigenfunction_matrix(log_norms, nu, theta) for theta in {t for pair in pairs for t in pair}}
-    sums = []
-    for a, b in pairs:
+    if len(pairs) == 1:
+        [(a, b)] = pairs
         product = columns[a] * columns[b]
-        sums.append([math.fsum((w * product[:len(w)]).tolist()) for w in weights])
-    return [list(row) for row in zip(*sums)]
+        return [[math.fsum((w * product[:len(w)]).tolist())] for w in weights]
+    index = {theta: row for row, theta in enumerate(columns)}
+    table = np.array(list(columns.values()))
+    rows_a, rows_b = (np.array([index[pair[side]] for pair in pairs]) for side in (0, 1))
+    step = max(1, _BLOCK_PRODUCTS // n_max)
+    sums = [[] for _ in weights]
+    for start in range(0, len(pairs), step):
+        products = table[rows_a[start:start + step]] * table[rows_b[start:start + step]]
+        for row, w in zip(sums, weights):
+            row += map(math.fsum, (w * products[:, :len(w)]).tolist())
+    return sums
 
 
 def _spectral_chain(nu: float, pairs, lambdas, policy: TruncationPolicy | None) -> list[tuple[int, float, list[float]]]:

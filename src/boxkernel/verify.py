@@ -300,24 +300,30 @@ def compare_methods(
                     for theta, theta_p in theta_grid:
                         evaluate_method(method, nu, theta, theta_p, lam, config)
         raise
-    abs_dev = tuple(abs(a.real - b.real) for a, b in zip(value_a, value_b))
-    denoms = [max(abs(a.real), abs(b.real)) for a, b in zip(value_a, value_b)]
-    rel_dev = tuple(d / m if m > 0.0 else 0.0 for d, m in zip(abs_dev, denoms))
+    # Each step is elementwise, so each deviation is bitwise the scalar expression on its row: |Re a - Re b|,
+    # over the builtin max(|Re a|, |Re b|) where that is > 0 (max keeps |Re a| when |Re b| is NaN), else 0.0.
+    # Numpy's warnings are off: inf - inf is NaN and a difference past the float range inf, as in Python.
+    values_a, values_b = np.array(value_a), np.array(value_b)
+    with np.errstate(all="ignore"):
+        abs_a, abs_b = np.abs(values_a.real), np.abs(values_b.real)
+        denom = np.where(abs_b > abs_a, abs_b, abs_a)
+        abs_dev = np.abs(values_a.real - values_b.real)
+        rel_dev = np.where(denom > 0.0, abs_dev / denom, 0.0)
+        im_over_re = None
+        if "path_sum_general" in (method_a, method_b):
+            values = values_a if method_a == "path_sum_general" else values_b
+            im_over_re = tuple(np.where(values.real != 0.0, np.abs(values.imag) / np.abs(values.real), math.inf).tolist())
     # rows are lambda-major blocks; numpy's max, unlike the builtin, keeps a NaN
-    block_abs = np.reshape(abs_dev, (len(lambda_chain), -1)).max(axis=1)
-    block_rel = np.reshape(rel_dev, (len(lambda_chain), -1)).max(axis=1)
-    im_over_re = None
-    if "path_sum_general" in (method_a, method_b):
-        values = value_a if method_a == "path_sum_general" else value_b
-        im_over_re = tuple(abs(v.imag) / abs(v.real) if v.real != 0.0 else math.inf for v in values)
+    block_abs = abs_dev.reshape(len(lambda_chain), -1).max(axis=1)
+    block_rel = rel_dev.reshape(len(lambda_chain), -1).max(axis=1)
     report = ComparisonReport(
         method_a=method_a,
         method_b=method_b,
         grid=grid,
         value_a=value_a,
         value_b=value_b,
-        abs_dev=abs_dev,
-        rel_dev=rel_dev,
+        abs_dev=tuple(abs_dev.tolist()),
+        rel_dev=tuple(rel_dev.tolist()),
         max_abs_dev=float(block_abs.max()),
         max_rel_dev=float(block_rel.max()),
         per_lambda=tuple(zip(lambda_chain, block_abs.tolist(), block_rel.tolist())),

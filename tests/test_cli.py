@@ -108,6 +108,31 @@ class TestCompareCommand:
             assert float(cells[7]) == vb.real and float(cells[8]) == vb.imag
             assert float(cells[9]) == ad and float(cells[10]) == rd
 
+    def test_csv_rows_are_the_per_row_formatter(self, monkeypatch):
+        # the rows come from one template over prefixes formatted once per pair and per lambda; the
+        # reference is the per-row f-string, over values that print as nan, +-inf, -0 and subnormals
+        from boxkernel import cli
+
+        nan, inf = math.nan, math.inf
+        parts = {  # (real parts, imaginary parts) per method, one per row; the second lambda's rows are ordinary
+            "spectral": ([nan, inf, 0.1, 1.0 / 3.0, -inf, -0.0, 5e-324, 1e308], [0.0, -0.0, 0.0, 0.0, nan, 1e308, -inf, 5e-324]),
+            "path_sum_general": ([-0.0, 5e-324, 0.7, 2.0 / 3.0, 1e308, nan, inf, -1e308], [inf, nan, 1e-17, -0.3, -0.0, 5e-324, 0.0, -1e308]),
+        }
+        monkeypatch.setattr(verify, "_evaluate_chain", lambda method, *args: list(map(complex, *parts[method])))
+        report = compare_methods(2.5, [(0.1, 3.0), (1.0 / 3.0, 5e-324)], [0.4, 1e-3, 1e-300, 5e-324], "spectral", "path_sum_general")
+
+        def reference(report):
+            lines = [cli._COMPARE_HEADER]
+            for (theta, theta_p, lam), va, vb, ad, rd in zip(report.grid, report.value_a, report.value_b, report.abs_dev, report.rel_dev):
+                lines.append(
+                    f"{theta:.17g},{theta_p:.17g},{lam:.17g},{report.method_a},{report.method_b},"
+                    f"{va.real:.17g},{va.imag:.17g},{vb.real:.17g},{vb.imag:.17g},{ad:.17g},{rd:.17g}"
+                )
+            return lines
+
+        assert cli._compare_csv(report) == reference(report)
+        assert len(reference(report)) == 1 + 8
+
     def test_exact_identity_stays_tiny(self, capsys):
         _, out, _ = run_cli(capsys, *self.ARGS)
         rel_devs = [float(l.split(",")[10]) for l in out.strip().splitlines()[1:]]

@@ -258,6 +258,22 @@ class TestAdditionSeriesLength:
             with pytest.raises(DomainError, match="addition series"):
                 addition_formula_terms(lam)
 
+    def test_series_longer_than_the_term_cap_is_refused_before_any_array(self, monkeypatch):
+        # nu = 2.5 at lambda = 1e-14 resolves 170,811,661 terms, several float64 arrays of ~1.4 GB each;
+        # both the resolved length and an explicit n_terms refuse above spectral._MAX_TERMS = 100,000
+        from boxkernel import closedform
+
+        def no_arrays(*args):
+            raise AssertionError("an array builder ran")
+
+        monkeypatch.setattr(closedform, "_bessel_i_scaled_orders", no_arrays)
+        monkeypatch.setattr(closedform, "_mode_sums", no_arrays)
+        assert _series_length(2.5, 1e-14) == 170_811_661
+        with pytest.raises(DomainError, match=r"^addition series: 170811661 terms .* past the cap of 100000$"):
+            addition_formula_lhs(2.5, 1.0, 1.0, 1e-14)
+        with pytest.raises(DomainError, match=r"^n_terms must be an integer in \[1, 100000\], got 100001$"):
+            addition_formula_lhs(2.5, 1.0, 1.0, 0.1, n_terms=100_001)
+
     def test_norms_past_float_precision_refuse_without_a_warning(self):
         # from nu ~ 1e16 a log1p ratio of the norms is -inf; the table check refuses, numpy stays silent
         with warnings.catch_warnings():

@@ -23,6 +23,7 @@ from boxkernel import (
     kernel_spectral,
     reflection_phase,
 )
+from boxkernel import pathsum
 
 
 def image_sum_oracle(theta, theta_p, lam, k_max=8):
@@ -249,6 +250,19 @@ class TestKernelPathsumGeneral:
         a = kernel_pathsum_general(3.0, 1.1, 1.7, 0.2, PathSumConfig(prescription="A")).value
         b = kernel_pathsum_general(3.0, 1.1, 1.7, 0.2, PathSumConfig(prescription="B")).value
         assert a == b
+
+    @pytest.mark.parametrize("prescription", ["A", "B"])
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_real_phases_form_no_imaginary_sums(self, nu, prescription):
+        # every phase is +-1+0j at integer nu, so the array image sum builds each value with an imaginary
+        # part of +0.0 and forms no imaginary sums; the per-pair loop still sums them, to +0.0
+        config = PathSumConfig(prescription=prescription)
+        pairs = [(0.3, 0.3), (1.0, 2.2), (2.9, 0.05), (1.4, 1.7)]
+        lambdas = [3.0, 0.4, 0.1, 0.01]
+        values = pathsum._array_values(nu, pairs, lambdas, config)
+        assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in values)
+        loop = [v for lam in lambdas for v in pathsum._loop_values(nu, pairs, lam, config)]
+        assert list(map(repr, values)) == list(map(repr, loop))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

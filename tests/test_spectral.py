@@ -151,6 +151,24 @@ class TestKernelSpectral:
             assert kernel_spectral(nu, ta, tb, lam).value == kernel_spectral(nu, tb, ta, lam).value
             assert addition_formula_lhs(nu, ta, tb, lam_add) == addition_formula_lhs(nu, tb, ta, lam_add)
 
+    def test_mode_sums_in_blocks_are_the_per_pair_fsums(self, monkeypatch):
+        # the pairs are summed in blocks of at most _BLOCK_PRODUCTS products; at 7 products a 3-mode row
+        # takes 2 pairs a block (7 pairs: blocks of 2, 2, 2 and 1) and a 40-mode row one pair a block.
+        # Every sum must be bitwise the per-pair fsum, whatever the blocks
+        pairs = [(0.4, 1.1), (1.1, 0.4), (2.0, 2.0), (0.4, 2.0), (1.1, 1.1), (2.9, 0.2), (0.2, 0.4)]
+        nu = 2.5
+        for lengths in ((3, 2), (40, 12, 40)):
+            weights = [np.exp(-0.05 * (np.arange(n) + nu) ** 2 / 2.0) for n in lengths]
+            columns = {t: eigenfunctions(max(lengths) - 1, nu, t) for pair in pairs for t in pair}
+            reference = [[math.fsum((w * (columns[a] * columns[b])[:len(w)]).tolist()) for a, b in pairs] for w in weights]
+            one_block = spectral._mode_sums(weights, nu, pairs)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_BLOCK_PRODUCTS", 7)
+                small_blocks = spectral._mode_sums(weights, nu, pairs)
+            assert list(map(repr, sum(small_blocks, []))) == list(map(repr, sum(one_block, []))) == list(map(repr, sum(reference, [])))
+            for i, pair in enumerate(pairs):  # one pair skips the table
+                assert spectral._mode_sums(weights, nu, [pair]) == [[row[i]] for row in reference]
+
     def test_nu1_against_sine_series(self):
         for lam in (0.1, 0.5, 2.0):
             for ta, tb in ((1.1, 2.0), (0.3, 0.4), (2.8, 1.5)):

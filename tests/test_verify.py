@@ -366,6 +366,33 @@ class TestCompareMethods:
         [ratio] = rep.convergence_ratios
         assert math.isnan(ratio)
 
+    def test_deviations_are_the_builtin_expressions(self, monkeypatch):
+        # per row: |Re a - Re b|, over the builtin max(|Re a|, |Re b|) where that is > 0 (max keeps its
+        # first argument when the second is NaN), else 0.0; |Im/Re| of the general path sum, inf at Re 0
+        from boxkernel import verify
+
+        nan, inf = math.nan, math.inf
+        rows = [
+            (complex(nan, 0.0), complex(1.0, 0.5)), (complex(1.0, 0.0), complex(nan, 1.0)),
+            (complex(nan, 0.0), complex(nan, nan)), (complex(0.0, 0.0), complex(0.0, 0.0)),
+            (complex(-0.0, 0.0), complex(0.0, 2.0)), (complex(inf, 0.0), complex(1.0, -3.0)),
+            (complex(1.0, 0.0), complex(inf, 1.0)), (complex(inf, 0.0), complex(inf, inf)),
+            (complex(-inf, 0.0), complex(inf, 0.0)), (complex(1e308, 0.0), complex(-1e308, 1e308)),
+            (complex(5e-324, 0.0), complex(0.0, -0.0)), (complex(2.0, 0.0), complex(5e-324, 1e308)),
+        ]
+        by_method = {"spectral": [a for a, _ in rows], "path_sum_general": [b for _, b in rows]}
+        monkeypatch.setattr(verify, "_evaluate_chain", lambda method, nu, pairs, lambdas, config: by_method[method])
+        grid = [(0.1 * (i + 1), 1.0) for i in range(6)]
+        rep = verify.compare_methods(1.3, grid, [0.4, 0.2], "spectral", "path_sum_general")
+        abs_dev = [abs(a.real - b.real) for a, b in rows]
+        rel_dev = [d / m if m > 0.0 else 0.0 for d, m in zip(abs_dev, (max(abs(a.real), abs(b.real)) for a, b in rows))]
+        im_over_re = [abs(b.imag) / abs(b.real) if b.real != 0.0 else math.inf for _, b in rows]
+        assert list(map(repr, rep.abs_dev)) == list(map(repr, abs_dev))
+        assert list(map(repr, rep.rel_dev)) == list(map(repr, rel_dev))
+        assert list(map(repr, rep.im_over_re)) == list(map(repr, im_over_re))
+        assert all(type(x) is float for x in rep.abs_dev + rep.rel_dev + rep.im_over_re)
+        assert [repr(m) for _, m, _ in rep.per_lambda] == ["nan", "nan"]
+
 
 class TestRunSuites:
     def test_rows_follow_the_registry_order(self):
