@@ -39,16 +39,20 @@ __all__ = [
 
 def _bessel_product(nu: float, theta: float, theta_p: float, lam: float, shift: float) -> float:
     """``sqrt(ss)/lambda * exp(-(1 - cos(theta-theta'))/lambda - shift) * exp(-ss/lambda) I_{nu-1/2}(ss/lambda)``
-    with ``ss = sin theta sin theta'``: the kernel at ``shift = lambda/8``, the addition-formula rhs at 0."""
-    nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
+    with ``ss = sin theta sin theta'``, from checked arguments: the kernel at ``shift = lambda/8``, the addition-formula rhs at 0."""
     ss = math.sin(theta) * math.sin(theta_p)
     half_dist = 2.0 * math.sin(0.5 * (theta - theta_p)) ** 2  # 1 - cos(theta-theta')
     return math.sqrt(ss) / lam * math.exp(-half_dist / lam - shift) * bessel_i_scaled(nu - 0.5, ss / lam)
 
 
+def _closed_chain(nu: float, pairs, lambdas) -> list[float]:
+    """The closed-form core, from checked arguments: the kernel at every pair and lambda, lambda-major."""
+    return [_bessel_product(nu, theta, theta_p, lam, lam / 8.0) for lam in lambdas for theta, theta_p in pairs]
+
+
 def kernel_closed(nu: float, theta: float, theta_p: float, lam: float) -> KernelEstimate:
-    """Closed-form short-time kernel; real, positive, overflow-free."""
-    lam = require_lambda(lam)
+    """Closed-form short-time kernel; real, positive, overflow-free: :func:`_closed_chain`'s body at one point."""
+    nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     value = _bessel_product(nu, theta, theta_p, lam, lam / 8.0)
     return KernelEstimate(value=complex(value, 0.0), method="closed_form", terms_used=1)
 
@@ -140,4 +144,4 @@ def addition_formula_rhs(nu: float, theta: float, theta_p: float, lam: float) ->
     into exp(-2 sin^2((theta-theta')/2)/lambda), evaluated from the half-angle
     form directly.
     """
-    return _bessel_product(nu, theta, theta_p, lam, 0.0)
+    return _bessel_product(*require_point(nu, theta, theta_p, lam), 0.0)

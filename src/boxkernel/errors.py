@@ -5,6 +5,10 @@ angles strictly inside (0, pi), and a strictly positive dimensionless time
 lambda.  Boundary angles are rejected rather than clamped; the eigenfunctions
 vanish there but the reflection-sum routes contain 1/sin(theta) factors that
 do not.
+
+Each argument is checked once, where it enters the library: a public entry
+point checks what it is given, and the private cores it calls (the routes'
+chain cores, the spectral tail scan) take checked values and check nothing.
 """
 
 import math
@@ -45,6 +49,13 @@ def require_lambda(lam: float, name: str = "lambda") -> float:
 def require_point(nu: float, theta: float, theta_p: float, lam: float) -> tuple[float, float, float, float]:
     """Validated ``(nu, theta, theta_p, lambda)`` of one kernel evaluation."""
     return require_nu(nu), require_theta(theta), require_theta(theta_p, "theta_p"), require_lambda(lam)
+
+
+def require_index(n, low: int, rule: str) -> int:
+    """An integer >= ``low`` (any integer type, numpy's too); else ``DomainError`` stating ``rule``, the condition on it."""
+    if not isinstance(n, numbers.Integral) or n < low:
+        raise DomainError(f"{rule} (an integer), got {n!r}")
+    return int(n)
 
 
 def require_count(n, name: str, cap: float = math.inf) -> int:

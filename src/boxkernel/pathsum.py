@@ -38,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, require_count, require_lambda, require_nu, require_point, require_theta
+from .errors import DomainError, require_count, require_nu, require_point
 from .spectral import KernelEstimate
 
 __all__ = [
@@ -199,9 +199,8 @@ def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int, 
 
 
 def _loop_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[complex]:
-    """The reference path-sum core: the :func:`decompose` terms of each pair at one lambda, summed
-    with exact (fsum) reduction, without building them as objects.  The arguments are taken as
-    validated (:func:`_pathsum_chain`, :func:`_point_estimate`).
+    """The reference path-sum core, from checked arguments: the :func:`decompose` terms of each pair
+    at one lambda, summed with exact (fsum) reduction, without building them as objects.
 
     Each weight is a ``math.exp``, so a term whose potential correction
     overflows raises ``OverflowError`` rather than turning into inf.  Images
@@ -270,16 +269,13 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
 
 def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> list[complex]:
     """The path-sum core: the value at every (theta, theta') of ``pairs`` and every lambda of
-    ``lambdas``, lambda-major, after one validation of the arguments.  From ``_ARRAY_MIN_POINTS``
-    points up to ``_ARRAY_MAX_TERMS`` terms it is one array sum over the chain (:func:`_array_values`),
-    otherwise lambda by lambda through :func:`_loop_values`.  The values are bitwise equal, but the
-    refusals are not: the loop refuses at the first pair it meets, the array sum checks every
-    correction before it takes any weight, so it may refuse a later pair with ``DomainError``
-    where the loop meets an earlier pair's ``OverflowError`` first."""
+    ``lambdas``, lambda-major, from checked arguments (``verify.compare_methods``).  From
+    ``_ARRAY_MIN_POINTS`` points up to ``_ARRAY_MAX_TERMS`` terms it is one array sum over the chain
+    (:func:`_array_values`), otherwise lambda by lambda through :func:`_loop_values`.  The values
+    are bitwise equal, but the refusals are not: the loop refuses at the first pair it meets, the
+    array sum checks every correction before it takes any weight, so it may refuse a later pair
+    with ``DomainError`` where the loop meets an earlier pair's ``OverflowError`` first."""
     config = config or _DEFAULT_PATH
-    nu = require_nu(nu)
-    pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in pairs]
-    lambdas = [require_lambda(lam) for lam in lambdas]
     points = len(pairs) * len(lambdas)
     if _ARRAY_MIN_POINTS <= points and points * (4 * config.k_max + 2) <= _ARRAY_MAX_TERMS:
         return _array_values(nu, pairs, lambdas, config)
@@ -289,7 +285,7 @@ def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> l
 def _point_estimate(nu: float, method: str, theta: float, theta_p: float, lam: float, config: PathSumConfig | None) -> KernelEstimate:
     """The path sum at one point, as an estimate; ``terms_used`` is the nominal ``4 k_max + 2``.  One
     point is below ``_ARRAY_MIN_POINTS``, where :func:`_pathsum_chain` always takes the loop, so the
-    arguments are validated here and go to :func:`_loop_values` directly."""
+    arguments are checked here and go to :func:`_loop_values` directly."""
     config = config or _DEFAULT_PATH
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     [value] = _loop_values(nu, [(theta, theta_p)], lam, config)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PolicyUnresolvableError, require_count, require_lambda, require_nu, require_theta
+from .errors import DomainError, PolicyUnresolvableError, require_count, require_index, require_lambda, require_nu, require_theta
 from .specfun import gegenbauer_table
 
 __all__ = [
@@ -138,6 +138,7 @@ def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
     """
     nu = require_nu(nu)
     theta = require_theta(theta)
+    nmax = require_index(nmax, 0, "nmax must be nonnegative")
     return _eigenfunction_matrix(_log_norms(nmax, nu), nu, theta)
 
 
@@ -178,10 +179,11 @@ def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
     legitimate whenever ``r_N < 1`` (and +inf is returned otherwise, which the
     policy resolver treats as "keep adding terms").  ``DomainError`` where log t_N leaves the float range.
     """
-    nu = require_nu(nu)
-    lam = require_lambda(lam)
-    if n_start < 1:
-        raise DomainError("tail bound needs n_start >= 1")
+    return _tail_bound(require_nu(nu), require_lambda(lam), require_index(n_start, 1, "tail bound needs n_start >= 1"))
+
+
+def _tail_bound(nu: float, lam: float, n_start: int) -> float:
+    """:func:`truncation_tail_bound` on checked arguments: the probe of :func:`_resolve`'s scan."""
     log_t = lambda n: -lam * (n + nu) ** 2 / 2.0 + 2.0 * _log_envelope(float(n), nu)
     try:
         t0 = log_t(n_start)
@@ -209,13 +211,13 @@ def _mode_weights(nu: float, lam: float, policy: TruncationPolicy | None) -> tup
 @functools.lru_cache(maxsize=256)
 def _resolve(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, float]:
     """The mode count N that ``policy`` keeps at (nu, lambda), and its tail bound: the first N of a
-    linear scan over :func:`truncation_tail_bound`.  A refusal raises and is not cached; past the
+    linear scan over :func:`truncation_tail_bound`'s body.  A refusal raises and is not cached; past the
     norms' range it comes before any bound."""
     _require_norm_range(nu)
     if policy.n_terms is not None:
-        return policy.n_terms, truncation_tail_bound(nu, lam, policy.n_terms)
+        return policy.n_terms, _tail_bound(nu, lam, policy.n_terms)
     for n_terms in range(1, policy.n_cap + 1):
-        tail = truncation_tail_bound(nu, lam, n_terms)
+        tail = _tail_bound(nu, lam, n_terms)
         if tail <= policy.epsilon_tail:
             return n_terms, tail
     raise PolicyUnresolvableError(
@@ -259,12 +261,10 @@ def _mode_sums(weights: list[np.ndarray], nu: float, pairs) -> list[list[float]]
 
 
 def _spectral_chain(nu: float, pairs, lambdas, policy: TruncationPolicy | None) -> list[tuple[int, float, list[float]]]:
-    """The spectral core: per lambda of ``lambdas``, the mode count N that ``policy`` keeps, its tail
-    bound, and the kernel at each of ``pairs``.  Each lambda is resolved on its own, in chain order;
-    the norms and eigenfunction columns are built once, at the largest N (:func:`_mode_sums`)."""
-    nu = require_nu(nu)
-    pairs = [(require_theta(a, "theta_a"), require_theta(b, "theta_b")) for a, b in pairs]
-    weights = [_mode_weights(nu, require_lambda(lam), policy) for lam in lambdas]
+    """The spectral core, from checked arguments: per lambda of ``lambdas``, the mode count N that ``policy``
+    keeps, its tail bound, and the kernel at each of ``pairs``.  Each lambda is resolved on its own, in chain
+    order; the norms and eigenfunction columns are built once, at the largest N (:func:`_mode_sums`)."""
+    weights = [_mode_weights(nu, lam, policy) for lam in lambdas]
     sums = _mode_sums([w for w, _ in weights], nu, pairs)
     return [(len(w), tail, values) for (w, tail), values in zip(weights, sums)]
 
@@ -282,7 +282,8 @@ def kernel_spectral(
     final reduction uses exact (fsum) summation to protect the 1e-10
     cross-method comparisons downstream.
     """
-    [(n_terms, tail, [value])] = _spectral_chain(nu, [(theta_a, theta_b)], [lam], policy)
+    nu, theta_a, theta_b = require_nu(nu), require_theta(theta_a, "theta_a"), require_theta(theta_b, "theta_b")
+    [(n_terms, tail, [value])] = _spectral_chain(nu, [(theta_a, theta_b)], [require_lambda(lam)], policy)
     return KernelEstimate(value=complex(value, 0.0), method="spectral", terms_used=n_terms, tail_bound=tail)
 
 
@@ -303,7 +304,7 @@ def kernel_spectral_profile(
     theta_a = require_theta(theta_a, "theta_a")
     lam = require_lambda(lam)
     thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas <= 0.0) or np.any(thetas >= math.pi):
+    if thetas.ndim > 1 or not ((thetas > 0.0) & (thetas < math.pi)).all():  # NaN fails both tests
         raise DomainError("profile angles must lie strictly inside (0, pi)")
     weights, _ = _mode_weights(nu, lam, policy)
     log_norms = _log_norms(len(weights) - 1, nu)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closedform import addition_formula_lhs, addition_formula_rhs, kernel_closed
-from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu
-from .pathsum import PRESCRIPTIONS, PathSumConfig, _DEFAULT_PATH, _pathsum_chain, kernel_pathsum_general, kernel_pathsum_nu1, kernel_pathsum_nu2, reflection_phase
+from .closedform import _closed_chain, addition_formula_lhs, addition_formula_rhs, kernel_closed
+from .errors import DomainError, PolicyUnresolvableError, require_index, require_lambda, require_nu, require_theta
+from .pathsum import PRESCRIPTIONS, PathSumConfig, _DEFAULT_PATH, _pathsum_chain, _point_estimate, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
@@ -124,8 +124,7 @@ def gauss_legendre_on_0_pi(npoints: int) -> QuadratureRule:
 
     Built once per size and shared, so its node and weight arrays are read-only.
     """
-    if npoints < 2:
-        raise DomainError("quadrature needs npoints >= 2")
+    npoints = require_index(npoints, 2, "quadrature needs npoints >= 2")
     x, w = np.polynomial.legendre.leggauss(npoints)
     rule = QuadratureRule(nodes=(x + 1.0) * (math.pi / 2.0), weights=w * (math.pi / 2.0))
     rule.nodes.flags.writeable = False
@@ -142,6 +141,7 @@ def check_orthonormality(nu: float, nmax: int, rule: QuadratureRule) -> float:
     certificate in the test suite, not trusted a priori).
     """
     nu = require_nu(nu)
+    nmax = require_index(nmax, 0, "nmax must be nonnegative")
     F = _eigenfunction_matrix(_log_norms(nmax, nu), nu, rule.nodes)
     gram = (F * rule.weights) @ F.T
     return float(np.max(np.abs(gram - np.eye(nmax + 1))))
@@ -160,8 +160,7 @@ def check_gaussian_bessel_link(n: int, nu: float, lam: float) -> float:
     """
     nu = require_nu(nu)
     lam = require_lambda(lam)
-    if n < 0:
-        raise DomainError(f"mode index must be nonnegative, got {n}")
+    n = require_index(n, 0, "mode index must be nonnegative")
     bessel = bessel_i_scaled(nu + n, 1.0 / lam)
     if bessel == 0.0:
         raise DomainError(f"exp(-z) I_{nu + n:g}(z) underflows at z = 1/lambda = {1.0 / lam:g}")
@@ -207,32 +206,32 @@ def evaluate_method(
     lam: float,
     config: EvalConfig | None = None,
 ) -> KernelEstimate:
-    """Dispatch a kernel evaluation by method tag to the method's public scalar kernel."""
+    """Dispatch a kernel evaluation by method tag to the method's scalar kernel."""
     config = config or _DEFAULT_CONFIG
     if method == "spectral":
         return kernel_spectral(nu, theta, theta_p, lam, config.policy)
     if method == "closed_form":
         return kernel_closed(nu, theta, theta_p, lam)
+    return _point_estimate(_path_coupling(method, nu), method, theta, theta_p, lam, config.path)
+
+
+def _path_coupling(method: str, nu: float) -> float:
+    """The coupling of the path sum ``method``: ``nu``, or a fixed coupling, which refuses any other ``nu``."""
     if method in _FIXED_COUPLING and nu != _FIXED_COUPLING[method]:
         raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
-    if method == "path_sum_nu1":
-        return kernel_pathsum_nu1(theta, theta_p, lam, config.path)
-    if method == "path_sum_nu2":
-        return kernel_pathsum_nu2(theta, theta_p, lam, config.path)
-    if method == "path_sum_general":
-        return kernel_pathsum_general(nu, theta, theta_p, lam, config.path)
-    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in _FIXED_COUPLING and method != "path_sum_general":
+        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _FIXED_COUPLING.get(method, nu)
 
 
 def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
     """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
-    lambda-major, through the method's chain core.  The closed form has none, and a fixed-coupling
-    path sum at another ``nu`` refuses: both go point by point through :func:`evaluate_method`."""
+    lambda-major, through the method's chain core, from checked arguments (:func:`compare_methods`)."""
     if method == "spectral":
         return [complex(value, 0.0) for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
-    if method == "path_sum_general" or _FIXED_COUPLING.get(method) == nu:
-        return _pathsum_chain(_FIXED_COUPLING.get(method, nu), pairs, lambdas, config.path)
-    return [evaluate_method(method, nu, theta, theta_p, lam, config).value for lam in lambdas for theta, theta_p in pairs]
+    if method == "closed_form":
+        return [complex(value, 0.0) for value in _closed_chain(nu, pairs, lambdas)]
+    return _pathsum_chain(_path_coupling(method, nu), pairs, lambdas, config.path)
 
 
 def _is_halving_chain(lambdas) -> bool:
@@ -260,44 +259,41 @@ def compare_methods(
     Real parts are compared; |Im/Re| is recorded per point when one of the
     methods is genuinely complex-valued.
 
-    Each method's chain core takes the whole grid and chain at once
-    (``method_a``'s, then ``method_b``'s) and returns plain values: the
-    spectral route resolves N per lambda and builds its norms and
-    eigenfunction columns once, at the largest N; the path sums take one
-    array image sum over the chain from ``pathsum._ARRAY_MIN_POINTS``
-    (pair, lambda) points up to a term cap, and the per-pair loop otherwise.
-    The closed form has no chain core and goes point by point through
-    :func:`evaluate_method`.  The values are bitwise those of the scalar
-    kernels, which are the same cores at one point.
+    ``nu``, every lambda and every angle are checked before any evaluation.
+    Each method's chain core (:func:`_evaluate_chain`) then takes the checked
+    grid and chain at once, ``method_a``'s before ``method_b``'s, and returns
+    plain values, bitwise those of the scalar kernels, which are the same
+    cores at one point.
 
-    A refusal is the one that evaluating point by point meets first: lambda
-    by lambda in chain order, ``method_a`` over the whole grid and then
-    ``method_b``, each pair through :func:`evaluate_method`.  A chain core
-    refuses in its own order (the array image sum checks every potential
-    correction before it takes any weight), so on any refusal the chain is
-    run again one lambda at a time through the chain cores, and the first
-    lambda where a core refuses is replayed point by point in that order,
-    which raises.
+    Of the refusals met in evaluation, the one raised is the one met first
+    point by point: lambda by lambda in chain order, ``method_a`` over the
+    whole grid and then ``method_b``, each pair through :func:`evaluate_method`.
+    A chain core refuses in its own order (the array image sum checks every
+    potential correction before it takes any weight), so on any refusal the
+    chain is run again one lambda at a time through the chain cores, and the
+    first lambda where a core refuses is replayed point by point in that
+    order, which raises.
     """
     nu = require_nu(nu)
     lambda_chain = [require_lambda(l) for l in lambda_chain]
-    if not len(theta_grid) or not lambda_chain:
+    pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in theta_grid]
+    if not pairs or not lambda_chain:
         raise DomainError("comparison needs a nonempty grid and lambda chain")
     if not _decreasing(lambda_chain):
         raise DomainError("lambda chain must be strictly decreasing")
     config = config or _DEFAULT_CONFIG
 
-    grid = tuple((theta, theta_p, lam) for lam in lambda_chain for theta, theta_p in theta_grid)
+    grid = tuple((theta, theta_p, lam) for lam in lambda_chain for theta, theta_p in pairs)
     try:
-        value_a, value_b = (tuple(_evaluate_chain(m, nu, theta_grid, lambda_chain, config)) for m in (method_a, method_b))
+        value_a, value_b = (tuple(_evaluate_chain(m, nu, pairs, lambda_chain, config)) for m in (method_a, method_b))
     except _REFUSALS:
         for lam in lambda_chain:
             try:
                 for method in (method_a, method_b):
-                    _evaluate_chain(method, nu, theta_grid, [lam], config)
+                    _evaluate_chain(method, nu, pairs, [lam], config)
             except _REFUSALS:
                 for method in (method_a, method_b):
-                    for theta, theta_p in theta_grid:
+                    for theta, theta_p in pairs:
                         evaluate_method(method, nu, theta, theta_p, lam, config)
         raise
     # Each step is elementwise, so each deviation is bitwise the scalar expression on its row: |Re a - Re b|,

@@ -369,7 +369,7 @@ class TestExitCodes:
         # the documented exit 3 for nu > 1e4, whatever the cap; at the default cap nu = 15000 scanned
         # 4,096 tail bounds and exited 4, and nu = 1e160 refused for the weights' float range
         calls = []
-        monkeypatch.setattr(spectral, "truncation_tail_bound", lambda *args: calls.append(args))
+        monkeypatch.setattr(spectral, "_tail_bound", lambda *args: calls.append(args))
         code, out, err = run_cli(
             capsys, "kernel", "--nu", nu, "--theta", "1", "--theta-p", "1.2", "--lambda", "1e-4",
             "--method", "spectral", "--n-cap", n_cap,

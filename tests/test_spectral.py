@@ -59,7 +59,7 @@ class TestEigenfunction:
         # resolve scanned ~12 ms to its cap (exit 4), and at 1e160 and 1e306 it met the weights' or the
         # term bound's float range first
         calls = []
-        monkeypatch.setattr(spectral, "truncation_tail_bound", lambda *args: calls.append(args))
+        monkeypatch.setattr(spectral, "_tail_bound", lambda *args: calls.append(args))
         monkeypatch.setattr(closedform, "_series_length", lambda *args: calls.append(args))
         for nu in (np.nextafter(1e4, np.inf), 15000.0, 1e15, 1e160, 1e306):
             with pytest.raises(DomainError, match="accurate for nu <= 10000 only"):
@@ -104,8 +104,10 @@ class TestEigenfunction:
             eigenfunctions(0, 1.0, 0.0)
         with pytest.raises(DomainError):
             eigenfunctions(0, 1.0, math.pi)
-        with pytest.raises(DomainError, match="nmax must be nonnegative"):
-            eigenfunctions(-1, 1.0, 1.0)
+        for nmax in (-1, 2.5):  # 2.5 built phi_0..phi_3
+            with pytest.raises(DomainError, match="nmax must be nonnegative"):
+                eigenfunctions(nmax, 1.0, 1.0)
+        assert eigenfunctions(np.int64(3), 2.5, 1.0).tolist() == eigenfunctions(3, 2.5, 1.0).tolist()
 
 
 class TestTruncationTailBound:
@@ -114,7 +116,7 @@ class TestTruncationTailBound:
         assert all(bounds[i] >= bounds[i + 1] for i in range(len(bounds) - 1))
 
     def test_start_below_one_rejected(self):
-        for n_start in (0, -1):
+        for n_start in (0, -1, 2.5):  # 2.5 gave inf
             with pytest.raises(DomainError, match="n_start >= 1"):
                 truncation_tail_bound(1.0, 0.5, n_start)
 
@@ -255,6 +257,13 @@ class TestKernelSpectral:
                 assert (len(weights), tail) == expected, (nu, lam, policy)
         assert cap_hits > 0
 
+    def test_the_scan_makes_no_argument_check(self, check_calls):
+        # a resolve at a fresh (nu, lambda) probes the tail bound's body, not the checked public bound
+        misses = _resolve.cache_info().misses
+        weights, _ = _mode_weights(2.5, 0.00123457, None)
+        assert _resolve.cache_info().misses == misses + 1 and len(weights) > 100
+        assert not check_calls
+
     def test_resolve_memo_keeps_scalars_only(self):
         # a repeated (nu, lambda, policy) reads N and the tail bound from the memo, and the weight
         # array is built afresh, so no caller can alter another's weights
@@ -310,9 +319,11 @@ class TestKernelSpectral:
             kernel_spectral(1.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             kernel_spectral(1.0, 1.0, math.pi, 1.0)
-        for wall in (0.0, math.pi):
+        # NaN passed the wall tests and met a misleading eigenfunction-table refusal; a 2-D array met numpy's matmul
+        for thetas in ([1.0, 0.0], [1.0, math.pi], [1.0, math.nan], [[1.0, 1.2], [2.0, 0.7]]):
             with pytest.raises(DomainError, match="profile angles must lie strictly inside"):
-                kernel_spectral_profile(1.5, 1.0, np.array([1.0, wall]), 0.5)
+                kernel_spectral_profile(1.5, 1.0, np.array(thetas), 0.5)
+        assert kernel_spectral_profile(1.5, 1.0, np.float64(1.2), 0.5) == kernel_spectral_profile(1.5, 1.0, np.array([1.2]), 0.5)[0]
 
     def test_profile_matches_pointwise(self):
         thetas = np.linspace(0.3, 2.8, 7)

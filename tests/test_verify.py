@@ -55,8 +55,9 @@ class TestQuadrature:
             assert np.all(rule.nodes > 0.0) and np.all(rule.nodes < math.pi)
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(DomainError):
-            gauss_legendre_on_0_pi(1)
+        for npoints in (1, 2.5):  # 2.5 met numpy's raw TypeError
+            with pytest.raises(DomainError, match="quadrature needs npoints >= 2"):
+                gauss_legendre_on_0_pi(npoints)
 
     def test_rule_is_built_once_and_read_only(self):
         rule = gauss_legendre_on_0_pi(33)
@@ -82,6 +83,11 @@ class TestOrthonormality:
         fine = check_orthonormality(1.5, 25, gauss_legendre_on_0_pi(160))
         assert coarse <= 1e-10 and fine <= 1e-10
         assert abs(coarse - fine) <= 1e-10
+
+    def test_nmax_not_an_integer_rejected(self):
+        # 2.5 met numpy's raw TypeError
+        with pytest.raises(DomainError, match=r"^nmax must be nonnegative \(an integer\), got 2.5$"):
+            check_orthonormality(2.0, 2.5, gauss_legendre_on_0_pi(20))
 
     def test_overflowing_table_is_domain_error(self):
         # C_n^nu(cos theta) leaves the float range at the outer nodes of the rule
@@ -116,8 +122,9 @@ class TestGaussianBesselLink:
         assert check_gaussian_bessel_link(60, 3.0, 1.0) == math.inf
 
     def test_negative_mode_index_rejected(self):
-        with pytest.raises(DomainError, match="mode index must be nonnegative"):
-            check_gaussian_bessel_link(-1, 1.5, 0.1)
+        for n in (-1, 2.5):  # 2.5 returned 0.0252
+            with pytest.raises(DomainError, match="mode index must be nonnegative"):
+                check_gaussian_bessel_link(n, 1.5, 0.1)
 
     def test_underflowing_bessel_value_is_a_domain_error(self):
         # exp(-z) I_5001(z) at z = 1e4 underflows while the true ratio is O(1)
@@ -231,6 +238,30 @@ class TestCompareMethods:
             compare_methods(1.0, [], [0.2], "spectral", "path_sum_nu1")
         with pytest.raises(DomainError):
             compare_methods(1.0, [(1.0, 1.0)], [0.1, 0.2], "spectral", "path_sum_nu1")
+        # a bad angle at pair 1 is refused before any evaluation, in either method order: behind a spectral
+        # resolve refusal at pair 0 (lambda = 1e-7), and behind a path-sum overflow at pair 0 (lambda = 5)
+        for grid, lam in (([(1, 1), (1, 0)], 1e-7), ([(0.01, 0.01), (1.0, 0.0)], 5.0)):
+            for methods in (("spectral", "path_sum_general"), ("path_sum_general", "spectral")):
+                with pytest.raises(DomainError, match=r"^theta_p must lie strictly inside \(0, pi\), got 0.0$"):
+                    compare_methods(2.5, grid, [lam], *methods)
+
+    @pytest.mark.parametrize("n_pairs", [1, 9])
+    @pytest.mark.parametrize("methods", [("spectral", "path_sum_general"), ("path_sum_general", "closed_form"), ("closed_form", "spectral")])
+    def test_each_argument_is_checked_once(self, methods, n_pairs, check_calls):
+        # nu and each lambda and angle once, on the way in; the chain cores (the path sums' loop at 1 pair
+        # and their array sum at 9) and the spectral resolve check nothing
+        axis = (0.5, 1.5, 2.5)
+        grid = [(a, b) for a in axis for b in axis][:n_pairs]
+        compare_methods(2.5, grid, [0.4, 0.1], *methods)
+        assert check_calls == {"require_nu": 1, "require_lambda": 2, "require_theta": 2 * n_pairs}
+
+    @pytest.mark.parametrize("methods", [("closed_form", "path_sum_general"), ("path_sum_general", "closed_form")])
+    def test_a_closed_form_refusal_is_the_scalar_kernels(self, methods):
+        # at lambda = 1e-320 the Bessel argument sin theta sin theta' / lambda is inf
+        with pytest.raises(DomainError) as scalar:
+            kernel_closed(2.5, 1.0, 1.2, 1e-320)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(scalar.value))}$"):
+            compare_methods(2.5, [(1.0, 1.2), (0.5, 2.0)], [0.4, 1e-320], *methods)
 
     def test_custom_config_is_honoured(self):
         cfg = EvalConfig(policy=TruncationPolicy(n_terms=40), path=PathSumConfig(k_max=4))
