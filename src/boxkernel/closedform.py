@@ -71,7 +71,12 @@ def addition_formula_terms(lam: float) -> int:
     cap where it does not (large nu).  ``DomainError`` below lambda ~ 1.08e-19, where the cap is past
     the largest index, ``sys.maxsize``.
     """
-    z = 1.0 / require_lambda(lam)
+    return _series_cap(require_lambda(lam))
+
+
+def _series_cap(lam: float) -> int:
+    """:func:`addition_formula_terms` on a checked lambda: the bound of :func:`_series_length`'s search."""
+    z = 1.0 / lam
     cap = z + 12.0 * math.sqrt(z) + 40.0
     if not cap <= sys.maxsize:  # z is inf at subnormal lambda
         raise DomainError(f"addition series: at lambda = {lam:g} its cap of {cap:g} terms is past the largest index, {sys.maxsize}")
@@ -92,10 +97,10 @@ def _series_length(nu: float, lam: float) -> int:
     """The first N in [1, cap] whose geometric tail majorant over t_0, ``R_N / (1 - r_N)`` with
     ``R_N`` the bound of :func:`_log_term_bound` and ``r_N = R_{N+1} / R_N``, is at most 2^-60,
     found by bisection (no N meets it until r_N < 1, and from there the majorant decreases);
-    the cap :func:`addition_formula_terms` where none does.  Compared in log space: ``R_N``
+    the cap :func:`_series_cap` where none does.  Compared in log space: ``R_N``
     overflows at large nu."""
     z = 1.0 / lam
-    cap = addition_formula_terms(lam)
+    cap = _series_cap(lam)
 
     def meets(n: int) -> bool:
         log_t = _log_term_bound(n, nu, z)

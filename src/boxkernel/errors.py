@@ -6,13 +6,31 @@ lambda.  Boundary angles are rejected rather than clamped; the eigenfunctions
 vanish there but the reflection-sum routes contain 1/sin(theta) factors that
 do not.
 
-Each argument is checked once, where it enters the library: a public entry
-point checks what it is given, and the private cores it calls (the routes'
-chain cores, the spectral tail scan) take checked values and check nothing.
+The library has two layers, and calls run in one direction.  A public entry
+point checks each of its arguments once (the three scalar path sums share
+their checks, ``pathsum._point_estimate``) and calls private cores, which take
+checked values and check nothing.  No private function calls a checked public
+entry point, and no public one re-checks its arguments through another public
+one.  The exceptions, each with its reason:
+
+* ``verify.run_suites`` and ``verify._chain_devs`` call the public API by
+  design: they verify it.
+* ``verify.evaluate_method`` delegates to the scalar kernels and checks
+  nothing itself.
+* ``closedform._bessel_product`` and ``verify.check_gaussian_bessel_link``
+  call ``specfun.bessel_i_scaled``: its refusals of an argument that is not
+  positive and finite (``1 / lambda`` is inf at a subnormal lambda) and of a
+  NaN value are their own refusals, and ``tools/cli_cmp.py`` pins the
+  closed form's at ``--lambda-chain 0.4,1e-320``.
+
+The command line is a caller of the library, not a layer of it: it checks
+each flag under the flag's own name before it calls the public entry points.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = ["DomainError", "PolicyUnresolvableError"]
 
@@ -49,6 +67,14 @@ def require_lambda(lam: float, name: str = "lambda") -> float:
 def require_point(nu: float, theta: float, theta_p: float, lam: float) -> tuple[float, float, float, float]:
     """Validated ``(nu, theta, theta_p, lambda)`` of one kernel evaluation."""
     return require_nu(nu), require_theta(theta), require_theta(theta_p, "theta_p"), require_lambda(lam)
+
+
+def require_angles(thetas) -> np.ndarray:
+    """The angles of a profile (a scalar or a vector) as floats, each strictly inside (0, pi)."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim > 1 or not ((thetas > 0.0) & (thetas < math.pi)).all():  # NaN fails both tests
+        raise DomainError("profile angles must lie strictly inside (0, pi)")
+    return thetas
 
 
 def require_index(n, low: int, rule: str) -> int:

@@ -122,13 +122,16 @@ def reflection_phase(k: int, parity: str, nu: float, prescription: str = "A") ->
     nu = require_nu(nu)
     if parity not in ("even", "odd"):
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if prescription == "A":
-        multiple = (2 * k if parity == "even" else 2 * k - 1) * nu
-    elif prescription == "B":
-        multiple = 0.0 if parity == "even" else nu
-    else:
+    if prescription not in PRESCRIPTIONS:
         raise DomainError(f"prescription must be 'A' or 'B', got {prescription!r}")
-    return _unit_phase(multiple)
+    return _phase(k, parity, nu, prescription)
+
+
+def _phase(k: int, parity: str, nu: float, prescription: str) -> complex:
+    """:func:`reflection_phase` on checked arguments."""
+    if prescription == "A":
+        return _unit_phase((2 * k if parity == "even" else 2 * k - 1) * nu)
+    return _unit_phase(0.0 if parity == "even" else nu)
 
 
 def decompose(
@@ -159,8 +162,8 @@ def decompose(
 @functools.lru_cache(maxsize=64)
 def _phases(nu: float, k_max: int, prescription: str) -> tuple[complex, ...]:
     """The phase of each term in (k, parity) order, built once per (nu, k_max, prescription) by
-    :func:`reflection_phase`, so the integer-coupling collapses stay exact."""
-    return tuple(reflection_phase(k, parity, nu, prescription) for k in range(-k_max, k_max + 1) for parity in ("even", "odd"))
+    :func:`reflection_phase`'s body, so the integer-coupling collapses stay exact."""
+    return tuple(_phase(k, parity, nu, prescription) for k in range(-k_max, k_max + 1) for parity in ("even", "odd"))
 
 
 def _live_ks(sep: float, potential: float, lam: float, k_max: int) -> range:
@@ -179,17 +182,13 @@ def _live_ks(sep: float, potential: float, lam: float, k_max: int) -> range:
     return range(lo, hi + 1)
 
 
-def _correction_error(nu: float, theta: float, theta_p: float) -> DomainError:
-    return DomainError(f"path sum: the potential correction leaves the float range at nu = {nu:g}, theta = {theta:g}, theta' = {theta_p:g}")
-
-
 def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int, live: bool = False) -> list[tuple[int, float, float]]:
     """(index in (k, parity) order, gauss_exponent, potential_correction) of the terms of one point,
     even parity first; every k in [-k_max, k_max], or with ``live`` only those of :func:`_live_ks`.
     A correction past the float range raises ``DomainError``; at nu = 1 it is 0 at every angle."""
     coupling, ss = 0.5 * lam * nu * (nu - 1.0), math.sin(theta) * math.sin(theta_p)
     if coupling and not (ss and math.isfinite(coupling / ss)):
-        raise _correction_error(nu, theta, theta_p)
+        raise DomainError(f"path sum: the potential correction leaves the float range at nu = {nu:g}, theta = {theta:g}, theta' = {theta_p:g}")
     correction = coupling / ss if coupling else 0.0
     terms = []
     for parity, sep, potential in ((0, theta - theta_p, -correction), (1, theta + theta_p, correction)):
@@ -232,10 +231,10 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     of :func:`_live_ks` inside it is in the mask.  Each live weight is a ``math.exp`` (numpy's
     exp differs by an ulp), and every other step is elementwise, which rounds as Python does,
     so each value is bitwise the loop's.  A correction past the float range raises
-    ``DomainError`` for the first (lambda, pair) in chain order, and an overflowing weight
-    ``OverflowError``, but all corrections are checked before any weight is taken.  Numpy's
-    floating-point warnings are off: a quotient past the float range is inf, as Python's is,
-    and is refused or masked.
+    ``DomainError`` before any weight is taken, and :func:`_pathsum_chain` runs the loop instead.
+    Once every correction is finite, the weights are taken in (lambda, pair) order, so an
+    overflowing one raises the loop's ``OverflowError``.  Numpy's floating-point warnings are
+    off: a quotient past the float range is inf, as Python's is, and is refused or masked.
 
     Where every live phase is real, as every phase is at integer nu (``_unit_phase`` gives
     exactly +-1+0j), each imaginary term is a zero times a finite weight, so each imaginary sum
@@ -252,7 +251,7 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     with np.errstate(all="ignore"):
         correction = np.where(coupling != 0.0, coupling / ss, 0.0)
         if not np.isfinite(correction).all():
-            raise _correction_error(nu, *pairs[np.argwhere(~np.isfinite(correction))[0][1]])
+            raise DomainError("path sum: a potential correction leaves the float range")
         potential = np.stack([-correction, correction], axis=-1)[:, :, None, :]
         exponent = (neg_square / np.array([2.0 * lam for lam in lambdas])[:, None, None, None] + potential).reshape(len(lambdas) * n_pairs, -1)
     rows, cols = np.nonzero(exponent > -_EXP_FLOOR)
@@ -272,13 +271,15 @@ def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> l
     ``lambdas``, lambda-major, from checked arguments (``verify.compare_methods``).  From
     ``_ARRAY_MIN_POINTS`` points up to ``_ARRAY_MAX_TERMS`` terms it is one array sum over the chain
     (:func:`_array_values`), otherwise lambda by lambda through :func:`_loop_values`.  The values
-    are bitwise equal, but the refusals are not: the loop refuses at the first pair it meets, the
-    array sum checks every correction before it takes any weight, so it may refuse a later pair
-    with ``DomainError`` where the loop meets an earlier pair's ``OverflowError`` first."""
+    are bitwise equal, and so are the refusals: where the array sum refuses a correction, the loop
+    runs instead, and it refuses at the first (lambda, pair) it meets, as the scalar kernels do."""
     config = config or _DEFAULT_PATH
     points = len(pairs) * len(lambdas)
     if _ARRAY_MIN_POINTS <= points and points * (4 * config.k_max + 2) <= _ARRAY_MAX_TERMS:
-        return _array_values(nu, pairs, lambdas, config)
+        try:
+            return _array_values(nu, pairs, lambdas, config)
+        except DomainError:
+            pass
     return [value for lam in lambdas for value in _loop_values(nu, pairs, lam, config)]
 
 

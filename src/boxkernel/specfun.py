@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_index
 
 __all__ = [
     "gegenbauer_table",
@@ -41,11 +41,16 @@ def gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
     recurrence is stable (the dominant solution is the one being computed),
     so no renormalisation pass is needed.  Cost is linear in ``nmax``.
     """
+    nmax = require_index(nmax, 0, "nmax must be nonnegative")
     x = np.asarray(x, dtype=float)
-    if nmax < 0:
-        raise DomainError(f"nmax must be nonnegative, got {nmax}")
     if (np.abs(x) > 1.0).any():
         raise DomainError("Gegenbauer argument must lie in [-1, 1]")
+    return _gegenbauer_table(nmax, nu, x)
+
+
+def _gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
+    """:func:`gegenbauer_table` on checked arguments: the eigenbasis' columns (``spectral._eigenfunction_matrix``)."""
+    x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1,) + x.shape)
     x = x.tolist() if x.ndim == 0 else x  # a scalar gives a vector, its loop runs on Python floats
     out[0] = prev = 1.0

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PolicyUnresolvableError, require_count, require_index, require_lambda, require_nu, require_theta
-from .specfun import gegenbauer_table
+from .errors import DomainError, PolicyUnresolvableError, require_angles, require_count, require_index, require_lambda, require_nu, require_theta
+from .specfun import _gegenbauer_table
 
 __all__ = [
     "TruncationPolicy",
@@ -146,7 +146,7 @@ def _eigenfunction_matrix(log_norms: np.ndarray, nu: float, thetas) -> np.ndarra
     """phi_n(theta) for the n of ``log_norms`` (:func:`_log_norms`); rows are modes, columns follow ``thetas`` (a scalar gives a vector)."""
     nmax = len(log_norms) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        gegenbauer = gegenbauer_table(nmax, nu, np.cos(thetas))
+        gegenbauer = _gegenbauer_table(nmax, nu, np.cos(thetas))
     # a value that leaves the float range stays inf or NaN up the recurrence, so the last row shows it
     if not np.isfinite(gegenbauer[-1]).all():
         raise DomainError(f"eigenfunction table: C_n^nu(cos theta) leaves the float range by n = {nmax} at nu = {nu:g}")
@@ -300,12 +300,12 @@ def kernel_spectral_profile(
     quadrature checks (semigroup composition) where thousands of kernel
     values are needed along a fixed source angle.
     """
-    nu = require_nu(nu)
-    theta_a = require_theta(theta_a, "theta_a")
-    lam = require_lambda(lam)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim > 1 or not ((thetas > 0.0) & (thetas < math.pi)).all():  # NaN fails both tests
-        raise DomainError("profile angles must lie strictly inside (0, pi)")
+    nu, theta_a, lam = require_nu(nu), require_theta(theta_a, "theta_a"), require_lambda(lam)
+    return _spectral_profile(nu, theta_a, require_angles(thetas), lam, policy)
+
+
+def _spectral_profile(nu: float, theta_a: float, thetas: np.ndarray, lam: float, policy: TruncationPolicy | None) -> np.ndarray:
+    """:func:`kernel_spectral_profile` on checked arguments: the profiles of ``verify.check_semigroup``."""
     weights, _ = _mode_weights(nu, lam, policy)
     log_norms = _log_norms(len(weights) - 1, nu)
     fa = _eigenfunction_matrix(log_norms, nu, theta_a)

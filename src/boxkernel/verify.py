@@ -19,17 +19,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closedform import _closed_chain, addition_formula_lhs, addition_formula_rhs, kernel_closed
-from .errors import DomainError, PolicyUnresolvableError, require_index, require_lambda, require_nu, require_theta
+from .errors import DomainError, PolicyUnresolvableError, require_angles, require_index, require_lambda, require_nu, require_theta
 from .pathsum import PRESCRIPTIONS, PathSumConfig, _DEFAULT_PATH, _pathsum_chain, _point_estimate, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
     kernel_spectral,
-    kernel_spectral_profile,
     _DEFAULT_POLICY,
     _eigenfunction_matrix,
     _log_norms,
     _spectral_chain,
+    _spectral_profile,
 )
 from .specfun import bessel_i_scaled
 
@@ -187,12 +187,13 @@ def check_semigroup(
     deviation is pure quadrature plus truncation error.  Raises
     ``DomainError`` where the direct kernel underflows to 0.
     """
-    lambda1 = require_lambda(lambda1, "lambda1")
-    lambda2 = require_lambda(lambda2, "lambda2")
-    ka = kernel_spectral_profile(nu, theta_a, rule.nodes, lambda1, policy)
-    kb = kernel_spectral_profile(nu, theta_b, rule.nodes, lambda2, policy)
+    lambda1, lambda2 = require_lambda(lambda1, "lambda1"), require_lambda(lambda2, "lambda2")
+    nu, theta_a, nodes = require_nu(nu), require_theta(theta_a, "theta_a"), require_angles(rule.nodes)
+    theta_b = require_theta(theta_b, "theta_b")
+    ka = _spectral_profile(nu, theta_a, nodes, lambda1, policy)
+    kb = _spectral_profile(nu, theta_b, nodes, lambda2, policy)
     composed = float(np.sum(rule.weights * ka * kb))
-    direct = kernel_spectral(nu, theta_a, theta_b, lambda1 + lambda2, policy).real
+    [(_, _, [direct])] = _spectral_chain(nu, [(theta_a, theta_b)], [lambda1 + lambda2], policy)
     if direct == 0.0:
         raise DomainError(f"K(theta_a, theta_b; lambda1 + lambda2) underflows to 0 at nu = {nu:g}")
     return abs(composed - direct) / abs(direct)
@@ -267,12 +268,9 @@ def compare_methods(
 
     Of the refusals met in evaluation, the one raised is the one met first
     point by point: lambda by lambda in chain order, ``method_a`` over the
-    whole grid and then ``method_b``, each pair through :func:`evaluate_method`.
-    A chain core refuses in its own order (the array image sum checks every
-    potential correction before it takes any weight), so on any refusal the
-    chain is run again one lambda at a time through the chain cores, and the
-    first lambda where a core refuses is replayed point by point in that
-    order, which raises.
+    whole grid and then ``method_b``, each pair in order.  At one lambda each
+    core refuses as its scalar kernel does at the first refusing pair, so on
+    any refusal the cores are run again one lambda at a time, in that order.
     """
     nu = require_nu(nu)
     lambda_chain = [require_lambda(l) for l in lambda_chain]
@@ -288,13 +286,8 @@ def compare_methods(
         value_a, value_b = (tuple(_evaluate_chain(m, nu, pairs, lambda_chain, config)) for m in (method_a, method_b))
     except _REFUSALS:
         for lam in lambda_chain:
-            try:
-                for method in (method_a, method_b):
-                    _evaluate_chain(method, nu, pairs, [lam], config)
-            except _REFUSALS:
-                for method in (method_a, method_b):
-                    for theta, theta_p in pairs:
-                        evaluate_method(method, nu, theta, theta_p, lam, config)
+            for method in (method_a, method_b):
+                _evaluate_chain(method, nu, pairs, [lam], config)
         raise
     # Each step is elementwise, so each deviation is bitwise the scalar expression on its row: |Re a - Re b|,
     # over the builtin max(|Re a|, |Re b|) where that is > 0 (max keeps |Re a| when |Re b| is NaN), else 0.0.

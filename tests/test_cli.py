@@ -378,8 +378,8 @@ class TestExitCodes:
         assert err == f"domain error: eigenfunction table: the normalisation is accurate for nu <= 10000 only, got nu = {float(nu):g}\n"
 
     def test_a_refused_chain_is_replayed_point_by_point_at_the_refusing_lambda_only(self, capsys, monkeypatch):
-        # the spectral sum refuses at lambda = 1e-7; the 3 lambdas before it (2 methods x 1,600 points) go
-        # through the chain cores again, and the pointwise replay stops at 1e-7's first point
+        # the spectral sum refuses at lambda = 1e-7; the chain cores run again one lambda at a time and
+        # refuse at 1e-7 as the scalar kernel does, so no scalar kernel is called
         calls = []
         scalar = verify.evaluate_method
         monkeypatch.setattr(verify, "evaluate_method", lambda *args: calls.append(args[:5]) or scalar(*args))
@@ -388,7 +388,7 @@ class TestExitCodes:
             "--lambda-chain", "0.4,0.2,0.1,1e-7", "--grid-n", "40",
         )
         assert code == EXIT_POLICY and out == "" and "lambda=1e-07" in err
-        assert calls == [("spectral", 2.5, math.pi / 10.0, math.pi / 10.0, 1e-7)]  # the first grid point
+        assert calls == []
 
     def test_spectral_tail_overflow_is_the_term_cap(self, capsys):
         code, out, err = run_cli(

@@ -1,6 +1,10 @@
-"""Package root: every public name comes from exactly one module's ``__all__``."""
+"""Package root: every public name comes from exactly one module's ``__all__``, and each
+public entry point checks each of its arguments once."""
 
 import dataclasses
+
+import numpy as np
+import pytest
 
 import boxkernel
 from boxkernel import closedform, errors, pathsum, specfun, spectral, verify
@@ -57,3 +61,43 @@ def test_validators_stay_internal():
     assert errors.__all__ == ["DomainError", "PolicyUnresolvableError"]
     assert not any(name.startswith("require_") for name in boxkernel.__all__)
     assert "PRESCRIPTIONS" not in boxkernel.__all__
+
+
+# A point (nu, theta, theta', lambda) and the checks of its four arguments.
+POINT = (2.5, 1.0, 1.2, 0.1)
+POINT_CHECKS = {"require_nu": 1, "require_theta": 2, "require_lambda": 1}
+RULE = verify.gauss_legendre_on_0_pi(40)
+
+ENTRY_POINTS = [
+    (pathsum.kernel_pathsum_nu1, POINT[1:], POINT_CHECKS),
+    (pathsum.kernel_pathsum_nu2, POINT[1:], POINT_CHECKS),
+    (pathsum.kernel_pathsum_general, POINT, POINT_CHECKS),
+    (pathsum.decompose, POINT, POINT_CHECKS),
+    (pathsum.reflection_phase, (1, "odd", 2.5, "B"), {"require_nu": 1}),
+    (spectral.kernel_spectral, POINT, POINT_CHECKS),
+    (spectral.kernel_spectral_profile, (2.5, 1.0, np.array([1.2, 2.0]), 0.1),
+     {"require_nu": 1, "require_theta": 1, "require_lambda": 1, "require_angles": 1}),
+    (spectral.eigenfunctions, (5, 2.5, 1.0), {"require_nu": 1, "require_theta": 1, "require_index": 1}),
+    (spectral.truncation_tail_bound, (2.5, 0.1, 3), {"require_nu": 1, "require_lambda": 1, "require_index": 1}),
+    (closedform.kernel_closed, POINT, POINT_CHECKS),
+    (closedform.addition_formula_lhs, POINT, POINT_CHECKS),
+    (closedform.addition_formula_lhs, POINT + (10,), {**POINT_CHECKS, "require_count": 1}),
+    (closedform.addition_formula_rhs, POINT, POINT_CHECKS),
+    (closedform.addition_formula_terms, (0.1,), {"require_lambda": 1}),
+    (specfun.gegenbauer_table, (5, 2.5, 0.5), {"require_index": 1}),
+    *((verify.evaluate_method, (method,) + POINT, POINT_CHECKS) for method in ("spectral", "closed_form", "path_sum_general")),
+    (verify.evaluate_method, ("path_sum_nu1", 1.0) + POINT[1:], POINT_CHECKS),
+    (verify.check_orthonormality, (2.5, 5, RULE), {"require_nu": 1, "require_index": 1}),
+    (verify.check_gaussian_bessel_link, (2, 2.5, 0.1), {"require_nu": 1, "require_lambda": 1, "require_index": 1}),
+    (verify.check_semigroup, (2.5, 0.3, 0.7, 1.1, 2.0, RULE),
+     {"require_nu": 1, "require_theta": 2, "require_lambda": 2, "require_angles": 1}),
+]
+
+
+@pytest.mark.parametrize("entry, args, checks", ENTRY_POINTS, ids=[f"{entry.__name__}-{i}" for i, (entry, _, _) in enumerate(ENTRY_POINTS)])
+def test_each_argument_is_checked_once(entry, args, checks, check_calls):
+    # the private cores behind an entry point check nothing; the phase table is cleared, so that a
+    # path sum's table miss is counted.  require_point is the three checks of a point, counted one by one.
+    pathsum._phases.cache_clear()
+    entry(*args)
+    assert {name: n for name, n in check_calls.items() if name != "require_point"} == checks

@@ -7,6 +7,7 @@ serves as the reference for the asymptotic couplings.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,27 @@ class TestKernelPathsumGeneral:
         assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in values)
         loop = [v for lam in lambdas for v in pathsum._loop_values(nu, pairs, lam, config)]
         assert list(map(repr, values)) == list(map(repr, loop))
+
+    @pytest.mark.parametrize("pairs, lam, first, refusal", [
+        # pair 1's weight overflows (its correction is ~9e4) before pair 2, whose sines underflow to 0, refuses its correction
+        ([(1.0, 1.2), (0.01, 0.01), (1e-200, 1e-200), (0.5, 2.0), (2.0, 0.5)], 5.0, 1, OverflowError),
+        # pairs 2 and 4 refuse their corrections, and pair 2 is met first
+        ([(1.0, 1.2), (0.5, 2.0), (1e-200, 1e-200), (2.0, 0.5), (1e-170, 1e-170)], 0.1, 2, DomainError),
+    ])
+    def test_a_chain_refuses_as_the_scalar_kernel(self, pairs, lam, first, refusal):
+        # five points take the array image sum; a correction it refuses sends the chain to the loop, so the
+        # refusal is the scalar kernel's at the first refusing pair
+        assert len(pairs) >= pathsum._ARRAY_MIN_POINTS
+        for theta, theta_p in pairs[:first]:
+            kernel_pathsum_general(2.5, theta, theta_p, lam)
+        with pytest.raises(refusal) as scalar:
+            kernel_pathsum_general(2.5, *pairs[first], lam)
+        assert type(scalar.value) is refusal
+        with pytest.raises(refusal, match=f"^{re.escape(str(scalar.value))}$") as chain:
+            pathsum._pathsum_chain(2.5, pairs, [lam], None)
+        assert type(chain.value) is refusal
+        expected = "math range error" if refusal is OverflowError else "theta = 1e-200, theta' = 1e-200"
+        assert str(chain.value).endswith(expected)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

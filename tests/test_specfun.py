@@ -74,6 +74,13 @@ class TestGegenbauer:
         with pytest.raises(DomainError):
             gegenbauer_table(-1, 1.0, 0.5)
 
+    def test_degree_count_is_an_integer(self):
+        # a float count is refused by name, not by numpy's TypeError; a numpy integer is a count
+        for nmax in (2.5, -1):
+            with pytest.raises(DomainError, match=rf"^nmax must be nonnegative \(an integer\), got {nmax}$"):
+                gegenbauer_table(nmax, 1.0, 0.5)
+        assert gegenbauer_table(np.int64(3), 1.7, 0.5).tolist() == gegenbauer_table(3, 1.7, 0.5).tolist()
+
 
 class TestBesselIScaled:
     def test_half_integer_closed_forms(self):

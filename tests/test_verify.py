@@ -13,6 +13,7 @@ from boxkernel import (
     METHODS,
     PathSumConfig,
     PolicyUnresolvableError,
+    QuadratureRule,
     TruncationPolicy,
     check_gaussian_bessel_link,
     check_orthonormality,
@@ -25,6 +26,7 @@ from boxkernel import (
     kernel_pathsum_nu1,
     kernel_pathsum_nu2,
     kernel_spectral,
+    kernel_spectral_profile,
     run_suites,
 )
 
@@ -146,6 +148,30 @@ class TestSemigroup:
         assert kernel_spectral(40.0, 1.1, 2.0, 1.0).real == 0.0
         with pytest.raises(DomainError, match="underflows"):
             check_semigroup(40.0, 0.5, 0.5, 1.1, 2.0, gauss_legendre_on_0_pi(160))
+
+    def test_value_is_the_public_kernels_composition(self):
+        rule, policy = gauss_legendre_on_0_pi(160), TruncationPolicy(n_terms=60)
+        for nu, l1, l2 in ((1.0, 0.5, 0.5), (2.5, 0.3, 0.7)):
+            ka = kernel_spectral_profile(nu, 1.1, rule.nodes, l1, policy)
+            kb = kernel_spectral_profile(nu, 2.0, rule.nodes, l2, policy)
+            direct = kernel_spectral(nu, 1.1, 2.0, l1 + l2, policy).real
+            composed = float(np.sum(rule.weights * ka * kb))
+            assert check_semigroup(nu, l1, l2, 1.1, 2.0, rule, policy) == abs(composed - direct) / abs(direct)
+
+    def test_each_refusal_names_its_argument(self):
+        rule = gauss_legendre_on_0_pi(40)
+        for args, message in (
+            ((0.2, 0.5, 0.5, 1.1, 2.0), "coupling nu must satisfy nu >= 1/2, got 0.2"),
+            ((2.5, 0.0, 0.5, 1.1, 2.0), "lambda1 must be positive and finite, got 0.0"),
+            ((2.5, 0.5, math.inf, 1.1, 2.0), "lambda2 must be positive and finite, got inf"),
+            ((2.5, 0.5, 0.5, 0.0, 2.0), r"theta_a must lie strictly inside \(0, pi\), got 0.0"),
+            ((2.5, 0.5, 0.5, 1.1, 4.0), r"theta_b must lie strictly inside \(0, pi\), got 4.0"),
+        ):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                check_semigroup(*args, rule)
+        walls = QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
+        with pytest.raises(DomainError, match=r"^profile angles must lie strictly inside \(0, pi\)$"):
+            check_semigroup(2.5, 0.5, 0.5, 1.1, 2.0, walls)
 
 
 class TestEvaluateMethod:
