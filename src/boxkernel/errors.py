@@ -11,7 +11,9 @@ point checks each of its arguments once (the three scalar path sums share
 their checks, ``pathsum._point_estimate``) and calls private cores, which take
 checked values and check nothing.  No private function calls a checked public
 entry point, and no public one re-checks its arguments through another public
-one.  The exceptions, each with its reason:
+one.  A value object that carries arguments (``TruncationPolicy``,
+``PathSumConfig``, ``QuadratureRule``) checks its fields when it is built, and
+the functions that take one trust it.  The exceptions, each with its reason:
 
 * ``verify.run_suites`` and ``verify._chain_devs`` call the public API by
   design: they verify it.

@@ -33,6 +33,7 @@ the saddle treatment and shrinks rapidly as lambda decreases.
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -119,6 +120,10 @@ def _unit_phase(multiple: float) -> complex:
 
 def reflection_phase(k: int, parity: str, nu: float, prescription: str = "A") -> complex:
     """Unit phase of the (k, parity) reflection term under either prescription."""
+    try:
+        k = operator.index(k)  # any integer type, numpy's too; a fraction, NaN or inf is refused, not rounded
+    except TypeError:
+        raise DomainError(f"winding k must be an integer, got {k!r}") from None
     nu = require_nu(nu)
     if parity not in ("even", "odd"):
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")

@@ -67,10 +67,26 @@ SUITES = (
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on (0, pi)."""
+    """Nodes and weights on (0, pi), checked when the rule is built.
+
+    The nodes are a nonempty vector of angles strictly inside (0, pi), the
+    weights finite numbers of the nodes' shape; both are kept as read-only
+    float copies, so a rule can be shared and the checks take it on trust.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        nodes, weights = require_angles(self.nodes), np.asarray(self.weights, dtype=float)
+        if nodes.ndim != 1 or not nodes.size:
+            raise DomainError(f"quadrature nodes must be a nonempty vector, got shape {nodes.shape}")
+        if weights.shape != nodes.shape or not np.isfinite(weights).all():
+            raise DomainError(f"quadrature weights must be finite, one per node, got shape {weights.shape} for {nodes.size} nodes")
+        for name, values in (("nodes", nodes), ("weights", weights)):
+            values = values.copy()
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -120,16 +136,10 @@ class ComparisonReport:
 
 @functools.lru_cache(maxsize=16)
 def gauss_legendre_on_0_pi(npoints: int) -> QuadratureRule:
-    """Gauss-Legendre rule mapped affinely from (-1, 1) to (0, pi).
-
-    Built once per size and shared, so its node and weight arrays are read-only.
-    """
+    """Gauss-Legendre rule mapped affinely from (-1, 1) to (0, pi), built once per size and shared."""
     npoints = require_index(npoints, 2, "quadrature needs npoints >= 2")
     x, w = np.polynomial.legendre.leggauss(npoints)
-    rule = QuadratureRule(nodes=(x + 1.0) * (math.pi / 2.0), weights=w * (math.pi / 2.0))
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+    return QuadratureRule(nodes=(x + 1.0) * (math.pi / 2.0), weights=w * (math.pi / 2.0))
 
 
 def check_orthonormality(nu: float, nmax: int, rule: QuadratureRule) -> float:
@@ -138,7 +148,8 @@ def check_orthonormality(nu: float, nmax: int, rule: QuadratureRule) -> float:
     The integrands are products of degree <= 2 nmax polynomials in cos(theta)
     times sin^{2 nu}(theta); 2 nmax + 30 points resolve them for nu <= 10 only,
     and the rule must grow with nu beyond that (validated by the doubling
-    certificate in the test suite, not trusted a priori).
+    certificate in the test suite, not trusted a priori).  The rule is
+    checked when it is built (:class:`QuadratureRule`), not here.
     """
     nu = require_nu(nu)
     nmax = require_index(nmax, 0, "nmax must be nonnegative")
@@ -185,13 +196,13 @@ def check_semigroup(
     The evolution kernels compose exactly:
     int K(a, t; l1) K(t, b; l2) dt = K(a, b; l1 + l2), so any measured
     deviation is pure quadrature plus truncation error.  Raises
-    ``DomainError`` where the direct kernel underflows to 0.
+    ``DomainError`` where the direct kernel underflows to 0.  The rule is
+    checked when it is built (:class:`QuadratureRule`), not here.
     """
     lambda1, lambda2 = require_lambda(lambda1, "lambda1"), require_lambda(lambda2, "lambda2")
-    nu, theta_a, nodes = require_nu(nu), require_theta(theta_a, "theta_a"), require_angles(rule.nodes)
-    theta_b = require_theta(theta_b, "theta_b")
-    ka = _spectral_profile(nu, theta_a, nodes, lambda1, policy)
-    kb = _spectral_profile(nu, theta_b, nodes, lambda2, policy)
+    nu, theta_a, theta_b = require_nu(nu), require_theta(theta_a, "theta_a"), require_theta(theta_b, "theta_b")
+    ka = _spectral_profile(nu, theta_a, rule.nodes, lambda1, policy)
+    kb = _spectral_profile(nu, theta_b, rule.nodes, lambda2, policy)
     composed = float(np.sum(rule.weights * ka * kb))
     [(_, _, [direct])] = _spectral_chain(nu, [(theta_a, theta_b)], [lambda1 + lambda2], policy)
     if direct == 0.0:

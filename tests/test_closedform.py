@@ -29,7 +29,7 @@ from boxkernel import (
     addition_formula_terms,
     kernel_closed,
 )
-from boxkernel.closedform import _series_length
+from boxkernel.closedform import _LOG_SERIES_TAIL, _log_term_bound, _series_length
 
 mpmath.mp.dps = 40
 
@@ -239,6 +239,25 @@ class TestAdditionSeriesLength:
         for nu, ta, tb, lam in inputs:
             assert _series_length(nu, lam) < addition_formula_terms(lam)
             assert addition_formula_lhs(nu, ta, tb, lam) == addition_formula_lhs(nu, ta, tb, lam, n_terms=addition_formula_terms(lam))
+
+    def test_bisection_finds_the_first_length_a_linear_scan_finds(self):
+        # the bisection is right only if its predicate, once met, stays met up to the cap: on 500 seeded
+        # points, nu log-uniform in [0.5, 1e4] and lambda in [1e-4, 30], it returns the first N in
+        # [1, cap] a scan meets, or the cap where none does
+        rng = np.random.default_rng(500)
+        for _ in range(500):
+            nu = math.exp(rng.uniform(math.log(0.5), math.log(1e4)))
+            lam = math.exp(rng.uniform(math.log(1e-4), math.log(30.0)))
+            z, cap = 1.0 / lam, addition_formula_terms(lam)
+            first, log_t = cap, _log_term_bound(1, nu, z)
+            for n in range(1, cap + 1):
+                log_next = _log_term_bound(n + 1, nu, z)
+                log_r = log_next - log_t
+                if log_r < 0.0 and log_t - math.log(-math.expm1(log_r)) <= _LOG_SERIES_TAIL:
+                    first = n
+                    break
+                log_t = log_next
+            assert _series_length(nu, lam) == first, (nu, lam)
 
     def test_length_grows_like_inverse_sqrt_lambda(self):
         # a hundredfold smaller lambda: ~10x the terms (sqrt(z log(1/eps))), where the cap takes 43x

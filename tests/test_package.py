@@ -84,13 +84,13 @@ ENTRY_POINTS = [
     (closedform.addition_formula_lhs, POINT + (10,), {**POINT_CHECKS, "require_count": 1}),
     (closedform.addition_formula_rhs, POINT, POINT_CHECKS),
     (closedform.addition_formula_terms, (0.1,), {"require_lambda": 1}),
-    (specfun.gegenbauer_table, (5, 2.5, 0.5), {"require_index": 1}),
+    (specfun.gegenbauer_table, (5, 2.5, 0.5), {"require_index": 1, "require_nu": 1}),
     *((verify.evaluate_method, (method,) + POINT, POINT_CHECKS) for method in ("spectral", "closed_form", "path_sum_general")),
     (verify.evaluate_method, ("path_sum_nu1", 1.0) + POINT[1:], POINT_CHECKS),
     (verify.check_orthonormality, (2.5, 5, RULE), {"require_nu": 1, "require_index": 1}),
     (verify.check_gaussian_bessel_link, (2, 2.5, 0.1), {"require_nu": 1, "require_lambda": 1, "require_index": 1}),
-    (verify.check_semigroup, (2.5, 0.3, 0.7, 1.1, 2.0, RULE),
-     {"require_nu": 1, "require_theta": 2, "require_lambda": 2, "require_angles": 1}),
+    (verify.check_semigroup, (2.5, 0.3, 0.7, 1.1, 2.0, RULE), {"require_nu": 1, "require_theta": 2, "require_lambda": 2}),
+    (verify.QuadratureRule, (RULE.nodes, RULE.weights), {"require_angles": 1}),
 ]
 
 
@@ -101,3 +101,65 @@ def test_each_argument_is_checked_once(entry, args, checks, check_calls):
     pathsum._phases.cache_clear()
     entry(*args)
     assert {name: n for name, n in check_calls.items() if name != "require_point"} == checks
+
+
+# Every public entry point that takes a number, as a function of plain numbers, with the kind of each
+# argument: "f" a float, "i" an integer.  A vector, a grid or a chain carries its number as an entry.
+DOORS = [
+    ("gegenbauer_table", specfun.gegenbauer_table, (3, 2.5, 0.5), "iff"),
+    ("bessel_i_scaled", specfun.bessel_i_scaled, (1.5, 10.0), "ff"),
+    ("bessel_asymptotic_leading", specfun.bessel_asymptotic_leading, (1.5, 10.0), "ff"),
+    ("TruncationPolicy", spectral.TruncationPolicy, (10, 1e-12, 4096), "ifi"),
+    ("eigenfunctions", spectral.eigenfunctions, (5, 2.5, 1.0), "iff"),
+    ("truncation_tail_bound", spectral.truncation_tail_bound, (2.5, 0.1, 3), "ffi"),
+    ("kernel_spectral", spectral.kernel_spectral, POINT, "ffff"),
+    ("kernel_spectral_profile", lambda nu, theta_a, theta, lam: spectral.kernel_spectral_profile(nu, theta_a, np.array([1.2, theta]), lam),
+     POINT, "ffff"),
+    ("kernel_closed", closedform.kernel_closed, POINT, "ffff"),
+    ("addition_formula_lhs", closedform.addition_formula_lhs, POINT + (10,), "ffffi"),
+    ("addition_formula_rhs", closedform.addition_formula_rhs, POINT, "ffff"),
+    ("addition_formula_terms", closedform.addition_formula_terms, (0.1,), "f"),
+    ("PathSumConfig", pathsum.PathSumConfig, (8,), "i"),
+    ("reflection_phase", lambda k, nu: pathsum.reflection_phase(k, "odd", nu, "B"), (1, 2.5), "if"),
+    ("decompose", pathsum.decompose, POINT, "ffff"),
+    ("kernel_pathsum_nu1", pathsum.kernel_pathsum_nu1, POINT[1:], "fff"),
+    ("kernel_pathsum_nu2", pathsum.kernel_pathsum_nu2, POINT[1:], "fff"),
+    ("kernel_pathsum_general", pathsum.kernel_pathsum_general, POINT, "ffff"),
+    ("QuadratureRule", lambda node, weight: verify.QuadratureRule(np.array([0.5, node]), np.array([1.0, weight])), (1.0, 1.0), "ff"),
+    ("gauss_legendre_on_0_pi", verify.gauss_legendre_on_0_pi, (4,), "i"),
+    ("check_orthonormality", lambda nu, nmax: verify.check_orthonormality(nu, nmax, RULE), (2.5, 5), "fi"),
+    ("check_gaussian_bessel_link", verify.check_gaussian_bessel_link, (2, 2.5, 0.1), "iff"),
+    ("check_semigroup", lambda *args: verify.check_semigroup(*args, RULE), (2.5, 0.3, 0.7, 1.1, 2.0), "fffff"),
+    *((f"evaluate_method-{method}", lambda *point, method=method: verify.evaluate_method(method, *point), point, "f" * len(point))
+      for method, point in (("spectral", POINT), ("closed_form", POINT), ("path_sum_nu1", (1.0,) + POINT[1:]),
+                            ("path_sum_nu2", (2.0,) + POINT[1:]), ("path_sum_general", POINT))),
+    ("compare_methods", lambda nu, theta, theta_p, lam1, lam2: verify.compare_methods(
+        nu, [(theta, theta_p)], [lam1, lam2], "spectral", "path_sum_general"), POINT + (0.05,), "fffff"),
+    ("run_suites", lambda nu: list(verify.run_suites(("phases",), nu)), (2.5,), "f"),
+]
+BAD_VALUES = {"f": (np.nan, np.inf, -np.inf), "i": (2.5, np.nan)}
+# Public callables that take no number: the errors, the result records and the config of configs.
+NUMBERLESS = {"DomainError", "PolicyUnresolvableError", "KernelEstimate", "ReflectionTerm", "ComparisonReport", "EvalConfig"}
+
+
+def test_the_audit_covers_every_door():
+    doors = {name for name in boxkernel.__all__ if callable(getattr(boxkernel, name))} - NUMBERLESS
+    assert doors == {door[0].split("-")[0] for door in DOORS}
+
+
+@pytest.mark.parametrize("entry, args, kinds", [door[1:] for door in DOORS], ids=[door[0] for door in DOORS])
+def test_no_door_lets_nan_inf_or_a_fraction_through(entry, args, kinds):
+    # each float argument in turn is NaN or +-inf, each integer argument 2.5 or NaN: every call refuses
+    # with one of the library's errors, neither returning (a NaN, say) nor raising any other exception
+    entry(*args)
+    let_through = []
+    for i, kind in enumerate(kinds):
+        for bad in BAD_VALUES[kind]:
+            try:
+                outcome = entry(*args[:i], bad, *args[i + 1:])
+            except (errors.DomainError, errors.PolicyUnresolvableError):
+                continue
+            except Exception as exc:
+                outcome = exc
+            let_through.append((i, bad, repr(outcome)[:80]))
+    assert let_through == []

@@ -86,6 +86,14 @@ class TestReflectionPhase:
         with pytest.raises(DomainError):
             reflection_phase(0, "sideways", 1.0)
 
+    def test_winding_must_be_an_integer(self):
+        # k = 1.5 gave -1 under prescription B, NaN numpy's ValueError and inf an OverflowError under A
+        for k in (1.5, 2.0, math.nan, math.inf):
+            for prescription in pathsum.PRESCRIPTIONS:
+                with pytest.raises(DomainError, match=rf"^winding k must be an integer, got {k}$"):
+                    reflection_phase(k, "odd", 2.5, prescription)
+        assert reflection_phase(np.int64(3), "odd", 2.5) == reflection_phase(3, "odd", 2.5)
+
     def test_unknown_prescription_rejected(self):
         for prescription in ("C", "a", ""):
             with pytest.raises(DomainError, match="prescription must be 'A' or 'B'"):

@@ -81,6 +81,14 @@ class TestGegenbauer:
                 gegenbauer_table(nmax, 1.0, 0.5)
         assert gegenbauer_table(np.int64(3), 1.7, 0.5).tolist() == gegenbauer_table(3, 1.7, 0.5).tolist()
 
+    def test_coupling_and_argument_are_checked(self):
+        # nu = NaN and nu = 0.1 returned values, an x of NaN a column of NaNs
+        for nu in (math.nan, 0.1):
+            with pytest.raises(DomainError, match=rf"^coupling nu must satisfy nu >= 1/2, got {nu}$"):
+                gegenbauer_table(3, nu, 0.5)
+        with pytest.raises(DomainError, match=r"^Gegenbauer argument must lie in \[-1, 1\]$"):
+            gegenbauer_table(3, 2.5, np.array([0.5, math.nan]))
+
 
 class TestBesselIScaled:
     def test_half_integer_closed_forms(self):
@@ -175,6 +183,15 @@ class TestBesselAsymptoticLeading:
         for z in (0.0, -1.0):
             with pytest.raises(DomainError, match="Bessel argument must be positive"):
                 bessel_asymptotic_leading(0.5, z, keep_reflected=True)
+
+    def test_exponent_past_the_float_range_rejected(self):
+        # exp(z - c) overflowed (z = 800: a raw OverflowError), and with the reflected branch exp(c - z)
+        assert math.isfinite(bessel_asymptotic_leading(0.5, 709.0))
+        for order, z, keep_reflected in ((0.5, 800.0, False), (1.5, math.inf, False), (1000.0, 10.0, True)):
+            with pytest.raises(DomainError, match=r"^Bessel asymptotics: exp\(.*\) leaves the float range"):
+                bessel_asymptotic_leading(order, z, keep_reflected)
+        with pytest.raises(DomainError, match=r"^Bessel order must be finite, got nan$"):
+            bessel_asymptotic_leading(math.nan, 10.0)
 
     def test_error_against_series_value(self):
         err = abs(

@@ -71,6 +71,28 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
+    def test_rule_checks_itself_when_built(self):
+        # nodes off (0, pi) or not a nonempty vector, and weights too many or not finite: none reaches a check
+        for nodes, weights, message in (
+            ([0.5, 4.0], [1.0, 1.0], r"^profile angles must lie strictly inside \(0, pi\)$"),
+            ([0.5, math.nan], [1.0, 1.0], r"^profile angles must lie strictly inside \(0, pi\)$"),
+            ([[0.5, 1.0]], [[1.0, 1.0]], r"^profile angles must lie strictly inside \(0, pi\)$"),
+            ([], [], r"^quadrature nodes must be a nonempty vector, got shape \(0,\)$"),
+            (1.0, 1.0, r"^quadrature nodes must be a nonempty vector, got shape \(\)$"),
+            ([0.5, 1.0], [1.0, 1.0, 1.0], r"^quadrature weights must be finite, one per node, got shape \(3,\) for 2 nodes$"),
+            ([0.5, 1.0], [1.0, math.nan], r"^quadrature weights must be finite, one per node, got shape \(2,\) for 2 nodes$"),
+            ([0.5, 1.0], [1.0, -math.inf], r"^quadrature weights must be finite, one per node, got shape \(2,\) for 2 nodes$"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
+
+    def test_rule_keeps_read_only_float_copies(self):
+        nodes, weights = np.array([1, 2]), [0.5, 0.5]
+        rule = QuadratureRule(nodes=nodes, weights=weights)
+        nodes[0] = 0
+        assert rule.nodes.tolist() == [1.0, 2.0] and rule.nodes.dtype == float and rule.weights.dtype == float
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+
 
 class TestOrthonormality:
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.7])
@@ -169,9 +191,8 @@ class TestSemigroup:
         ):
             with pytest.raises(DomainError, match=f"^{message}$"):
                 check_semigroup(*args, rule)
-        walls = QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
         with pytest.raises(DomainError, match=r"^profile angles must lie strictly inside \(0, pi\)$"):
-            check_semigroup(2.5, 0.5, 0.5, 1.1, 2.0, walls)
+            check_semigroup(2.5, 0.5, 0.5, 1.1, 2.0, QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0])))
 
 
 class TestEvaluateMethod:
