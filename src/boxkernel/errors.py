@@ -72,9 +72,11 @@ def require_point(nu: float, theta: float, theta_p: float, lam: float) -> tuple[
 
 
 def require_angles(thetas) -> np.ndarray:
-    """The angles of a profile (a scalar or a vector) as floats, each strictly inside (0, pi)."""
+    """The angles of a profile (a scalar or a nonempty vector) as floats, each strictly inside (0, pi)."""
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim > 1 or not ((thetas > 0.0) & (thetas < math.pi)).all():  # NaN fails both tests
+    if thetas.ndim > 1 or not thetas.size:
+        raise DomainError(f"profile angles must be a scalar or a nonempty vector, got shape {thetas.shape}")
+    if not ((thetas > 0.0) & (thetas < math.pi)).all():  # NaN fails both tests
         raise DomainError("profile angles must lie strictly inside (0, pi)")
     return thetas
 

@@ -73,6 +73,11 @@ _ARRAY_MAX_TERMS = 1 << 20
 
 PRESCRIPTIONS = ("A", "B")
 
+# The parity names, indexed by the parity's offset in (k, parity) order.
+_PARITIES = ("even", "odd")
+
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class PathSumConfig:
@@ -125,7 +130,7 @@ def reflection_phase(k: int, parity: str, nu: float, prescription: str = "A") ->
     except TypeError:
         raise DomainError(f"winding k must be an integer, got {k!r}") from None
     nu = require_nu(nu)
-    if parity not in ("even", "odd"):
+    if parity not in _PARITIES:
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
     if prescription not in PRESCRIPTIONS:
         raise DomainError(f"prescription must be 'A' or 'B', got {prescription!r}")
@@ -150,25 +155,33 @@ def decompose(
 
     Summing ``phase * exp(gauss_exponent + potential_correction)`` over the
     returned list and dividing by sqrt(2 pi lambda) reproduces
-    :func:`kernel_pathsum_general` bit for bit: the kernels take the same
-    phases and exponents (``_phases``, ``_exponents``) and sum them without
-    building term objects.  This list is the introspection view: it holds
-    every image, also those whose weight underflows to exactly 0, which the
-    kernels do not evaluate (their ``terms_used`` is still the nominal
-    ``4 k_max + 2``).
+    :func:`kernel_pathsum_general` bit for bit: both take the geometry of
+    :func:`_images` and the phases of ``_phase``.  The kernels sum only the
+    live images (:func:`_live_ks`), with a phase table that reaches the largest
+    live |k| and forms no imaginary sum where it is all real (:func:`_phases`);
+    their ``terms_used`` is still the nominal ``4 k_max + 2``.  This list is the
+    introspection view: it holds every image, also those of weight exactly 0.
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     config = config or _DEFAULT_PATH
-    labels = [(k, parity) for k in range(-config.k_max, config.k_max + 1) for parity in ("even", "odd")]
-    terms = zip(labels, _phases(nu, config.k_max, config.prescription), sorted(_exponents(nu, theta, theta_p, lam, config.k_max)))
-    return [ReflectionTerm(k, parity, phase, gauss, potential) for (k, parity), phase, (_, gauss, potential) in terms]
+    images = _images(nu, theta, theta_p, lam, config.k_max, live=False)
+    return [
+        ReflectionTerm(k, parity, _phase(k, parity, nu, config.prescription), -((sep - _TWO_PI * k) ** 2) / (2.0 * lam), potential)
+        for k in range(-config.k_max, config.k_max + 1)
+        for parity, (_, sep, potential, _) in zip(_PARITIES, images)
+    ]
 
 
 @functools.lru_cache(maxsize=64)
-def _phases(nu: float, k_max: int, prescription: str) -> tuple[complex, ...]:
-    """The phase of each term in (k, parity) order, built once per (nu, k_max, prescription) by
-    :func:`reflection_phase`'s body, so the integer-coupling collapses stay exact."""
-    return tuple(_phase(k, parity, nu, prescription) for k in range(-k_max, k_max + 1) for parity in ("even", "odd"))
+def _phases(nu: float, reach: int, prescription: str) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
+    """The real and imaginary parts of the phases of the terms with |k| <= ``reach``, the term (k, parity)
+    at ``2 (k + reach) + parity``; each is :func:`reflection_phase`'s body, whatever the reach, so the
+    integer-coupling collapses stay exact.  The imaginary parts are ``None`` where all are 0, as at integer
+    nu (``_unit_phase`` gives +-1+0j): each imaginary sum would be +0.0.  Callers ask for the largest live
+    |k|, not for ``k_max``."""
+    table = [_phase(k, parity, nu, prescription) for k in range(-reach, reach + 1) for parity in _PARITIES]
+    im = tuple(phase.imag for phase in table)
+    return tuple(phase.real for phase in table), im if any(im) else None
 
 
 def _live_ks(sep: float, potential: float, lam: float, k_max: int) -> range:
@@ -182,46 +195,52 @@ def _live_ks(sep: float, potential: float, lam: float, k_max: int) -> range:
     if not potential > -_EXP_FLOOR:
         return range(0)
     reach = math.sqrt(2.0 * lam * (_EXP_FLOOR + potential))
-    lo = math.floor(max(-k_max, (sep - reach) / (2.0 * math.pi)))
-    hi = math.ceil(min(k_max, (sep + reach) / (2.0 * math.pi)))
+    lo = math.floor(max(-k_max, (sep - reach) / _TWO_PI))
+    hi = math.ceil(min(k_max, (sep + reach) / _TWO_PI))
     return range(lo, hi + 1)
 
 
-def _exponents(nu: float, theta: float, theta_p: float, lam: float, k_max: int, live: bool = False) -> list[tuple[int, float, float]]:
-    """(index in (k, parity) order, gauss_exponent, potential_correction) of the terms of one point,
-    even parity first; every k in [-k_max, k_max], or with ``live`` only those of :func:`_live_ks`.
-    A correction past the float range raises ``DomainError``; at nu = 1 it is 0 at every angle."""
+def _images(nu: float, theta: float, theta_p: float, lam: float, k_max: int, live: bool) -> tuple[tuple[int, float, float, range], ...]:
+    """(parity, saddle distance, potential correction, windings) of each parity of one point, even (0)
+    first; the windings are every k in [-k_max, k_max], or with ``live`` those of :func:`_live_ks`.  A
+    correction past the float range raises ``DomainError``; at nu = 1 it is 0 at every angle."""
     coupling, ss = 0.5 * lam * nu * (nu - 1.0), math.sin(theta) * math.sin(theta_p)
     if coupling and not (ss and math.isfinite(coupling / ss)):
         raise DomainError(f"path sum: the potential correction leaves the float range at nu = {nu:g}, theta = {theta:g}, theta' = {theta_p:g}")
     correction = coupling / ss if coupling else 0.0
-    terms = []
-    for parity, sep, potential in ((0, theta - theta_p, -correction), (1, theta + theta_p, correction)):
-        ks = _live_ks(sep, potential, lam, k_max) if live else range(-k_max, k_max + 1)
-        terms += [(2 * (k + k_max) + parity, -((sep - 2.0 * math.pi * k) ** 2) / (2.0 * lam), potential) for k in ks]
-    return terms
+    even, odd = theta - theta_p, theta + theta_p
+    if live:
+        return (0, even, -correction, _live_ks(even, -correction, lam, k_max)), (1, odd, correction, _live_ks(odd, correction, lam, k_max))
+    ks = range(-k_max, k_max + 1)
+    return (0, even, -correction, ks), (1, odd, correction, ks)
 
 
 def _loop_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[complex]:
-    """The reference path-sum core, from checked arguments: the :func:`decompose` terms of each pair
-    at one lambda, summed with exact (fsum) reduction, without building them as objects.
-
-    Each weight is a ``math.exp``, so a term whose potential correction
-    overflows raises ``OverflowError`` rather than turning into inf.  Images
-    whose weight underflows to exactly 0 are not evaluated (:func:`_live_ks`):
-    each would add a +-0.0 that fsum ignores, so the value is bitwise that of
-    the full sum.
-    """
-    phases = _phases(nu, config.k_max, config.prescription)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
+    """The reference path-sum core, from checked arguments: the :func:`decompose` sum of each pair at
+    one lambda, with exact (fsum) reduction, in one pass over the pair's live images (:func:`_live_ks`).
+    Each image left out has weight exactly 0, a +-0.0 that fsum ignores, so the value is bitwise the
+    full sum's.  The phases come from the table that reaches the pair's largest live |k|; where it is
+    all real (:func:`_phases`), the imaginary part is +0.0 and no imaginary sum is formed.  Each weight
+    is a ``math.exp``, so a weight past the float range raises ``OverflowError``, not inf."""
+    norm, two_lam = 1.0 / math.sqrt(_TWO_PI * lam), 2.0 * lam
     values = []
     for theta, theta_p in pairs:
+        images = _images(nu, theta, theta_p, lam, config.k_max, live=True)
+        (*_, even), (*_, odd) = images
+        # the largest live |k|; an empty range is range(0), whose ends give at most 0
+        reach = max(-even.start, even.stop - 1, -odd.start, odd.stop - 1)
+        re_phases, im_phases = _phases(nu, reach, config.prescription)
         re, im = [], []
-        for i, gauss, potential in _exponents(nu, theta, theta_p, lam, config.k_max, live=True):
-            w, phase = math.exp(gauss + potential), phases[i]
-            re.append(phase.real * w)
-            im.append(phase.imag * w)
-        values.append(complex(norm * math.fsum(re), norm * math.fsum(im)))
+        for parity, sep, potential, ks in images:
+            i = 2 * (ks.start + reach) + parity
+            for k in ks:
+                # bitwise exp(gauss_exponent + potential_correction) of decompose's term
+                w = math.exp(potential - (sep - _TWO_PI * k) ** 2 / two_lam)
+                re.append(re_phases[i] * w)
+                if im_phases:
+                    im.append(im_phases[i] * w)
+                i += 2
+        values.append(complex(norm * math.fsum(re), norm * math.fsum(im) if im_phases else 0.0))
     return values
 
 
@@ -241,16 +260,15 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     overflowing one raises the loop's ``OverflowError``.  Numpy's floating-point warnings are
     off: a quotient past the float range is inf, as Python's is, and is refused or masked.
 
-    Where every live phase is real, as every phase is at integer nu (``_unit_phase`` gives
-    exactly +-1+0j), each imaginary term is a zero times a finite weight, so each imaginary sum
-    is fsum's +0.0 times ``norm``, +0.0: the values are built with an imaginary part of 0.0 and
-    the imaginary terms are not formed.
+    The phases come from the table that reaches the chain's largest live |k| (:func:`_phases`);
+    where it is all real, the values are built with an imaginary part of +0.0, as the loop's are,
+    and the imaginary terms are not formed.
     """
     k_max, n_pairs = config.k_max, len(pairs)
     sines = {theta: math.sin(theta) for theta in {t for pair in pairs for t in pair}}
     ss = np.array([sines[a] * sines[b] for a, b in pairs])
     # saddle distances in (pair, k, parity) order, the order of _phases
-    d = np.array([(a - b, a + b) for a, b in pairs])[:, None, :] - (2.0 * math.pi * np.arange(-k_max, k_max + 1))[:, None]
+    d = np.array([(a - b, a + b) for a, b in pairs])[:, None, :] - (_TWO_PI * np.arange(-k_max, k_max + 1))[:, None]
     neg_square = -np.fromiter(map(math.pow, d.ravel().tolist(), repeat(2.0)), float, d.size).reshape(d.shape)
     coupling = np.array([0.5 * lam * nu * (nu - 1.0) for lam in lambdas])[:, None]
     with np.errstate(all="ignore"):
@@ -261,13 +279,16 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
         exponent = (neg_square / np.array([2.0 * lam for lam in lambdas])[:, None, None, None] + potential).reshape(len(lambdas) * n_pairs, -1)
     rows, cols = np.nonzero(exponent > -_EXP_FLOOR)
     weights = np.fromiter(map(math.exp, exponent[rows, cols].tolist()), float, len(rows))
-    phases = np.array(_phases(nu, k_max, config.prescription))[cols]
-    re = (weights * phases.real).tolist()
+    # column 2 (k + k_max) + parity is the term (k, parity); the table reaches the largest live |k|
+    reach = int(max(k_max - cols.min() // 2, cols.max() // 2 - k_max)) if len(cols) else 0
+    re_phases, im_phases = _phases(nu, reach, config.prescription)
+    index = cols - 2 * (k_max - reach)
+    re = (weights * np.array(re_phases)[index]).tolist()
     ends = np.bincount(rows, minlength=len(exponent)).cumsum().tolist()
-    norms = [1.0 / math.sqrt(2.0 * math.pi * lam) for lam in lambdas for _ in range(n_pairs)]
-    if not phases.imag.any():
+    norms = [1.0 / math.sqrt(_TWO_PI * lam) for lam in lambdas for _ in range(n_pairs)]
+    if im_phases is None:
         return [complex(norm * math.fsum(re[i:j]), 0.0) for norm, i, j in zip(norms, [0] + ends, ends)]
-    im = (weights * phases.imag).tolist()
+    im = (weights * np.array(im_phases)[index]).tolist()
     return [complex(norm * math.fsum(re[i:j]), norm * math.fsum(im[i:j])) for norm, i, j in zip(norms, [0] + ends, ends)]
 
 

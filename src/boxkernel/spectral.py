@@ -99,6 +99,11 @@ class KernelEstimate:
     tail_bound: float | None = None
     near_boundary: bool = False
 
+    def __init__(self, value: complex, method: str, terms_used: int, tail_bound: float | None = None, near_boundary: bool = False) -> None:
+        # the generated __init__ of a frozen dataclass sets each field by its own object.__setattr__
+        # call; every scalar call builds one estimate, so the fields are set in one update
+        self.__dict__.update(value=value, method=method, terms_used=terms_used, tail_bound=tail_bound, near_boundary=near_boundary)
+
     @property
     def real(self) -> float:
         return self.value.real

@@ -78,9 +78,10 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes, weights = require_angles(self.nodes), np.asarray(self.weights, dtype=float)
+        nodes, weights = np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or not nodes.size:
             raise DomainError(f"quadrature nodes must be a nonempty vector, got shape {nodes.shape}")
+        require_angles(nodes)
         if weights.shape != nodes.shape or not np.isfinite(weights).all():
             raise DomainError(f"quadrature weights must be finite, one per node, got shape {weights.shape} for {nodes.size} nodes")
         for name, values in (("nodes", nodes), ("weights", weights)):

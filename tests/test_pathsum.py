@@ -263,15 +263,35 @@ class TestKernelPathsumGeneral:
     @pytest.mark.parametrize("prescription", ["A", "B"])
     @pytest.mark.parametrize("nu", [1.0, 2.0])
     def test_real_phases_form_no_imaginary_sums(self, nu, prescription):
-        # every phase is +-1+0j at integer nu, so the array image sum builds each value with an imaginary
-        # part of +0.0 and forms no imaginary sums; the per-pair loop still sums them, to +0.0
+        # every phase is +-1+0j at integer nu, so the phase table is all real, and both the array image sum
+        # and the per-pair loop build each value with an imaginary part of +0.0 and form no imaginary sums
         config = PathSumConfig(prescription=prescription)
         pairs = [(0.3, 0.3), (1.0, 2.2), (2.9, 0.05), (1.4, 1.7)]
         lambdas = [3.0, 0.4, 0.1, 0.01]
         values = pathsum._array_values(nu, pairs, lambdas, config)
         assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in values)
         loop = [v for lam in lambdas for v in pathsum._loop_values(nu, pairs, lam, config)]
+        assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in loop)
         assert list(map(repr, values)) == list(map(repr, loop))
+
+    def test_a_scalar_sum_builds_only_the_phases_it_sums(self, monkeypatch):
+        # at lambda = 0.01 the images of (1, 2) with |k| > 2 have weight exactly 0, so a fresh coupling builds
+        # the phases of |k| <= 2, 4 * 2 + 2 of them, not the 4 k_max + 2 = 40,002 of the whole table
+        calls = []
+        phase = pathsum._phase
+        monkeypatch.setattr(pathsum, "_phase", lambda *args: calls.append(args) or phase(*args))
+        pathsum._phases.cache_clear()
+        value = kernel_pathsum_general(1.2345678, 1.0, 2.0, 0.01, PathSumConfig(k_max=10_000)).value
+        assert 0 < len(calls) <= 4 * 2 + 2
+        assert max(abs(k) for k, *_ in calls) <= 2
+        assert repr(value) == repr(kernel_pathsum_general(1.2345678, 1.0, 2.0, 0.01, PathSumConfig(k_max=8)).value)
+
+    def test_a_coupling_past_the_phase_range_refuses_its_correction(self):
+        # from nu ~ 1e307 the multiple 2 k_max nu of the outermost phase is inf, and building the whole table
+        # raised a raw OverflowError; the correction leaves the float range from nu ~ 1e154 and is refused first
+        for path_sum in (kernel_pathsum_general, decompose):
+            with pytest.raises(DomainError, match=r"^path sum: the potential correction leaves the float range at nu = 1e\+308,"):
+                path_sum(1e308, 1.0, 1.2, 0.1)
 
     @pytest.mark.parametrize("pairs, lam, first, refusal", [
         # pair 1's weight overflows (its correction is ~9e4) before pair 2, whose sines underflow to 0, refuses its correction

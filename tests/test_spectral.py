@@ -5,6 +5,8 @@ the eigenfunctions reduce to sqrt(2/pi) sin((n+1) theta) and the kernel to the
 free-box Dirichlet series, both coded here from scratch.
 """
 
+import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -320,13 +322,43 @@ class TestKernelSpectral:
         with pytest.raises(DomainError):
             kernel_spectral(1.0, 1.0, math.pi, 1.0)
         # NaN passed the wall tests and met a misleading eigenfunction-table refusal; a 2-D array met numpy's matmul
-        for thetas in ([1.0, 0.0], [1.0, math.pi], [1.0, math.nan], [[1.0, 1.2], [2.0, 0.7]]):
+        for thetas in ([1.0, 0.0], [1.0, math.pi], [1.0, math.nan]):
             with pytest.raises(DomainError, match="profile angles must lie strictly inside"):
                 kernel_spectral_profile(1.5, 1.0, np.array(thetas), 0.5)
+        with pytest.raises(DomainError, match=r"^profile angles must be a scalar or a nonempty vector, got shape \(2, 2\)$"):
+            kernel_spectral_profile(1.5, 1.0, np.array([[1.0, 1.2], [2.0, 0.7]]), 0.5)
         assert kernel_spectral_profile(1.5, 1.0, np.float64(1.2), 0.5) == kernel_spectral_profile(1.5, 1.0, np.array([1.2]), 0.5)[0]
+
+    def test_empty_profile_refused_before_any_resolve(self):
+        # an empty profile resolved N and returned []
+        misses = _resolve.cache_info().misses
+        with pytest.raises(DomainError, match=r"^profile angles must be a scalar or a nonempty vector, got shape \(0,\)$"):
+            kernel_spectral_profile(2.5, 1.0, np.array([]), 0.1234567)
+        assert _resolve.cache_info().misses == misses
 
     def test_profile_matches_pointwise(self):
         thetas = np.linspace(0.3, 2.8, 7)
         prof = kernel_spectral_profile(1.6, 1.1, thetas, 0.6)
         for val, tb in zip(prof, thetas):
             assert val == pytest.approx(kernel_spectral(1.6, 1.1, float(tb), 0.6).real, rel=1e-12)
+
+
+def test_kernel_estimate_is_a_frozen_dataclass():
+    # its __init__ is written out, one __dict__ update for the generated one's five object.__setattr__
+    # calls; the signature, the fields and every dataclass behaviour stay those of the generated class
+    KernelEstimate = spectral.KernelEstimate
+    assert str(inspect.signature(KernelEstimate)) == (
+        "(value: complex, method: str, terms_used: int, tail_bound: float | None = None, near_boundary: bool = False) -> None")
+    assert [(f.name, f.default) for f in dataclasses.fields(KernelEstimate)] == [
+        ("value", dataclasses.MISSING), ("method", dataclasses.MISSING), ("terms_used", dataclasses.MISSING),
+        ("tail_bound", None), ("near_boundary", False)]
+    a = KernelEstimate(1.5 + 0j, "spectral", 12, tail_bound=1e-13)
+    assert (a.value, a.method, a.terms_used, a.tail_bound, a.near_boundary, a.real) == (1.5 + 0j, "spectral", 12, 1e-13, False, 1.5)
+    assert repr(a) == "KernelEstimate(value=(1.5+0j), method='spectral', terms_used=12, tail_bound=1e-13, near_boundary=False)"
+    b = KernelEstimate(value=1.5 + 0j, method="spectral", terms_used=12, tail_bound=1e-13, near_boundary=False)
+    assert a == b and hash(a) == hash(b) and a != dataclasses.replace(a, near_boundary=True)
+    assert dataclasses.replace(a, terms_used=13) == KernelEstimate(1.5 + 0j, "spectral", 13, 1e-13)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'value'$"):
+        a.value = 2.0
+    with pytest.raises(TypeError):
+        KernelEstimate(1.5 + 0j, "spectral")

@@ -76,7 +76,7 @@ class TestQuadrature:
         for nodes, weights, message in (
             ([0.5, 4.0], [1.0, 1.0], r"^profile angles must lie strictly inside \(0, pi\)$"),
             ([0.5, math.nan], [1.0, 1.0], r"^profile angles must lie strictly inside \(0, pi\)$"),
-            ([[0.5, 1.0]], [[1.0, 1.0]], r"^profile angles must lie strictly inside \(0, pi\)$"),
+            ([[0.5, 1.0]], [[1.0, 1.0]], r"^quadrature nodes must be a nonempty vector, got shape \(1, 2\)$"),
             ([], [], r"^quadrature nodes must be a nonempty vector, got shape \(0,\)$"),
             (1.0, 1.0, r"^quadrature nodes must be a nonempty vector, got shape \(\)$"),
             ([0.5, 1.0], [1.0, 1.0, 1.0], r"^quadrature weights must be finite, one per node, got shape \(3,\) for 2 nodes$"),
