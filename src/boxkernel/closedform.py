@@ -41,7 +41,7 @@ def _bessel_product(nu: float, theta: float, theta_p: float, lam: float, shift: 
     """``sqrt(ss)/lambda * exp(-(1 - cos(theta-theta'))/lambda - shift) * exp(-ss/lambda) I_{nu-1/2}(ss/lambda)``
     with ``ss = sin theta sin theta'``, from checked arguments: the kernel at ``shift = lambda/8``, the addition-formula rhs at 0."""
     ss = math.sin(theta) * math.sin(theta_p)
-    half_dist = 2.0 * math.sin(0.5 * (theta - theta_p)) ** 2  # 1 - cos(theta-theta')
+    half_dist = 2.0 * math.sin(0.5 * abs(theta - theta_p)) ** 2  # 1 - cos(theta-theta'), symmetric by construction
     return math.sqrt(ss) / lam * math.exp(-half_dist / lam - shift) * bessel_i_scaled(nu - 0.5, ss / lam)
 
 

@@ -134,7 +134,10 @@ def reflection_phase(k: int, parity: str, nu: float, prescription: str = "A") ->
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
     if prescription not in PRESCRIPTIONS:
         raise DomainError(f"prescription must be 'A' or 'B', got {prescription!r}")
-    return _phase(k, parity, nu, prescription)
+    try:
+        return _phase(k, parity, nu, prescription)
+    except OverflowError:  # the multiple 2 k nu or (2k - 1) nu, or twice it, is past the float range
+        raise DomainError(f"reflection phase: the phase multiple is past the float range at k = {k}, parity {parity!r}, nu = {nu:g}") from None
 
 
 def _phase(k: int, parity: str, nu: float, prescription: str) -> complex:

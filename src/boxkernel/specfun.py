@@ -17,6 +17,7 @@ of a cold start, loads on the first Bessel call.  The recurrence invariant
 suite as independent checks.
 """
 
+import functools
 import math
 import sys
 
@@ -82,8 +83,7 @@ def bessel_i_scaled(order: float, z: float) -> float:
         raise DomainError(f"Bessel order must be nonnegative, got {order!r}")
     if not (z > 0.0) or not math.isfinite(z):
         raise DomainError(f"Bessel argument must be positive, got {z!r}")
-    from scipy.special import ive
-    value = float(ive(mu, z))
+    value = float(_ive()(mu, z))
     if math.isnan(value):
         raise DomainError(f"Bessel function: exp(-z) I_mu(z) is not a number at mu = {mu:g}, z = {z:g}")
     return value
@@ -91,8 +91,15 @@ def bessel_i_scaled(order: float, z: float) -> float:
 
 def _bessel_i_scaled_orders(orders: np.ndarray, z: float) -> np.ndarray:
     """``exp(-z) I_mu(z)`` at each of ``orders``, unchecked: the addition series' mode weights."""
+    return _ive()(orders, z)
+
+
+@functools.cache
+def _ive():
+    """:func:`scipy.special.ive`, imported on the first Bessel call and bound from then on: an import
+    statement in each call took ~0.7 us of a ~3.5 us ``kernel_closed`` call (timeit, x86_64 2 vCPUs)."""
     from scipy.special import ive
-    return ive(orders, z)
+    return ive
 
 
 def bessel_asymptotic_leading(order: float, z: float, keep_reflected: bool = False) -> float:

@@ -50,6 +50,8 @@ __all__ = [
 
 METHODS = ("spectral", "closed_form", "path_sum_nu1", "path_sum_nu2", "path_sum_general")
 _FIXED_COUPLING = {"path_sum_nu1": 1.0, "path_sum_nu2": 2.0}
+# The routes whose values are bitwise symmetric in (theta, theta') under either prescription (:func:`_evaluate_chain`).
+_MIRRORED = ("spectral", "closed_form", "path_sum_nu1", "path_sum_nu2")
 _REFUSALS = (DomainError, PolicyUnresolvableError, OverflowError)
 
 SUITES = (
@@ -239,7 +241,32 @@ def _path_coupling(method: str, nu: float) -> float:
 
 def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
     """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
-    lambda-major, through the method's chain core, from checked arguments (:func:`compare_methods`)."""
+    lambda-major, through the method's chain core, from checked arguments (:func:`compare_methods`).
+
+    The kernel is symmetric, K(theta, theta') = K(theta', theta), and so is each route's value, bit for
+    bit, except the general path sum's under prescription A.  The spectral sum forms
+    ``phi_n(a) phi_n(b)`` first, and the closed form takes ``|theta - theta'|``.  A path sum's mirror
+    negates the even saddle distance exactly and maps k to -k, so it sums the same exponents with an
+    exact fsum; its phases do not depend on k under prescription B or at integer nu.  Under A an even
+    term's phase ``exp(2 k nu pi i)`` is conjugated by k -> -k, which leaves the imaginary part
+    asymmetric wherever 2 nu is not an integer, so the general path sum under A is evaluated at every
+    pair.  The other routes evaluate each unordered pair once, in the orientation where it first
+    appears, and copy its values to its mirror and repeats.  Each refusal is symmetric too, so the
+    first refusing pair and its message are the ones met point by point."""
+    if method in _MIRRORED or (method == "path_sum_general" and config.path.prescription == "B"):
+        slots, distinct = {}, []
+        for a, b in pairs:
+            if (a, b) not in slots:
+                slots[(a, b)] = slots[(b, a)] = len(distinct)
+                distinct.append((a, b))
+        if len(distinct) < len(pairs):
+            values = _chain_values(method, nu, distinct, lambdas, config)
+            return [values[start + slots[pair]] for start in range(0, len(values), len(distinct)) for pair in pairs]
+    return _chain_values(method, nu, pairs, lambdas, config)
+
+
+def _chain_values(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
+    """:func:`_evaluate_chain` at every pair as given: the method's chain core."""
     if method == "spectral":
         return [complex(value, 0.0) for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
     if method == "closed_form":

@@ -94,6 +94,15 @@ class TestReflectionPhase:
                     reflection_phase(k, "odd", 2.5, prescription)
         assert reflection_phase(np.int64(3), "odd", 2.5) == reflection_phase(3, "odd", 2.5)
 
+    def test_a_phase_multiple_past_the_float_range_is_refused(self):
+        # 2 k nu is inf at (8, 1.2e307), its double at (1, 5e307), and 10**400 is past any float: each raised a
+        # raw OverflowError under prescription A; under B the multiples are 0 and nu, which stay finite
+        for k, parity, nu in ((8, "even", 1.2e307), (-8, "odd", 1.2e307), (1, "even", 5e307), (10**400, "odd", 1.0)):
+            message = f"reflection phase: the phase multiple is past the float range at k = {k}, parity '{parity}', nu = {nu:g}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                reflection_phase(k, parity, nu, "A")
+            assert abs(reflection_phase(k, parity, nu, "B")) == 1.0
+
     def test_unknown_prescription_rejected(self):
         for prescription in ("C", "a", ""):
             with pytest.raises(DomainError, match="prescription must be 'A' or 'B'"):

@@ -471,6 +471,81 @@ class TestCompareMethods:
         assert all(type(x) is float for x in rep.abs_dev + rep.rel_dev + rep.im_over_re)
         assert [repr(m) for _, m, _ in rep.per_lambda] == ["nan", "nan"]
 
+    @pytest.mark.parametrize("prescription", ["A", "B"])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 2.5])
+    def test_mirrors_and_repeats_are_the_scalar_kernels_by_repr(self, nu, prescription, monkeypatch):
+        # pairs with their mirrors, repeats and a diagonal pair, at one lambda and along a chain, on both
+        # sides of the path sums' array threshold; a mirrored route evaluates each unordered pair once
+        from boxkernel import verify
+
+        rng = np.random.default_rng(int(10 * nu) + ord(prescription))
+        base = [tuple(rng.uniform(0.05, math.pi - 0.05, 2)) for _ in range(4)] + [(0.03, 1.1), (1.0, 1.0)]
+        long = base + [(b, a) for a, b in base[::-1]] + base[1:3] + [(base[0][1], base[0][0])]
+        short = [(0.7, 1.9), (1.9, 0.7), (0.7, 1.9)]
+        cfg = EvalConfig(path=PathSumConfig(prescription=prescription))
+        methods = ["spectral", "closed_form", "path_sum_general"] + {1.0: ["path_sum_nu1"], 2.0: ["path_sum_nu2"]}.get(nu, [])
+        mirrored = set(methods) - ({"path_sum_general"} if prescription == "A" else set())
+        evaluated = []
+        chain_values = verify._chain_values
+        monkeypatch.setattr(verify, "_chain_values", lambda method, nu, pairs, *args: evaluated.append((method, len(pairs))) or chain_values(method, nu, pairs, *args))
+        for grid, distinct in ((long, len(base)), (short, 1)):
+            for chain in ([0.3], [0.5, 0.1, 0.02]):
+                for method_a, method_b in zip(methods, methods[1:] + methods[:1]):
+                    evaluated.clear()
+                    rep = compare_methods(nu, grid, chain, method_a, method_b, cfg)
+                    assert evaluated == [(m, distinct if m in mirrored else len(grid)) for m in (method_a, method_b)]
+                    for method, values in ((method_a, rep.value_a), (method_b, rep.value_b)):
+                        scalar = tuple(SCALAR_KERNELS[method](nu, a, b, lam, cfg).value for a, b, lam in rep.grid)
+                        assert repr(values) == repr(scalar), method
+
+    @pytest.mark.parametrize("grid", [[(0.01, 1.0), (1.0, 0.01)], [(1.0, 0.01), (0.01, 1.0)]])
+    def test_a_mirrored_refusal_names_the_pair_met_first(self, grid):
+        # under prescription B the general path sum is mirrored: the pair is evaluated in the orientation
+        # met first, so the correction's refusal names it, as the scalar kernel does at that pair
+        cfg = EvalConfig(path=PathSumConfig(prescription="B"))
+        with pytest.raises(DomainError) as scalar:
+            kernel_pathsum_general(1e154, *grid[0], 0.1, cfg.path)
+        theta, theta_p = grid[0]
+        assert str(scalar.value).endswith(f"theta = {theta:g}, theta' = {theta_p:g}")
+        with pytest.raises(DomainError, match=f"^{re.escape(str(scalar.value))}$"):
+            compare_methods(1e154, grid, [0.1], "path_sum_general", "spectral", cfg)
+
+
+class TestMirrorSymmetry:
+    # seeded pairs, one angle of every other pair within 0.05 of a wall, at lambdas where none refuses
+    LAMBDAS = (0.5, 0.1, 0.02, 0.004)
+
+    @staticmethod
+    def pairs(seed):
+        rng = np.random.default_rng(seed)
+        interior = lambda: float(rng.uniform(0.3, math.pi - 0.3))
+        wall = lambda: float(rng.choice([1.0, -1.0]) * rng.uniform(0.005, 0.05) % math.pi)
+        return [(wall() if i % 2 else interior(), interior()) for i in range(12)]
+
+    @pytest.mark.parametrize("prescription", ["A", "B"])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 0.75, 2.5])
+    def test_mirrored_routes_are_bitwise_symmetric(self, nu, prescription):
+        cfg = EvalConfig(path=PathSumConfig(prescription=prescription))
+        methods = ["spectral", "closed_form"] + {1.0: ["path_sum_nu1"], 2.0: ["path_sum_nu2"]}.get(nu, [])
+        methods += ["path_sum_general"] if prescription == "B" else []
+        for a, b in self.pairs(int(10 * nu)):
+            for lam in self.LAMBDAS:
+                for method in methods:
+                    kernel = SCALAR_KERNELS[method]
+                    assert repr(kernel(nu, b, a, lam, cfg).value) == repr(kernel(nu, a, b, lam, cfg).value), (method, a, b, lam)
+
+    @pytest.mark.parametrize("nu", [0.75, 1.3, 2.7])
+    def test_the_general_path_sum_under_a_is_not(self, nu):
+        # k -> -k conjugates the even phases exp(2 k nu pi i), which are real only where 2 nu is an integer:
+        # the real part stays symmetric, the imaginary does not
+        values = [
+            (kernel_pathsum_general(nu, a, b, lam).value, kernel_pathsum_general(nu, b, a, lam).value)
+            for a, b in self.pairs(int(10 * nu))
+            for lam in self.LAMBDAS
+        ]
+        assert all(repr(v.real) == repr(w.real) for v, w in values)
+        assert any(v.imag != w.imag for v, w in values)
+
 
 class TestRunSuites:
     def test_rows_follow_the_registry_order(self):
