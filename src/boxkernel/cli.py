@@ -5,7 +5,7 @@ Exit codes
 ----------
 0   success; every requested check passed its tolerance
 1   at least one requested check exceeded its tolerance
-2   usage error (malformed flags)
+2   usage error (malformed flags, or an --output-path that cannot be written)
 3   domain error (theta outside (0, pi), lambda <= 0, nu < 1/2), an overflowing
     path-sum term or eigenfunction table, eigenfunction norms at nu > 1e4, or
     an underflowed reference value
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="boxkernel",
         description="Euclidean kernels for a particle in a box with an inverse-sine-squared potential.",
         epilog=(
-            "exit codes: 0 ok; 1 check failed; 2 usage error; "
+            "exit codes: 0 ok; 1 check failed; 2 usage error or unwritable --output-path; "
             "3 domain error (theta outside (0,pi), lambda <= 0, nu < 1/2) or path-sum overflow; "
             "4 spectral truncation cap reached"
         ),
@@ -276,6 +276,11 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"overflow: {exc} (a path-sum term exceeds the float range)", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:  # the library reads and writes no file: this is _emit's
+        if not args.output_path:
+            raise
+        print(f"usage error: cannot write --output-path {args.output_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

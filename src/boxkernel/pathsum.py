@@ -59,12 +59,9 @@ _BOUNDARY_MARGIN = 0.05
 # math.exp(x) is exactly 0.0 for every x below about -745.13.
 _EXP_FLOOR = 746.0
 
-# Fewest (pair, lambda) points for which :func:`_pathsum_chain` takes one array sum over the chain
-# rather than the per-pair loop.  The array sum has a fixed cost of ~45-70 us a call and builds its
-# geometry once per pair; the loop costs ~17-28 us a point.  Measured at nu = 1 and 2.5, k_max = 8
-# (x86_64, 2 vCPUs, numpy 2.4.6, timeit minima), the loop takes 0.88-0.96 of the array time at 4
-# points and 1.01-1.45 of it at 5 to 8; a 9-pair grid at one lambda is even (0.90-0.94), and a
-# 9-pair grid at 4 lambdas 2.5 times.
+# Fewest (pair, lambda) points for which :func:`_pathsum_chain` takes one array sum over the chain rather than
+# the per-pair loop.  Loop time over array time at nu = 1 and 2.5, lambda 0.4 to 0.01, k_max = 8 (x86_64, 2 vCPUs,
+# numpy 2.4.6, timeit minima): 0.43-0.87 at 4 points, 0.37-1.06 at 5, 0.56-1.34 at 9 and 1.18-1.95 at 9 x 2.
 _ARRAY_MIN_POINTS = 5
 
 # Most terms, points x (4 k_max + 2), that one array sum takes: its arrays hold every term of the call at
@@ -147,6 +144,14 @@ def _phase(k: int, parity: str, nu: float, prescription: str) -> complex:
     return _unit_phase(0.0 if parity == "even" else nu)
 
 
+def _symmetric(nu: float, prescription: str) -> bool:
+    """Whether the path sum at coupling ``nu`` is bitwise symmetric in (theta, theta'), as the kernel is.
+    Swapping the angles negates the even saddle distance exactly, so the swapped sum takes the same
+    exponents, the even ones at k -> -k, and fsum is exact in any order.  Only the even phases can change:
+    1 under B; under A exp(2 k nu pi i), which k -> -k conjugates, +-1 exactly wherever 2 nu is an integer."""
+    return prescription == "B" or (2.0 * nu).is_integer()
+
+
 def decompose(
     nu: float,
     theta: float,
@@ -167,7 +172,7 @@ def decompose(
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     config = config or _DEFAULT_PATH
-    images = _images(nu, theta, theta_p, lam, config.k_max, live=False)
+    images = _images(nu, theta, theta_p, lam, config.k_max)
     return [
         ReflectionTerm(k, parity, _phase(k, parity, nu, config.prescription), -((sep - _TWO_PI * k) ** 2) / (2.0 * lam), potential)
         for k in range(-config.k_max, config.k_max + 1)
@@ -203,19 +208,15 @@ def _live_ks(sep: float, potential: float, lam: float, k_max: int) -> range:
     return range(lo, hi + 1)
 
 
-def _images(nu: float, theta: float, theta_p: float, lam: float, k_max: int, live: bool) -> tuple[tuple[int, float, float, range], ...]:
-    """(parity, saddle distance, potential correction, windings) of each parity of one point, even (0)
-    first; the windings are every k in [-k_max, k_max], or with ``live`` those of :func:`_live_ks`.  A
-    correction past the float range raises ``DomainError``; at nu = 1 it is 0 at every angle."""
+def _images(nu: float, theta: float, theta_p: float, lam: float, k_max: int) -> tuple[tuple[int, float, float, range], ...]:
+    """(parity, saddle distance, potential correction, live windings :func:`_live_ks`) of each parity of one
+    point, even (0) first; a correction past the float range raises ``DomainError`` (at nu = 1 it is 0)."""
     coupling, ss = 0.5 * lam * nu * (nu - 1.0), math.sin(theta) * math.sin(theta_p)
     if coupling and not (ss and math.isfinite(coupling / ss)):
         raise DomainError(f"path sum: the potential correction leaves the float range at nu = {nu:g}, theta = {theta:g}, theta' = {theta_p:g}")
     correction = coupling / ss if coupling else 0.0
     even, odd = theta - theta_p, theta + theta_p
-    if live:
-        return (0, even, -correction, _live_ks(even, -correction, lam, k_max)), (1, odd, correction, _live_ks(odd, correction, lam, k_max))
-    ks = range(-k_max, k_max + 1)
-    return (0, even, -correction, ks), (1, odd, correction, ks)
+    return (0, even, -correction, _live_ks(even, -correction, lam, k_max)), (1, odd, correction, _live_ks(odd, correction, lam, k_max))
 
 
 def _loop_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[complex]:
@@ -228,7 +229,7 @@ def _loop_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[co
     norm, two_lam = 1.0 / math.sqrt(_TWO_PI * lam), 2.0 * lam
     values = []
     for theta, theta_p in pairs:
-        images = _images(nu, theta, theta_p, lam, config.k_max, live=True)
+        images = _images(nu, theta, theta_p, lam, config.k_max)
         (*_, even), (*_, odd) = images
         # the largest live |k|; an empty range is range(0), whose ends give at most 0
         reach = max(-even.start, even.stop - 1, -odd.start, odd.stop - 1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .closedform import _closed_chain, addition_formula_lhs, addition_formula_rhs, kernel_closed
 from .errors import DomainError, PolicyUnresolvableError, require_angles, require_index, require_lambda, require_nu, require_theta
-from .pathsum import PRESCRIPTIONS, PathSumConfig, _DEFAULT_PATH, _pathsum_chain, _point_estimate, reflection_phase
+from .pathsum import PRESCRIPTIONS, PathSumConfig, _DEFAULT_PATH, _pathsum_chain, _point_estimate, _symmetric, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
@@ -50,8 +50,6 @@ __all__ = [
 
 METHODS = ("spectral", "closed_form", "path_sum_nu1", "path_sum_nu2", "path_sum_general")
 _FIXED_COUPLING = {"path_sum_nu1": 1.0, "path_sum_nu2": 2.0}
-# The routes whose values are bitwise symmetric in (theta, theta') under either prescription (:func:`_evaluate_chain`).
-_MIRRORED = ("spectral", "closed_form", "path_sum_nu1", "path_sum_nu2")
 _REFUSALS = (DomainError, PolicyUnresolvableError, OverflowError)
 
 SUITES = (
@@ -243,26 +241,20 @@ def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) 
     """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
     lambda-major, through the method's chain core, from checked arguments (:func:`compare_methods`).
 
-    The kernel is symmetric, K(theta, theta') = K(theta', theta), and so is each route's value, bit for
-    bit, except the general path sum's under prescription A.  The spectral sum forms
-    ``phi_n(a) phi_n(b)`` first, and the closed form takes ``|theta - theta'|``.  A path sum's mirror
-    negates the even saddle distance exactly and maps k to -k, so it sums the same exponents with an
-    exact fsum; its phases do not depend on k under prescription B or at integer nu.  Under A an even
-    term's phase ``exp(2 k nu pi i)`` is conjugated by k -> -k, which leaves the imaginary part
-    asymmetric wherever 2 nu is not an integer, so the general path sum under A is evaluated at every
-    pair.  The other routes evaluate each unordered pair once, in the orientation where it first
-    appears, and copy its values to its mirror and repeats.  Each refusal is symmetric too, so the
-    first refusing pair and its message are the ones met point by point."""
-    if method in _MIRRORED or (method == "path_sum_general" and config.path.prescription == "B"):
-        slots, distinct = {}, []
-        for a, b in pairs:
-            if (a, b) not in slots:
-                slots[(a, b)] = slots[(b, a)] = len(distinct)
-                distinct.append((a, b))
-        if len(distinct) < len(pairs):
-            values = _chain_values(method, nu, distinct, lambdas, config)
-            return [values[start + slots[pair]] for start in range(0, len(values), len(distinct)) for pair in pairs]
-    return _chain_values(method, nu, pairs, lambdas, config)
+    Each distinct pair is evaluated once, in the orientation where it first appears, and copied to its
+    repeats; a route bitwise symmetric in (theta, theta'), as the kernel is, copies it to its mirror too.
+    Those are the spectral sum (it forms ``phi_n(a) phi_n(b)`` first), the closed form (it takes
+    ``|theta - theta'|``) and a path sum where ``pathsum._symmetric`` holds at its coupling: under
+    prescription B, and under A wherever 2 nu is an integer; elsewhere A's even phases exp(2 k nu pi i)
+    leave the imaginary part asymmetric.  Each refusal is symmetric too, so the first refusing pair and
+    its message are the ones met point by point."""
+    symmetric = method in ("spectral", "closed_form") or _symmetric(_path_coupling(method, nu), config.path.prescription)
+    keys = [(min(pair), max(pair)) if symmetric else pair for pair in pairs]
+    slots = {}  # each key's (slot, first pair), in first-appearance order
+    for key, pair in zip(keys, pairs):
+        slots.setdefault(key, (len(slots), pair))
+    values = _chain_values(method, nu, [pair for _, pair in slots.values()], lambdas, config)
+    return [values[start + slots[key][0]] for start in range(0, len(values), len(slots)) for key in keys]
 
 
 def _chain_values(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 import boxkernel
 from boxkernel import pathsum, spectral, verify
 from boxkernel import SUITES, PathSumConfig, TruncationPolicy, compare_methods, kernel_closed, kernel_spectral, run_suites
-from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, build_parser, main
+from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, EXIT_USAGE, _fmt, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +160,15 @@ class TestCompareCommand:
         assert code == EXIT_OK
         assert "max_rel_dev:" in out
         assert "convergence_ratios" not in out
+
+    def test_halving_chain_prints_the_report_ratios(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--nu", "2.5", "--methods", "spectral,pathsum-general",
+            "--lambda-chain", "0.4,0.2,0.1,0.05", "--theta", "1.0", "--theta-p", "1.3", "--output", "pretty",
+        )
+        report = compare_methods(2.5, [(1.0, 1.3)], [0.4, 0.2, 0.1, 0.05], "spectral", "path_sum_general")
+        assert code == EXIT_OK and len(report.convergence_ratios) == 3
+        assert out.splitlines()[-1] == "convergence_ratios: " + ",".join(map(_fmt, report.convergence_ratios))
 
 
 class TestSweepCommand:
@@ -455,6 +465,13 @@ class TestOutputPath:
         code_to_file, out_to_file, err_to_file = run_cli(capsys, *argv, "--output-path", str(path))
         assert (code_to_file, out_to_file, err_to_file) == (code, "", err) and code == EXIT_OK
         assert path.read_bytes() == out.encode()
+
+    def test_an_unwritable_path_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        argv = ("kernel", "--nu", "1", "--lambda", "0.5", "--theta", "1", "--theta-p", "2", "--method", "spectral")
+        code, out, err = run_cli(capsys, *argv, "--output-path", str(path))
+        assert (code, out) == (EXIT_USAGE, "") and not path.parent.exists()
+        assert err == f"usage error: cannot write --output-path {path}: {os.strerror(errno.ENOENT)}\n"
 
 
 class TestDefaults:

@@ -132,6 +132,11 @@ class TestTruncationTailBound:
         # exp(t_N) overflows here; +inf means "keep adding modes", like r_N >= 1
         assert truncation_tail_bound(168.28, 1.03e-4, 1642) == math.inf
 
+    def test_weights_past_the_float_range_are_refused(self):
+        # (n + nu)^2 overflows before any mode weight is formed: the refusal, not a raw OverflowError
+        with pytest.raises(DomainError, match=r"^spectral sum: the mode weights leave the float range at nu = 1e\+200, lambda = 0\.1$"):
+            truncation_tail_bound(1e200, 0.1, 3)
+
     def test_bound_is_a_true_bound(self):
         # extending the truncated sum by 200 extra modes moves the value by
         # less than the reported bound

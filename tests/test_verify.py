@@ -472,10 +472,12 @@ class TestCompareMethods:
         assert [repr(m) for _, m, _ in rep.per_lambda] == ["nan", "nan"]
 
     @pytest.mark.parametrize("prescription", ["A", "B"])
-    @pytest.mark.parametrize("nu", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("nu", [1.0, 1.3, 2.0, 2.5])
     def test_mirrors_and_repeats_are_the_scalar_kernels_by_repr(self, nu, prescription, monkeypatch):
         # pairs with their mirrors, repeats and a diagonal pair, at one lambda and along a chain, on both
-        # sides of the path sums' array threshold; a mirrored route evaluates each unordered pair once
+        # sides of the path sums' array threshold; a mirrored route evaluates each unordered pair once,
+        # the general path sum under A at nu = 1.3 (2 nu not an integer) each ordered pair once: 11 of the
+        # long grid's 15, whose diagonal pair is its own mirror, and 2 of the short grid's 3
         from boxkernel import verify
 
         rng = np.random.default_rng(int(10 * nu) + ord(prescription))
@@ -484,16 +486,16 @@ class TestCompareMethods:
         short = [(0.7, 1.9), (1.9, 0.7), (0.7, 1.9)]
         cfg = EvalConfig(path=PathSumConfig(prescription=prescription))
         methods = ["spectral", "closed_form", "path_sum_general"] + {1.0: ["path_sum_nu1"], 2.0: ["path_sum_nu2"]}.get(nu, [])
-        mirrored = set(methods) - ({"path_sum_general"} if prescription == "A" else set())
+        mirrored = set(methods) - ({"path_sum_general"} if prescription == "A" and nu == 1.3 else set())
         evaluated = []
         chain_values = verify._chain_values
         monkeypatch.setattr(verify, "_chain_values", lambda method, nu, pairs, *args: evaluated.append((method, len(pairs))) or chain_values(method, nu, pairs, *args))
-        for grid, distinct in ((long, len(base)), (short, 1)):
+        for grid, distinct, ordered in ((long, len(base), 11), (short, 1, 2)):
             for chain in ([0.3], [0.5, 0.1, 0.02]):
                 for method_a, method_b in zip(methods, methods[1:] + methods[:1]):
                     evaluated.clear()
                     rep = compare_methods(nu, grid, chain, method_a, method_b, cfg)
-                    assert evaluated == [(m, distinct if m in mirrored else len(grid)) for m in (method_a, method_b)]
+                    assert evaluated == [(m, distinct if m in mirrored else ordered) for m in (method_a, method_b)]
                     for method, values in ((method_a, rep.value_a), (method_b, rep.value_b)):
                         scalar = tuple(SCALAR_KERNELS[method](nu, a, b, lam, cfg).value for a, b, lam in rep.grid)
                         assert repr(values) == repr(scalar), method
@@ -523,11 +525,12 @@ class TestMirrorSymmetry:
         return [(wall() if i % 2 else interior(), interior()) for i in range(12)]
 
     @pytest.mark.parametrize("prescription", ["A", "B"])
-    @pytest.mark.parametrize("nu", [1.0, 2.0, 0.75, 2.5])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 0.75, 1.5, 2.5])
     def test_mirrored_routes_are_bitwise_symmetric(self, nu, prescription):
         cfg = EvalConfig(path=PathSumConfig(prescription=prescription))
         methods = ["spectral", "closed_form"] + {1.0: ["path_sum_nu1"], 2.0: ["path_sum_nu2"]}.get(nu, [])
-        methods += ["path_sum_general"] if prescription == "B" else []
+        # under A the even phases exp(2 k nu pi i) are +-1 exactly wherever 2 nu is an integer
+        methods += ["path_sum_general"] if prescription == "B" or (2 * nu).is_integer() else []
         for a, b in self.pairs(int(10 * nu)):
             for lam in self.LAMBDAS:
                 for method in methods:
