@@ -17,8 +17,9 @@ the functions that take one trust it.  The exceptions, each with its reason:
 
 * ``verify.run_suites`` and ``verify._chain_devs`` call the public API by
   design: they verify it.
-* ``verify.evaluate_method`` delegates to the scalar kernels and checks
-  nothing itself.
+* ``verify.evaluate_method`` and its private core ``verify._evaluate_chain``
+  check the method tag and a fixed coupling (``verify._path_coupling``):
+  the tag picks the kernel, and is refused where it is met point by point.
 * ``closedform._bessel_product`` and ``verify.check_gaussian_bessel_link``
   call ``specfun.bessel_i_scaled``: its refusals of an argument that is not
   positive and finite (``1 / lambda`` is inf at a subnormal lambda) and of a

@@ -19,7 +19,6 @@ suite as independent checks.
 
 import functools
 import math
-import sys
 
 import numpy as np
 
@@ -28,11 +27,7 @@ from .errors import DomainError, require_index, require_nu
 __all__ = [
     "gegenbauer_table",
     "bessel_i_scaled",
-    "bessel_asymptotic_leading",
 ]
-
-# math.exp(x) overflows for every x above this, log of the largest float.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
@@ -101,34 +96,3 @@ def _ive():
     from scipy.special import ive
     return ive
 
-
-def bessel_asymptotic_leading(order: float, z: float, keep_reflected: bool = False) -> float:
-    """Leading exponentiated asymptotics of I_order(z) for large z.
-
-    Returns ``exp(z)/sqrt(2 pi z) * exp(-(4 mu^2 - 1)/(8 z))``, the one-term
-    exponentiated form of the large-argument expansion.  With
-    ``keep_reflected`` the exponentially small counter-propagating branch
-
-        -sin(pi mu) * exp(-z)/sqrt(2 pi z) * exp(+(4 mu^2 - 1)/(8 z))
-
-    is added; at half-integer orders this reproduces the sinh/cosh closed
-    forms exactly.  Exposed for measuring the asymptotic-series error against
-    :func:`bessel_i_scaled`; the caller is responsible for z being large.
-    ``DomainError`` for a non-finite order or argument, and where an exponent
-    leaves the float range (``z - c``, or ``c - z`` with ``keep_reflected``,
-    above ~709.78: z = 800, say).
-    """
-    mu = float(order)
-    z = float(z)
-    if not math.isfinite(mu):
-        raise DomainError(f"Bessel order must be finite, got {order!r}")
-    if not (z > 0.0):
-        raise DomainError(f"Bessel argument must be positive, got {z!r}")
-    c = (4.0 * mu * mu - 1.0) / (8.0 * z)
-    exponent = abs(z - c) if keep_reflected else z - c
-    if not exponent <= _LOG_FLOAT_MAX:  # z = inf too
-        raise DomainError(f"Bessel asymptotics: exp({exponent:g}) leaves the float range at mu = {mu:g}, z = {z:g}")
-    value = math.exp(z - c) / math.sqrt(2.0 * math.pi * z)
-    if keep_reflected:
-        value -= math.sin(math.pi * mu) * math.exp(-z + c) / math.sqrt(2.0 * math.pi * z)
-    return value

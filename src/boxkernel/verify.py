@@ -230,10 +230,10 @@ def evaluate_method(
 
 def _path_coupling(method: str, nu: float) -> float:
     """The coupling of the path sum ``method``: ``nu``, or a fixed coupling, which refuses any other ``nu``."""
+    if method not in ("path_sum_nu1", "path_sum_nu2", "path_sum_general"):  # compared, not looked up: a list is refused too
+        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
     if method in _FIXED_COUPLING and nu != _FIXED_COUPLING[method]:
         raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
-    if method not in _FIXED_COUPLING and method != "path_sum_general":
-        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
     return _FIXED_COUPLING.get(method, nu)
 
 
@@ -369,8 +369,11 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
     the others fix their own couplings.  A tolerance of ``math.inf`` marks a
     structural check, decided by ``passed`` alone.
     """
-    if not set(suites) <= set(SUITES):
-        raise DomainError(f"unknown suite in {tuple(suites)}; expected names from {', '.join(SUITES)}")
+    if isinstance(suites, str):
+        raise DomainError(f"suites must be a collection of suite names, got the string {suites!r}")
+    suites = tuple(suites)  # taken once: a generator is read here and not again
+    if not all(name in SUITES for name in suites):  # compared, not hashed: a list name is unknown too
+        raise DomainError(f"unknown suite in {suites}; expected names from {', '.join(SUITES)}")
     nu = require_nu(nu)
     config = config or _DEFAULT_CONFIG
     canonical_points = ((1.0, 1.0), (0.7, 0.9), (2.0, 1.4))

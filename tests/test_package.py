@@ -26,8 +26,9 @@ EARLIER_ROOT_NAMES = (
     "__version__",
 )
 
-# Earlier root names that only restated another entry point: eigenfunction(n, nu, theta) is eigenfunctions(n, nu, theta)[n].
-REMOVED_ROOT_NAMES = {"eigenfunction"}
+# Earlier root names that went: eigenfunction(n, nu, theta) only restated eigenfunctions(n, nu, theta)[n], and
+# nothing in the library called bessel_asymptotic_leading; its exact half-integer cases are bessel_i_scaled's.
+REMOVED_ROOT_NAMES = {"eigenfunction", "bessel_asymptotic_leading"}
 
 
 def test_root_all_is_the_module_lists():
@@ -108,7 +109,6 @@ def test_each_argument_is_checked_once(entry, args, checks, check_calls):
 DOORS = [
     ("gegenbauer_table", specfun.gegenbauer_table, (3, 2.5, 0.5), "iff"),
     ("bessel_i_scaled", specfun.bessel_i_scaled, (1.5, 10.0), "ff"),
-    ("bessel_asymptotic_leading", specfun.bessel_asymptotic_leading, (1.5, 10.0), "ff"),
     ("TruncationPolicy", spectral.TruncationPolicy, (10, 1e-12, 4096), "ifi"),
     ("eigenfunctions", spectral.eigenfunctions, (5, 2.5, 1.0), "iff"),
     ("truncation_tail_bound", spectral.truncation_tail_bound, (2.5, 0.1, 3), "ffi"),

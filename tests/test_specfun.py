@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from boxkernel import (
     DomainError,
-    bessel_asymptotic_leading,
     bessel_i_scaled,
     gegenbauer_table,
 )
@@ -155,55 +154,3 @@ class TestBesselIScaled:
         with pytest.raises(DomainError, match="not a number"):  # ive returns NaN past its order range
             bessel_i_scaled(1e16, 7.0)
 
-
-class TestBesselAsymptoticLeading:
-    def test_order_half_has_no_exponent_correction(self):
-        # 4 mu^2 - 1 = 0 at mu = 1/2, so the leading term is exactly e^z / sqrt(2 pi z)
-        for z in (10.0, 100.0):
-            assert bessel_asymptotic_leading(0.5, z) == pytest.approx(
-                math.exp(z) / math.sqrt(2.0 * math.pi * z), rel=1e-15
-            )
-
-    def test_order_half_with_reflection_is_exact(self):
-        # adding the reflected branch reproduces I_{1/2} = sqrt(2/(pi z)) sinh z exactly
-        for z in (5.0, 40.0):
-            full = bessel_asymptotic_leading(0.5, z, keep_reflected=True)
-            assert full == pytest.approx(math.sqrt(2.0 / (math.pi * z)) * math.sinh(z), rel=1e-13)
-
-    def test_matches_exponentiated_gaussian_form(self):
-        # scaled leading term equals exp(-(4 mu^2 - 1)/(8 z)) / sqrt(2 pi z)
-        for n in range(4):
-            mu = n + 1.3
-            z = 80.0
-            scaled = bessel_asymptotic_leading(mu, z) * math.exp(-z)
-            ref = math.exp(-(4.0 * mu * mu - 1.0) / (8.0 * z)) / math.sqrt(2.0 * math.pi * z)
-            assert scaled == pytest.approx(ref, rel=1e-13)
-
-    def test_nonpositive_argument_rejected(self):
-        for z in (0.0, -1.0):
-            with pytest.raises(DomainError, match="Bessel argument must be positive"):
-                bessel_asymptotic_leading(0.5, z, keep_reflected=True)
-
-    def test_exponent_past_the_float_range_rejected(self):
-        # exp(z - c) overflowed (z = 800: a raw OverflowError), and with the reflected branch exp(c - z)
-        assert math.isfinite(bessel_asymptotic_leading(0.5, 709.0))
-        for order, z, keep_reflected in ((0.5, 800.0, False), (1.5, math.inf, False), (1000.0, 10.0, True)):
-            with pytest.raises(DomainError, match=r"^Bessel asymptotics: exp\(.*\) leaves the float range"):
-                bessel_asymptotic_leading(order, z, keep_reflected)
-        with pytest.raises(DomainError, match=r"^Bessel order must be finite, got nan$"):
-            bessel_asymptotic_leading(math.nan, 10.0)
-
-    def test_error_against_series_value(self):
-        err = abs(
-            bessel_asymptotic_leading(1.5, 100.0) * math.exp(-100.0) - bessel_i_scaled(1.5, 100.0)
-        ) / bessel_i_scaled(1.5, 100.0)
-        assert err < 1e-3
-
-    def test_error_decreases_with_z(self):
-        for mu in (1.5, 2.5):
-            errs = []
-            for z in (10.0, 30.0, 100.0, 300.0):
-                approx = bessel_asymptotic_leading(mu, z) * math.exp(-z)
-                exact = bessel_i_scaled(mu, z)
-                errs.append(abs(approx - exact) / exact)
-            assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))

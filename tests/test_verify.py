@@ -229,6 +229,14 @@ class TestEvaluateMethod:
         with pytest.raises(DomainError):
             evaluate_method("telepathy", 1.0, 1.0, 2.0, 0.3)
 
+    def test_an_unhashable_method_tag_is_refused_as_unknown(self):
+        # the tag is compared with the path-sum tags, not looked up: a list is refused as None is, not with TypeError
+        for method in (["spectral"], None):
+            with pytest.raises(DomainError, match=r"^unknown method"):
+                evaluate_method(method, 2.5, 1.0, 1.2, 0.1)
+        with pytest.raises(DomainError, match=r"^unknown method \['x'\]"):
+            compare_methods(2.5, [(1.0, 1.2)], [0.1], "spectral", ["x"])
+
 
 class TestCompareMethods:
     def test_report_shape_and_rows(self):
@@ -559,6 +567,17 @@ class TestRunSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError, match="suite"):
             list(run_suites(("orthonormality", "sorcery"), 1.0))
+
+    def test_suites_are_taken_once(self):
+        # a generator is read once, so its suites run and its unknown name is reported; a bare string is
+        # refused by name rather than taken letter by letter, and an unhashable name as an unknown one
+        assert list(run_suites((s for s in ["phases", "orthonormality"]), 1.0)) == list(run_suites(("phases", "orthonormality"), 1.0))
+        with pytest.raises(DomainError, match=r"^unknown suite in \('bogus',\)"):
+            list(run_suites((s for s in ["bogus"]), 1.0))
+        with pytest.raises(DomainError, match=r"^unknown suite in \(\['phases'\],\)"):
+            list(run_suites([["phases"]], 1.0))
+        with pytest.raises(DomainError, match=r"got the string 'phases'$"):
+            list(run_suites("phases", 1.0))
 
     @pytest.mark.parametrize("nu", [40.0, 300.0])
     def test_orthonormality_passes_at_large_nu(self, nu):
