@@ -60,8 +60,11 @@ _BOUNDARY_MARGIN = 0.05
 _EXP_FLOOR = 746.0
 
 # Fewest (pair, lambda) points for which :func:`_pathsum_chain` takes one array sum over the chain rather than
-# the per-pair loop.  Loop time over array time at nu = 1 and 2.5, lambda 0.4 to 0.01, k_max = 8 (x86_64, 2 vCPUs,
-# numpy 2.4.6, timeit minima): 0.43-0.87 at 4 points, 0.37-1.06 at 5, 0.56-1.34 at 9 and 1.18-1.95 at 9 x 2.
+# the per-pair loop.  Loop time over array time at nu = 1 and 2.5, lambda 0.4 to 0.01, k_max = 8, on seeded
+# pairs whose image rows do not repeat (x86_64, 2 vCPUs, numpy 2.4.6, interleaved timeit minima): 0.24-0.54 at
+# 4 points, 0.33-0.57 at 5, 0.49-0.81 at 9, 0.74-1.17 at 9 x 2 and 1.23-1.60 at 9 x 4; 3.4 on the 45 x 3 of
+# the nu1-exact suite, whose rows repeat.  The crossover follows the live and the repeated rows, which the
+# point count does not see, so the value stays until the choice counts them.
 _ARRAY_MIN_POINTS = 5
 
 # Most terms, points x (4 k_max + 2), that one array sum takes: its arrays hold every term of the call at
@@ -252,48 +255,67 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     """The values of :func:`_loop_values` at every lambda of ``lambdas``, lambda-major, as one
     array image sum.
 
-    The geometry is built once: the sines, the saddle distances of every (pair, parity, k) and
-    their squares, taken with ``math.pow`` as the loop's ``**`` takes them (numpy's square is
-    ``d * d``, which rounds differently).  Then one exponent array over the whole chain, masked
-    at ``> -_EXP_FLOOR``: the entries outside the mask have weight exactly 0.0, and every entry
-    of :func:`_live_ks` inside it is in the mask.  Each live weight is a ``math.exp`` (numpy's
-    exp differs by an ulp), and every other step is elementwise, which rounds as Python does,
-    so each value is bitwise the loop's.  A correction past the float range raises
+    A pair's images are two rows, one per parity, of ``2 k_max + 1`` windings each.  A row is keyed
+    by its bits: parity, saddle distance (theta - theta' or theta + theta') and sin theta sin theta',
+    which enters only through the correction, so where every correction is 0 (nu = 1) the distance
+    alone keys it.  Each distinct row is built once and shared by every pair that has it: repeated
+    separations on a uniform grid, and under prescription A a pair and its mirror, which share their
+    odd row.  The geometry is built once: the saddle distances of every row and their squares,
+    taken with ``math.pow`` as the loop's ``**`` takes them (numpy's square is ``d * d``, which
+    rounds differently).  Then one exponent array over the whole chain, masked at ``> -_EXP_FLOOR``:
+    the entries outside the mask have weight exactly 0.0, and every entry of :func:`_live_ks` inside
+    it is in the mask.  Each live weight is a ``math.exp`` (numpy's exp differs by an ulp), taken
+    once per (lambda, row), and every other step is elementwise, which rounds as Python does.  A
+    pair's value is the fsum of its two rows' terms, the loop's terms, and fsum is exact in any
+    order, so each value is bitwise the loop's.  A correction past the float range raises
     ``DomainError`` before any weight is taken, and :func:`_pathsum_chain` runs the loop instead.
-    Once every correction is finite, the weights are taken in (lambda, pair) order, so an
-    overflowing one raises the loop's ``OverflowError``.  Numpy's floating-point warnings are
-    off: a quotient past the float range is inf, as Python's is, and is refused or masked.
+    Once every correction is finite, a weight past the float range raises the loop's
+    ``OverflowError``.  Numpy's floating-point warnings are off: a quotient past the float range is
+    inf, as Python's is, and is refused or masked.
 
     The phases come from the table that reaches the chain's largest live |k| (:func:`_phases`);
     where it is all real, the values are built with an imaginary part of +0.0, as the loop's are,
     and the imaginary terms are not formed.
     """
-    k_max, n_pairs = config.k_max, len(pairs)
+    k_max = config.k_max
     sines = {theta: math.sin(theta) for theta in {t for pair in pairs for t in pair}}
-    ss = np.array([sines[a] * sines[b] for a, b in pairs])
-    # saddle distances in (pair, k, parity) order, the order of _phases
-    d = np.array([(a - b, a + b) for a, b in pairs])[:, None, :] - (_TWO_PI * np.arange(-k_max, k_max + 1))[:, None]
-    neg_square = -np.fromiter(map(math.pow, d.ravel().tolist(), repeat(2.0)), float, d.size).reshape(d.shape)
     coupling = np.array([0.5 * lam * nu * (nu - 1.0) for lam in lambdas])[:, None]
+    coupled = coupling.any()
+    rows = {}  # (parity, saddle distance, sin product or 0.0 where it is not used) -> row, in first-appearance order
+    pair_rows = []
+    for a, b in pairs:
+        ss = sines[a] * sines[b] if coupled else 0.0
+        pair_rows.append((rows.setdefault((0, a - b, ss), len(rows)), rows.setdefault((1, a + b, ss), len(rows))))
+    parity, sep, ss = (np.array(column) for column in zip(*rows))
+    d = sep[:, None] - _TWO_PI * np.arange(-k_max, k_max + 1)
+    neg_square = -np.fromiter(map(math.pow, d.ravel().tolist(), repeat(2.0)), float, d.size).reshape(d.shape)
     with np.errstate(all="ignore"):
         correction = np.where(coupling != 0.0, coupling / ss, 0.0)
         if not np.isfinite(correction).all():
             raise DomainError("path sum: a potential correction leaves the float range")
-        potential = np.stack([-correction, correction], axis=-1)[:, :, None, :]
-        exponent = (neg_square / np.array([2.0 * lam for lam in lambdas])[:, None, None, None] + potential).reshape(len(lambdas) * n_pairs, -1)
-    rows, cols = np.nonzero(exponent > -_EXP_FLOOR)
-    weights = np.fromiter(map(math.exp, exponent[rows, cols].tolist()), float, len(rows))
-    # column 2 (k + k_max) + parity is the term (k, parity); the table reaches the largest live |k|
-    reach = int(max(k_max - cols.min() // 2, cols.max() // 2 - k_max)) if len(cols) else 0
+        potential = np.where(parity == 0, -correction, correction)[:, :, None]
+        exponent = (neg_square / np.array([2.0 * lam for lam in lambdas])[:, None, None] + potential).reshape(-1, d.shape[1])
+    live, cols = np.nonzero(exponent > -_EXP_FLOOR)
+    weights = np.fromiter(map(math.exp, exponent[live, cols].tolist()), float, len(cols))
+    # column k + k_max of a row of parity p is the term (k, p), at 2 (k + reach) + p of the phase table
+    reach = int(max(k_max - cols.min(), cols.max() - k_max)) if len(cols) else 0
     re_phases, im_phases = _phases(nu, reach, config.prescription)
-    index = cols - 2 * (k_max - reach)
-    re = (weights * np.array(re_phases)[index]).tolist()
-    ends = np.bincount(rows, minlength=len(exponent)).cumsum().tolist()
-    norms = [1.0 / math.sqrt(_TWO_PI * lam) for lam in lambdas for _ in range(n_pairs)]
+    index = 2 * (cols - k_max + reach) + parity[live % len(rows)]
+    ends = np.bincount(live, minlength=len(exponent)).cumsum().tolist()
+    starts = [0] + ends
+    # the (lambda, row) entries of each (lambda, pair), lambda-major
+    value_rows = [(base + even, base + odd) for base in range(0, len(exponent), len(rows)) for even, odd in pair_rows]
+
+    def sums(phases) -> list[float]:
+        """Per (lambda, pair), the fsum of its two rows' terms under ``phases``."""
+        terms = (weights * np.array(phases)[index]).tolist()
+        terms = [terms[i:j] for i, j in zip(starts, ends)]
+        return [math.fsum(terms[even] + terms[odd]) for even, odd in value_rows]
+
+    norms = [1.0 / math.sqrt(_TWO_PI * lam) for lam in lambdas for _ in pairs]
     if im_phases is None:
-        return [complex(norm * math.fsum(re[i:j]), 0.0) for norm, i, j in zip(norms, [0] + ends, ends)]
-    im = (weights * np.array(im_phases)[index]).tolist()
-    return [complex(norm * math.fsum(re[i:j]), norm * math.fsum(im[i:j])) for norm, i, j in zip(norms, [0] + ends, ends)]
+        return [complex(norm * re, 0.0) for norm, re in zip(norms, sums(re_phases))]
+    return [complex(norm * re, norm * im) for norm, re, im in zip(norms, sums(re_phases), sums(im_phases))]
 
 
 def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> list[complex]:

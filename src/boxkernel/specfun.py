@@ -45,21 +45,20 @@ def gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not (np.abs(x) <= 1.0).all():  # NaN fails the test
         raise DomainError("Gegenbauer argument must lie in [-1, 1]")
-    return _gegenbauer_table(nmax, nu, x)
+    return np.array(_gegenbauer_table(nmax, nu, x.tolist() if x.ndim == 0 else x))
 
 
-def _gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
-    """:func:`gegenbauer_table` on checked arguments: the eigenbasis' columns (``spectral._eigenfunction_matrix``)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
-    x = x.tolist() if x.ndim == 0 else x  # a scalar gives a vector, its loop runs on Python floats
-    out[0] = prev = 1.0
+def _gegenbauer_table(nmax: int, nu: float, x) -> list:
+    """:func:`gegenbauer_table` on checked arguments, as the list of its rows C_0 .. C_nmax: floats for
+    a float ``x`` (an eigenfunction column, ``spectral._eigenfunction_table``), arrays for an array ``x``
+    (the quadrature nodes, ``spectral._eigenfunction_matrix``).  The arithmetic is the same for both,
+    so a float's column is bitwise its entry of an array's rows."""
+    rows = [1.0 + 0.0 * x]  # 1.0, or ones of the shape of x (which is finite)
     if nmax >= 1:
-        out[1] = cur = 2.0 * nu * x
+        rows.append(2.0 * nu * x)
     for n in range(1, nmax):
-        prev, cur = cur, (2.0 * (n + nu) * x * cur - (n + 2.0 * nu - 1.0) * prev) / (n + 1.0)
-        out[n + 1] = cur
-    return out
+        rows.append((2.0 * (n + nu) * x * rows[n] - (n + 2.0 * nu - 1.0) * rows[n - 1]) / (n + 1.0))
+    return rows
 
 
 def bessel_i_scaled(order: float, z: float) -> float:

@@ -14,7 +14,7 @@ scalar kernels), so every report is reproducible bit for bit from its inputs.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .spectral import (
     _eigenfunction_matrix,
     _log_norms,
     _spectral_chain,
-    _spectral_profile,
+    _spectral_profiles,
 )
 from .specfun import bessel_i_scaled
 
@@ -131,8 +131,12 @@ class ComparisonReport:
 
     @property
     def per_lambda_ratios(self) -> tuple:
-        rel = [r for _, _, r in self.per_lambda]
-        return tuple(prev / cur if cur != 0.0 else math.inf for prev, cur in zip(rel, rel[1:]))
+        return _ratios([r for _, _, r in self.per_lambda])
+
+
+def _ratios(rel) -> tuple:
+    """The prev/cur ratios of the max rel_dev column ``rel``, inf where cur is 0."""
+    return tuple(prev / cur if cur != 0.0 else math.inf for prev, cur in zip(rel, rel[1:]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -202,8 +206,13 @@ def check_semigroup(
     """
     lambda1, lambda2 = require_lambda(lambda1, "lambda1"), require_lambda(lambda2, "lambda2")
     nu, theta_a, theta_b = require_nu(nu), require_theta(theta_a, "theta_a"), require_theta(theta_b, "theta_b")
-    ka = _spectral_profile(nu, theta_a, rule.nodes, lambda1, policy)
-    kb = _spectral_profile(nu, theta_b, rule.nodes, lambda2, policy)
+    legs = ((theta_a, lambda1), (theta_b, lambda2))
+    try:
+        ka, kb = _spectral_profiles(nu, legs, rule.nodes, policy)
+    except (DomainError, PolicyUnresolvableError):
+        for leg in legs:  # the refusal the first refusing leg meets on its own
+            _spectral_profiles(nu, [leg], rule.nodes, policy)
+        raise
     composed = float(np.sum(rule.weights * ka * kb))
     [(_, _, [direct])] = _spectral_chain(nu, [(theta_a, theta_b)], [lambda1 + lambda2], policy)
     if direct == 0.0:
@@ -221,6 +230,8 @@ def evaluate_method(
 ) -> KernelEstimate:
     """Dispatch a kernel evaluation by method tag to the method's scalar kernel."""
     config = config or _DEFAULT_CONFIG
+    if not isinstance(method, str):  # refused before it is compared: a numpy array compares elementwise
+        raise _unknown_method(method)
     if method == "spectral":
         return kernel_spectral(nu, theta, theta_p, lam, config.policy)
     if method == "closed_form":
@@ -228,10 +239,15 @@ def evaluate_method(
     return _point_estimate(_path_coupling(method, nu), method, theta, theta_p, lam, config.path)
 
 
+def _unknown_method(method) -> DomainError:
+    """The refusal of a method tag that is not one of ``METHODS``."""
+    return DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def _path_coupling(method: str, nu: float) -> float:
-    """The coupling of the path sum ``method``: ``nu``, or a fixed coupling, which refuses any other ``nu``."""
+    """The coupling of the path sum ``method``, a ``str``: ``nu``, or a fixed coupling, which refuses any other ``nu``."""
     if method not in ("path_sum_nu1", "path_sum_nu2", "path_sum_general"):  # compared, not looked up: a list is refused too
-        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise _unknown_method(method)
     if method in _FIXED_COUPLING and nu != _FIXED_COUPLING[method]:
         raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
     return _FIXED_COUPLING.get(method, nu)
@@ -248,13 +264,16 @@ def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) 
     prescription B, and under A wherever 2 nu is an integer; elsewhere A's even phases exp(2 k nu pi i)
     leave the imaginary part asymmetric.  Each refusal is symmetric too, so the first refusing pair and
     its message are the ones met point by point."""
+    if not isinstance(method, str):  # refused before it is compared: a numpy array compares elementwise
+        raise _unknown_method(method)
     symmetric = method in ("spectral", "closed_form") or _symmetric(_path_coupling(method, nu), config.path.prescription)
     keys = [(min(pair), max(pair)) if symmetric else pair for pair in pairs]
     slots = {}  # each key's (slot, first pair), in first-appearance order
     for key, pair in zip(keys, pairs):
         slots.setdefault(key, (len(slots), pair))
+    order = [slots[key][0] for key in keys]
     values = _chain_values(method, nu, [pair for _, pair in slots.values()], lambdas, config)
-    return [values[start + slots[key][0]] for start in range(0, len(values), len(slots)) for key in keys]
+    return [values[start + slot] for start in range(0, len(values), len(slots)) for slot in order]
 
 
 def _chain_values(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
@@ -336,7 +355,8 @@ def compare_methods(
     # rows are lambda-major blocks; numpy's max, unlike the builtin, keeps a NaN
     block_abs = abs_dev.reshape(len(lambda_chain), -1).max(axis=1)
     block_rel = rel_dev.reshape(len(lambda_chain), -1).max(axis=1)
-    report = ComparisonReport(
+    rel = block_rel.tolist()
+    return ComparisonReport(
         method_a=method_a,
         method_b=method_b,
         grid=grid,
@@ -346,10 +366,10 @@ def compare_methods(
         rel_dev=tuple(rel_dev.tolist()),
         max_abs_dev=float(block_abs.max()),
         max_rel_dev=float(block_rel.max()),
-        per_lambda=tuple(zip(lambda_chain, block_abs.tolist(), block_rel.tolist())),
+        per_lambda=tuple(zip(lambda_chain, block_abs.tolist(), rel)),
+        convergence_ratios=_ratios(rel) if _is_halving_chain(lambda_chain) else None,
         im_over_re=im_over_re,
     )
-    return replace(report, convergence_ratios=report.per_lambda_ratios) if _is_halving_chain(lambda_chain) else report
 
 
 def _chain_devs(method, nu, points, chain, config):
@@ -371,8 +391,11 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
     """
     if isinstance(suites, str):
         raise DomainError(f"suites must be a collection of suite names, got the string {suites!r}")
-    suites = tuple(suites)  # taken once: a generator is read here and not again
-    if not all(name in SUITES for name in suites):  # compared, not hashed: a list name is unknown too
+    try:
+        suites = tuple(suites)  # taken once: a generator is read here and not again
+    except TypeError:
+        raise DomainError(f"suites must be an iterable of suite names, got {suites!r}") from None
+    if not all(isinstance(name, str) and name in SUITES for name in suites):  # compared, not hashed: a list name is unknown too
         raise DomainError(f"unknown suite in {suites}; expected names from {', '.join(SUITES)}")
     nu = require_nu(nu)
     config = config or _DEFAULT_CONFIG

@@ -163,3 +163,29 @@ def test_no_door_lets_nan_inf_or_a_fraction_through(entry, args, kinds):
                 outcome = exc
             let_through.append((i, bad, repr(outcome)[:80]))
     assert let_through == []
+
+
+# Every public door that takes a method tag or suite names, as a function of that one argument.
+TAG_DOORS = [
+    ("evaluate_method", lambda tag: verify.evaluate_method(tag, *POINT)),
+    ("compare_methods-a", lambda tag: verify.compare_methods(2.5, [(1.0, 1.2)], [0.1], tag, "spectral")),
+    ("compare_methods-b", lambda tag: verify.compare_methods(2.5, [(1.0, 1.2)], [0.1], "spectral", tag)),
+    ("run_suites", lambda suites: list(verify.run_suites(suites, 2.5))),
+    ("run_suites-name", lambda name: list(verify.run_suites(["phases", name], 2.5))),
+]
+
+
+@pytest.mark.parametrize("entry", [door[1] for door in TAG_DOORS], ids=[door[0] for door in TAG_DOORS])
+def test_no_door_lets_a_tag_or_a_suite_list_of_another_type_through(entry):
+    # a method tag must be a str and the suites an iterable of str names: anything else is refused with
+    # DomainError, not numpy's ambiguous truth value or a TypeError
+    let_through = []
+    for bad in (None, 5, 2.5, np.nan, ["spectral"], np.array(["spectral", "x"]), np.array("phases"), {"x": 1}):
+        try:
+            outcome = entry(bad)
+        except errors.DomainError:
+            continue
+        except Exception as exc:
+            outcome = exc
+        let_through.append((repr(bad), repr(outcome)[:80]))
+    assert let_through == []

@@ -8,6 +8,7 @@ serves as the reference for the asymptotic couplings.
 import cmath
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -282,6 +283,55 @@ class TestKernelPathsumGeneral:
         loop = [v for lam in lambdas for v in pathsum._loop_values(nu, pairs, lam, config)]
         assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in loop)
         assert list(map(repr, values)) == list(map(repr, loop))
+
+    @pytest.mark.parametrize("nu, prescription, n, lambdas, k_max", [
+        (1.0, "A", 9, (2.0,), 8),  # every image is live at lambda = 2
+        (1.0, "B", 12, (2.0, 0.5, 0.1), 8),
+        (1.3, "A", 6, (0.4, 0.1), 8),  # a full N x N grid: a pair and its mirror share their odd row
+        (1.3, "A", 5, (2.0, 0.01), 1),
+        (1.3, "B", 5, (0.4, 0.05), 30),
+        (2.5, "A", 4, (0.4,), 30),
+    ])
+    def test_shared_image_rows_are_the_loop_and_the_scalar_kernels(self, nu, prescription, n, lambdas, k_max):
+        # a uniform grid repeats its separations, so the array sum shares (parity, separation, sin product)
+        # rows between pairs; every value must still be bitwise the loop's and the scalar kernel's
+        axis = [math.pi * i / (n + 1) for i in range(1, n + 1)]
+        pairs = [(a, b) for a in axis for b in axis]
+        config = PathSumConfig(k_max, prescription)
+        values = pathsum._array_values(nu, pairs, lambdas, config)
+        loop = [v for lam in lambdas for v in pathsum._loop_values(nu, pairs, lam, config)]
+        scalar = [kernel_pathsum_general(nu, a, b, lam, config).value for lam in lambdas for a, b in pairs]
+        assert list(map(repr, values)) == list(map(repr, loop)) == list(map(repr, scalar))
+
+    @staticmethod
+    def _count_math_calls(monkeypatch, counts):
+        for name in ("exp", "pow"):
+            fn = getattr(math, name)
+            monkeypatch.setattr(math, name, lambda *args, fn=fn, name=name: counts.update([name]) or fn(*args))
+
+    def test_an_array_sum_builds_each_distinct_image_row_once(self, monkeypatch):
+        # the 45 unordered pairs of the nu1-exact suite's 9x9 grid have 90 (pair, parity) image rows, of which
+        # 26 are distinct; at nu = 1 the correction is 0 and the separation alone keys a row.  Each distinct
+        # row takes one pow per winding (k_max = 8: 17) and at most one exp per winding and lambda
+        grid = [(math.pi * i / 10.0, math.pi * j / 10.0) for i in range(1, 10) for j in range(1, 10)]
+        pairs = list(dict.fromkeys((min(pair), max(pair)) for pair in grid))
+        chain = (2.0, 0.5, 0.1)
+        counts = Counter()
+        with monkeypatch.context() as patch:
+            self._count_math_calls(patch, counts)
+            values = pathsum._array_values(1.0, pairs, chain, PathSumConfig())
+        assert len(pairs) == 45
+        assert counts["pow"] == 26 * 17
+        assert 0 < counts["exp"] <= 26 * 17 * 3
+        loop = [v for lam in chain for v in pathsum._loop_values(1.0, pairs, lam, PathSumConfig())]
+        assert list(map(repr, values)) == list(map(repr, loop))
+        # under A at nu = 1.3 a pair and its mirror share their odd row: at most 36 even and 21 odd rows
+        axis = [math.pi * i / 7.0 for i in range(1, 7)]
+        counts.clear()
+        with monkeypatch.context() as patch:
+            self._count_math_calls(patch, counts)
+            pathsum._array_values(1.3, [(a, b) for a in axis for b in axis], (0.4,), PathSumConfig())
+        assert counts["pow"] <= (36 + 21) * 17
 
     def test_a_scalar_sum_builds_only_the_phases_it_sums(self, monkeypatch):
         # at lambda = 0.01 the images of (1, 2) with |k| > 2 have weight exactly 0, so a fresh coupling builds

@@ -8,6 +8,7 @@ free-box Dirichlet series, both coded here from scratch.
 import dataclasses
 import inspect
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -95,6 +96,33 @@ class TestEigenfunction:
             r1 = eigenfunctions(0, nu, 1e-3)[0] / math.sin(1e-3) ** nu
             r2 = eigenfunctions(0, nu, 1e-5)[0] / math.sin(1e-5) ** nu
             assert r1 == pytest.approx(r2, rel=1e-6)
+
+    @pytest.mark.parametrize("thetas", [[1.1], [0.7, 2.3, 0.7], np.linspace(0.05, 3.09, 40).tolist()], ids=["one", "repeated", "forty"])
+    def test_table_rows_are_the_eigenfunctions_by_repr(self, thetas):
+        # the mode sums take one table over all their angles: each row must be bitwise the angle's own
+        # vector, and the column that the quadrature checks' array recurrence gives at that angle
+        for nu, nmax in ((1.0, 30), (2.7, 60), (0.75, 5), (3.5, 0)):
+            log_norms = _log_norms(nmax, nu)
+            table = spectral._eigenfunction_table(log_norms, nu, thetas)
+            matrix = spectral._eigenfunction_matrix(log_norms, nu, np.array(thetas))
+            assert table.shape == (len(thetas), nmax + 1)
+            for row, theta, column in zip(table, thetas, matrix.T):
+                assert list(map(repr, row)) == list(map(repr, eigenfunctions(nmax, nu, theta))) == list(map(repr, column))
+
+    def test_a_table_overflow_keeps_its_message(self):
+        # the wall angle's C_n^nu leaves the float range; a table over several angles refuses with the
+        # message of the one-angle table, and a chain over several pairs with the scalar kernel's
+        nu, wall, theta, lam = 90.733019776225, 1.1191147329250895e-08, 0.3725420803085231, 0.00012424117182030517
+        with pytest.raises(DomainError) as scalar:
+            kernel_spectral(nu, wall, theta, lam)
+        assert re.fullmatch(r"eigenfunction table: C_n\^nu\(cos theta\) leaves the float range by n = \d+ at nu = 90.733", str(scalar.value))
+        with pytest.raises(DomainError, match=f"^{re.escape(str(scalar.value))}$"):
+            _spectral_chain(nu, [(theta, theta), (wall, theta), (theta, 1.0)], [lam], None)
+        log_norms = _log_norms(4000, nu)
+        with pytest.raises(DomainError) as one:
+            spectral._eigenfunction_table(log_norms, nu, [wall])
+        with pytest.raises(DomainError, match=f"^{re.escape(str(one.value))}$"):
+            spectral._eigenfunction_table(log_norms, nu, [theta, wall, 1.0])
 
     def test_block_matches_scalar(self):
         block = eigenfunctions(25, 1.8, 1.1)

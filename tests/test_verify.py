@@ -29,6 +29,8 @@ from boxkernel import (
     kernel_spectral_profile,
     run_suites,
 )
+from boxkernel import spectral
+from boxkernel.spectral import _mode_weights
 
 # each method's public scalar kernel, called one point at a time
 SCALAR_KERNELS = {
@@ -157,6 +159,34 @@ class TestGaussianBesselLink:
 
 
 class TestSemigroup:
+    def test_legs_share_one_node_table(self, monkeypatch):
+        # the legs resolve N = 14 and 8 modes (nu = 2.7, lambda 0.3 and 0.7): one node table at the longer N
+        # serves both, and each leg's profile is bitwise the one it gets on its own
+        rule = gauss_legendre_on_0_pi(160)
+        legs = [(1.1, 0.3), (2.0, 0.7)]
+        alone = [kernel_spectral_profile(2.7, theta, rule.nodes, lam) for theta, lam in legs]
+        lengths = []
+        matrix = spectral._eigenfunction_matrix
+        monkeypatch.setattr(spectral, "_eigenfunction_matrix", lambda log_norms, *args: lengths.append(len(log_norms)) or matrix(log_norms, *args))
+        shared = spectral._spectral_profiles(2.7, legs, rule.nodes, None)
+        assert [list(map(repr, profile)) for profile in shared] == [list(map(repr, profile)) for profile in alone]
+        assert lengths == [max(len(_mode_weights(2.7, lam, None)[0]) for _, lam in legs)]
+        assert len(set(len(_mode_weights(2.7, lam, None)[0]) for _, lam in legs)) == 2
+        direct = kernel_spectral(2.7, 1.1, 2.0, 0.3 + 0.7).real
+        composed = float(np.sum(rule.weights * alone[0] * alone[1]))
+        assert check_semigroup(2.7, 0.3, 0.7, 1.1, 2.0, rule) == abs(composed - direct) / abs(direct)
+
+    @pytest.mark.parametrize("lambda2", [3e-4, 1e-4])
+    def test_a_refusal_is_the_first_refusing_legs(self, lambda2):
+        # at nu = 150 the first leg's table (lambda 1e-3, 1073 modes) leaves the float range by n = 1072.
+        # The shared table would refuse by n = 2390 at lambda2 = 3e-4, and the second leg's resolve would
+        # refuse before any table at 1e-4; the refusal raised is the first leg's, met on its own
+        rule = gauss_legendre_on_0_pi(160)
+        with pytest.raises(DomainError, match=r"^eigenfunction table: C_n\^nu\(cos theta\) leaves the float range by n = 1072 at nu = 150$"):
+            kernel_spectral_profile(150.0, 1.1, rule.nodes, 1e-3)
+        with pytest.raises(DomainError, match=r"^eigenfunction table: C_n\^nu\(cos theta\) leaves the float range by n = 1072 at nu = 150$"):
+            check_semigroup(150.0, 1e-3, lambda2, 1.1, 2.0, rule)
+
     def test_reference_compositions(self):
         rule = gauss_legendre_on_0_pi(160)
         assert check_semigroup(1.0, 0.5, 0.5, 1.1, 2.0, rule) <= 1e-8
@@ -236,6 +266,17 @@ class TestEvaluateMethod:
                 evaluate_method(method, 2.5, 1.0, 1.2, 0.1)
         with pytest.raises(DomainError, match=r"^unknown method \['x'\]"):
             compare_methods(2.5, [(1.0, 1.2)], [0.1], "spectral", ["x"])
+
+    def test_a_tag_that_is_not_a_str_is_refused_before_it_is_compared(self):
+        # a numpy array compares elementwise, so its truth value raised numpy's ValueError; a 0-d array
+        # equal to a tag is refused too, while a str subclass (numpy's str_) is a tag
+        for method in (np.array(["spectral", "x"]), np.array("spectral")):
+            with pytest.raises(DomainError, match=r"^unknown method array\("):
+                evaluate_method(method, 2.5, 1.0, 1.2, 0.1)
+            for methods in ((method, "spectral"), ("spectral", method)):
+                with pytest.raises(DomainError, match=r"^unknown method array\("):
+                    compare_methods(2.5, [(1.0, 1.2)], [0.1], *methods)
+        assert repr(evaluate_method(np.str_("spectral"), 2.5, 1.0, 1.2, 0.1)) == repr(evaluate_method("spectral", 2.5, 1.0, 1.2, 0.1))
 
 
 class TestCompareMethods:
