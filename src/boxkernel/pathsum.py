@@ -59,13 +59,19 @@ _BOUNDARY_MARGIN = 0.05
 # math.exp(x) is exactly 0.0 for every x below about -745.13.
 _EXP_FLOOR = 746.0
 
+# Relative widening of the live window, in units of |sep| + reach: above the rounding of the window's ends
+# and of the loop's exponent, which at a potential past ~1e13 is more than the 0.87 between the two floors.
+_ROUNDING = 2.0 ** -48
+
 # Fewest (pair, lambda) points for which :func:`_pathsum_chain` takes one array sum over the chain rather than
-# the per-pair loop.  Loop time over array time at nu = 1 and 2.5, lambda 0.4 to 0.01, k_max = 8, on seeded
-# pairs whose image rows do not repeat (x86_64, 2 vCPUs, numpy 2.4.6, interleaved timeit minima): 0.24-0.54 at
-# 4 points, 0.33-0.57 at 5, 0.49-0.81 at 9, 0.74-1.17 at 9 x 2 and 1.23-1.60 at 9 x 4; 3.4 on the 45 x 3 of
-# the nu1-exact suite, whose rows repeat.  The crossover follows the live and the repeated rows, which the
-# point count does not see, so the value stays until the choice counts them.
-_ARRAY_MIN_POINTS = 5
+# the per-pair loop: the fewest at which the array sum wins on 4-lambda chains.  Loop time over array time at
+# nu = 0.75, 1, 1.3 and 2.5, lambdas log-uniform in [0.01, 0.4], k_max = 8, on seeded pairs whose image rows do
+# not repeat (x86_64, 2 vCPUs, numpy 2.4.6, interleaved timeit minima), at 1, 2 and 4 lambdas: 0.27-0.35,
+# 0.32-0.39 and 0.35-0.44 at 4 points; 0.55-0.75, 0.74-1.00 and 0.88-1.01 at 20; 0.56-0.77, 0.79-0.97 and
+# 0.97-1.10 at 24; 2 lambdas reach 0.96-1.29 at 48 points.  The benchmark's chains: 1.03-1.16 on a 3x3 grid's
+# 6 distinct pairs x 4 lambdas (nu = 2.5, lambda 0.4 to 0.05), 0.81-0.86 on the decomposition suites' 3 x 4.
+# The crossover follows the chain's length and its live and repeated rows, which the point count does not see.
+_ARRAY_MIN_POINTS = 24
 
 # Most terms, points x (4 k_max + 2), that one array sum takes: its arrays hold every term of the call at
 # once (8 MB each at this size), where the loop holds one pair's live terms.
@@ -167,9 +173,10 @@ def decompose(
     Summing ``phase * exp(gauss_exponent + potential_correction)`` over the
     returned list and dividing by sqrt(2 pi lambda) reproduces
     :func:`kernel_pathsum_general` bit for bit: both take the geometry of
-    :func:`_images` and the phases of ``_phase``.  The kernels sum only the
-    live images (:func:`_live_ks`), with a phase table that reaches the largest
-    live |k| and forms no imaginary sum where it is all real (:func:`_phases`);
+    :func:`_images` and the phases of ``_phase``.  The kernels exponentiate only
+    the images within the reach of a saddle (:func:`_live_ks`), the only ones
+    whose weight can be nonzero, with a phase table that reaches the largest
+    such |k| and forms no imaginary sum where it is all real (:func:`_phases`);
     their ``terms_used`` is still the nominal ``4 k_max + 2``.  This list is the
     introspection view: it holds every image, also those of weight exactly 0.
     """
@@ -196,19 +203,23 @@ def _phases(nu: float, reach: int, prescription: str) -> tuple[tuple[float, ...]
 
 
 def _live_ks(sep: float, potential: float, lam: float, k_max: int) -> range:
-    """The k in [-k_max, k_max] whose exponent ``gauss + potential`` can be above -_EXP_FLOOR.
+    """The k in [-k_max, k_max] with |sep - 2 pi k| < reach = sqrt(2 lambda (_EXP_FLOOR + potential)).
 
-    Those are the k with |sep - 2 pi k| < reach = sqrt(2 lambda (_EXP_FLOOR + potential)); rounding
-    the ends outwards leaves every other k at |sep - 2 pi k| >= reach + 2 pi, whose exponent lies
-    below -_EXP_FLOOR by at least 2 pi^2 / lambda, so its weight is exactly 0.0.  A term that
-    would overflow lies inside the range.
+    Those are the images whose exponent ``potential - (sep - 2 pi k)^2 / (2 lambda)`` is above
+    -_EXP_FLOOR.  Every other k has an exponent at or below -_EXP_FLOOR, up to rounding, which is below
+    the -745.13 where ``math.exp`` gives 0.0, so its weight is exactly 0.0.  The reach is widened by
+    ``_ROUNDING`` (|sep| + reach), more than the rounding of the ends and of the loop's exponent, so no
+    image that rounds to a nonzero weight is left out, however large the potential.  The ends are clipped
+    to +-k_max before they are rounded inwards, so an infinite reach (lambda near the float maximum)
+    keeps every winding.  A term that would overflow lies inside the range.
     """
     if not potential > -_EXP_FLOOR:
         return range(0)
     reach = math.sqrt(2.0 * lam * (_EXP_FLOOR + potential))
-    lo = math.floor(max(-k_max, (sep - reach) / _TWO_PI))
-    hi = math.ceil(min(k_max, (sep + reach) / _TWO_PI))
-    return range(lo, hi + 1)
+    reach += _ROUNDING * (abs(sep) + reach)
+    lo = math.ceil(max(-k_max, (sep - reach) / _TWO_PI))
+    hi = math.floor(min(k_max, (sep + reach) / _TWO_PI))
+    return range(lo, hi + 1) if lo <= hi else range(0)
 
 
 def _images(nu: float, theta: float, theta_p: float, lam: float, k_max: int) -> tuple[tuple[int, float, float, range], ...]:
@@ -224,11 +235,12 @@ def _images(nu: float, theta: float, theta_p: float, lam: float, k_max: int) -> 
 
 def _loop_values(nu: float, pairs, lam: float, config: PathSumConfig) -> list[complex]:
     """The reference path-sum core, from checked arguments: the :func:`decompose` sum of each pair at
-    one lambda, with exact (fsum) reduction, in one pass over the pair's live images (:func:`_live_ks`).
-    Each image left out has weight exactly 0, a +-0.0 that fsum ignores, so the value is bitwise the
-    full sum's.  The phases come from the table that reaches the pair's largest live |k|; where it is
-    all real (:func:`_phases`), the imaginary part is +0.0 and no imaginary sum is formed.  Each weight
-    is a ``math.exp``, so a weight past the float range raises ``OverflowError``, not inf."""
+    one lambda, with exact (fsum) reduction, in one pass over the images that can contribute
+    (:func:`_live_ks`), one ``math.exp`` each.  Each image left out has weight exactly 0, a +-0.0
+    that fsum ignores, so the value is bitwise the full sum's.  The phases come from the table that
+    reaches the pair's largest kept |k|; where it is all real (:func:`_phases`), the imaginary part
+    is +0.0 and no imaginary sum is formed.  A weight past the float range raises ``math.exp``'s
+    ``OverflowError``, not inf."""
     norm, two_lam = 1.0 / math.sqrt(_TWO_PI * lam), 2.0 * lam
     values = []
     for theta, theta_p in pairs:
@@ -263,8 +275,9 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
     odd row.  The geometry is built once: the saddle distances of every row and their squares,
     taken with ``math.pow`` as the loop's ``**`` takes them (numpy's square is ``d * d``, which
     rounds differently).  Then one exponent array over the whole chain, masked at ``> -_EXP_FLOOR``:
-    the entries outside the mask have weight exactly 0.0, and every entry of :func:`_live_ks` inside
-    it is in the mask.  Each live weight is a ``math.exp`` (numpy's exp differs by an ulp), taken
+    the entries outside the mask have weight exactly 0.0.  The mask keeps the images of
+    :func:`_live_ks` but at the window's edge, where the two may differ by an image whose weight is
+    0.0 either way.  Each live weight is a ``math.exp`` (numpy's exp differs by an ulp), taken
     once per (lambda, row), and every other step is elementwise, which rounds as Python does.  A
     pair's value is the fsum of its two rows' terms, the loop's terms, and fsum is exact in any
     order, so each value is bitwise the loop's.  A correction past the float range raises
@@ -336,9 +349,10 @@ def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> l
 
 
 def _point_estimate(nu: float, method: str, theta: float, theta_p: float, lam: float, config: PathSumConfig | None) -> KernelEstimate:
-    """The path sum at one point, as an estimate; ``terms_used`` is the nominal ``4 k_max + 2``.  One
-    point is below ``_ARRAY_MIN_POINTS``, where :func:`_pathsum_chain` always takes the loop, so the
-    arguments are checked here and go to :func:`_loop_values` directly."""
+    """The path sum at one point, as an estimate; ``terms_used`` is the nominal ``4 k_max + 2``, although
+    :func:`_loop_values` exponentiates only the images that can contribute.  One point is below
+    ``_ARRAY_MIN_POINTS``, where :func:`_pathsum_chain` always takes the loop, so the arguments are
+    checked here and go to :func:`_loop_values` directly."""
     config = config or _DEFAULT_PATH
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     [value] = _loop_values(nu, [(theta, theta_p)], lam, config)

@@ -341,7 +341,7 @@ class TestExitCodes:
         assert out == "" and err.startswith(f"domain error: {route}: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("nu, methods, chain, code, message", [
-        # 5e306 / sin(0.01)^2 leaves the float range inside the array image sum over 9 pairs
+        # 5e306 / sin(0.01)^2 leaves the float range at the grid's first pair
         ("1e154", "pathsum-general,spectral", "0.1", EXIT_DOMAIN, "domain error: path sum: "),
         # every saddle distance squared over 2 lambda leaves the float range; the spectral sum then refuses
         ("1", "pathsum-nu1,spectral", "1e-307", EXIT_POLICY, "truncation policy unresolvable: "),

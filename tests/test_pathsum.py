@@ -8,6 +8,7 @@ serves as the reference for the asymptotic couplings.
 import cmath
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -143,10 +144,31 @@ class TestDecompose:
         ] + [
             # the potential correction overflows math.exp
             (2.5, 0.01, 0.01, 5.0, PathSumConfig(k_max=k_max)) for k_max in (1, 30)
-        ] + [(0.6, 1e-3, 2e-3, 0.05, PathSumConfig(k_max=8, prescription="B"))]
-        pruned = overflows = 0
+        ] + [(0.6, 1e-3, 2e-3, 0.05, PathSumConfig(k_max=8, prescription="B"))] + [
+            # lambda near the float maximum: the live window's ends are infinite and are clipped to +-k_max
+            # before they are rounded; at nu != 1 the correction overflows math.exp or leaves the float range
+            (nu, theta, theta_p, lam, PathSumConfig(k_max=k_max))
+            for lam in (5e307, 1e308, sys.float_info.max) for nu, k_max in ((1.0, 1), (1.0, 30), (2.0, 8), (0.75, 8))
+            for theta, theta_p in ((1e-9, 1.0), (math.pi - 1e-9, 1e-9), (1.0, 2.0))
+        ] + [
+            (1.0, 1e-9, 1.0, lam, PathSumConfig(k_max=10_000)) for lam in (5e307, 1e308, sys.float_info.max)
+        ] + [
+            # potentials past 1e13, within a few ulps of the edge of the live window: its rounding there is
+            # more than the 0.87 between -_EXP_FLOOR and math.exp's floor, and the window is widened to match
+            (0.881770451569019, 1.0819088652660099e-65, 1.9860301331839822, 1.935335048332415e-32, PathSumConfig()),
+            (0.9331093332570852, 2.065989628024234e-157, 1.9568727958340706, 3.4266946958878653e-78, PathSumConfig()),
+            (0.6526529175733686, 1.4165099788389596e-113, 0.5994890536243216, 3.559529641654434e-57, PathSumConfig()),
+        ]
+        pruned = overflows = refused = 0
         for nu, theta, theta_p, lam, config in cases:
-            terms = decompose(nu, theta, theta_p, lam, config)
+            try:
+                terms = decompose(nu, theta, theta_p, lam, config)
+            except DomainError as exc:
+                refused += 1
+                with pytest.raises(DomainError) as kernel:
+                    kernel_pathsum_general(nu, theta, theta_p, lam, config)
+                assert str(kernel.value) == str(exc)
+                continue
             norm = 1.0 / math.sqrt(2.0 * math.pi * lam)
             try:
                 weights = [math.exp(t.gauss_exponent + t.potential_correction) for t in terms]
@@ -165,7 +187,7 @@ class TestDecompose:
             if nu in (1.0, 2.0):
                 scalar = kernel_pathsum_nu1 if nu == 1.0 else kernel_pathsum_nu2
                 assert repr(resummed) == repr(scalar(theta, theta_p, lam, config).value)
-        assert pruned > 0 and overflows >= 3
+        assert pruned > 0 and overflows >= 3 and refused > 0
 
     def test_k0_even_dominates_near_the_diagonal(self):
         terms = decompose(1.5, 1.4, 1.45, 0.05)
@@ -352,6 +374,37 @@ class TestKernelPathsumGeneral:
             with pytest.raises(DomainError, match=r"^path sum: the potential correction leaves the float range at nu = 1e\+308,"):
                 path_sum(1e308, 1.0, 1.2, 0.1)
 
+    def test_the_loop_exponentiates_only_the_images_within_reach(self, monkeypatch):
+        # _live_ks keeps the windings with |sep - 2 pi k| < reach = sqrt(2 lambda (_EXP_FLOOR + potential)),
+        # up to rounding, every winding it leaves out has weight exactly 0.0, and the loop takes one math.exp
+        # per kept image: next to a wall at nu in (1/2, 1), where the even potential is positive, and from
+        # lambda = 1e-4, where a pair has a few live images, to lambda = 100, where every image is live
+        rng = np.random.default_rng(25)
+        inside = lambda: rng.uniform(0.05, math.pi - 0.05)
+        checked = 0
+        for _ in range(400):
+            nu = float(rng.choice([1.0, 2.0, rng.uniform(0.5, 1.0), rng.uniform(1.0, 5.0)]))
+            wall = float(rng.choice([1.0, -1.0])) * 10.0 ** rng.uniform(-4.0, -1.0) % math.pi
+            theta, theta_p = (wall if rng.random() < 0.3 else inside()), inside()
+            lam, k_max = 10.0 ** rng.uniform(-4.0, 2.0), int(rng.choice([1, 8, 30]))
+            images = pathsum._images(nu, theta, theta_p, lam, k_max)
+            if max(potential for _, _, potential, _ in images) > 600.0:
+                continue  # a kept weight would overflow math.exp
+            for _, sep, potential, ks in images:
+                reach = math.sqrt(2.0 * lam * (pathsum._EXP_FLOOR + potential)) if potential > -pathsum._EXP_FLOOR else 0.0
+                for k in range(-k_max, k_max + 1):
+                    if k in ks:
+                        assert abs(sep - 2.0 * math.pi * k) < reach + 1e-12 * (abs(sep) + reach)
+                    else:
+                        assert math.exp(potential - (sep - 2.0 * math.pi * k) ** 2 / (2.0 * lam)) == 0.0
+            counts = Counter()
+            with monkeypatch.context() as patch:
+                self._count_math_calls(patch, counts)
+                pathsum._loop_values(nu, [(theta, theta_p)], lam, PathSumConfig(k_max))
+            assert counts["exp"] == sum(len(ks) for *_, ks in images)
+            checked += 1
+        assert checked > 300
+
     @pytest.mark.parametrize("pairs, lam, first, refusal", [
         # pair 1's weight overflows (its correction is ~9e4) before pair 2, whose sines underflow to 0, refuses its correction
         ([(1.0, 1.2), (0.01, 0.01), (1e-200, 1e-200), (0.5, 2.0), (2.0, 0.5)], 5.0, 1, OverflowError),
@@ -359,8 +412,9 @@ class TestKernelPathsumGeneral:
         ([(1.0, 1.2), (0.5, 2.0), (1e-200, 1e-200), (2.0, 0.5), (1e-170, 1e-170)], 0.1, 2, DomainError),
     ])
     def test_a_chain_refuses_as_the_scalar_kernel(self, pairs, lam, first, refusal):
-        # five points take the array image sum; a correction it refuses sends the chain to the loop, so the
-        # refusal is the scalar kernel's at the first refusing pair
+        # interior pairs after the refusing ones pad the chain to the array image sum's threshold; a correction
+        # it refuses sends the chain to the loop, so the refusal is the scalar kernel's at the first refusing pair
+        pairs = pairs + [(0.5 + 0.04 * i, 2.5 - 0.03 * i) for i in range(pathsum._ARRAY_MIN_POINTS - len(pairs))]
         assert len(pairs) >= pathsum._ARRAY_MIN_POINTS
         for theta, theta_p in pairs[:first]:
             kernel_pathsum_general(2.5, theta, theta_p, lam)

@@ -29,7 +29,7 @@ from boxkernel import (
     kernel_spectral_profile,
     run_suites,
 )
-from boxkernel import spectral
+from boxkernel import pathsum, spectral
 from boxkernel.spectral import _mode_weights
 
 # each method's public scalar kernel, called one point at a time
@@ -345,11 +345,12 @@ class TestCompareMethods:
     @pytest.mark.parametrize("methods", [("spectral", "path_sum_general"), ("path_sum_general", "closed_form"), ("closed_form", "spectral")])
     def test_each_argument_is_checked_once(self, methods, n_pairs, check_calls):
         # nu and each lambda and angle once, on the way in; the chain cores (the path sums' loop at 1 pair
-        # and their array sum at 9) and the spectral resolve check nothing
+        # and their array sum at the 6 distinct pairs of 9 x 4 lambdas) and the spectral resolve check nothing
         axis = (0.5, 1.5, 2.5)
         grid = [(a, b) for a in axis for b in axis][:n_pairs]
-        compare_methods(2.5, grid, [0.4, 0.1], *methods)
-        assert check_calls == {"require_nu": 1, "require_lambda": 2, "require_theta": 2 * n_pairs}
+        chain = [0.4, 0.2, 0.1, 0.05]
+        compare_methods(2.5, grid, chain, *methods)
+        assert check_calls == {"require_nu": 1, "require_lambda": len(chain), "require_theta": 2 * n_pairs}
 
     @pytest.mark.parametrize("methods", [("closed_form", "path_sum_general"), ("path_sum_general", "closed_form")])
     def test_a_closed_form_refusal_is_the_scalar_kernels(self, methods):
@@ -420,7 +421,7 @@ class TestCompareMethods:
             policy = TruncationPolicy() if margin < 0.6 else TruncationPolicy(n_terms=int(rng.integers(5, 60)))
             cfg = EvalConfig(policy=policy, path=PathSumConfig(k_max=int(rng.integers(1, 10)), prescription=prescription))
             check(grid, chain, cfg)
-        # (pairs, lambdas) on both sides of the path sums' array threshold of 5 points, with k_max 1 and 30:
+        # (pairs, lambdas) on both sides of the path sums' array threshold, with k_max 1 and 30:
         # one angle at a wall (at nu < 1 the even-parity potential is positive and widens the live window),
         # its chain scaled so that no correction passes 600 (math.exp overflows past 709.78), then lambdas
         # in [10, 100], where every image is live, at angles whose corrections stay below 400
@@ -430,7 +431,9 @@ class TestCompareMethods:
             worst = 0.5 * abs(nu * (nu - 1.0)) * max(chain) / min(math.sin(a) * math.sin(b) for a, b in grid)
             return [lam * min(1.0, 600.0 / worst) for lam in chain] if worst else chain
 
-        for (n_pairs, n_lambdas), k_max in itertools.product([(1, 4), (1, 5), (2, 2), (2, 3), (9, 1)], [1, 30]):
+        least = pathsum._ARRAY_MIN_POINTS
+        shapes = [(1, least - 1), (1, least), (2, (least - 1) // 2), (2, least // 2 + 1), (least, 1)]
+        for (n_pairs, n_lambdas), k_max in itertools.product(shapes, [1, 30]):
             cfg = EvalConfig(path=PathSumConfig(k_max=k_max, prescription=prescription))
             wall = rng.uniform(1e-3, 0.01)
             grid = [(wall if rng.random() < 0.5 else math.pi - wall, rng.uniform(0.3, math.pi - 0.3))] + interior(n_pairs - 1)
@@ -467,8 +470,10 @@ class TestCompareMethods:
     @pytest.mark.parametrize("methods", [("spectral", "path_sum_general"), ("path_sum_general", "spectral")])
     def test_the_array_core_does_not_choose_the_refusal(self, methods):
         # at lambda = 5 pair 1's odd weight overflows math.exp and pair 2's correction is inf: the array
-        # sum (5 points) refuses pair 2 with DomainError, the per-point order meets pair 1's overflow first
+        # sum (interior pairs pad the grid to its threshold) refuses pair 2 with DomainError, the per-point
+        # order meets pair 1's overflow first
         grid = [(0.01, 0.01), (1e-300, 1e-10), (1.0, 1.2), (2.0, 0.7), (1.5, 1.5)]
+        grid += [(0.6 + 0.04 * i, 2.4 - 0.03 * i) for i in range(pathsum._ARRAY_MIN_POINTS - len(grid))]
         with pytest.raises(OverflowError, match="^math range error$"):
             compare_methods(2.5, grid, [5.0], *methods)
 
@@ -539,8 +544,11 @@ class TestCompareMethods:
         evaluated = []
         chain_values = verify._chain_values
         monkeypatch.setattr(verify, "_chain_values", lambda method, nu, pairs, *args: evaluated.append((method, len(pairs))) or chain_values(method, nu, pairs, *args))
+        chains = ([0.3], [0.5, 0.2, 0.1, 0.05, 0.02])
+        # the long grid along the long chain reaches the array sum, at one lambda it does not
+        assert len(base) * len(chains[1]) >= pathsum._ARRAY_MIN_POINTS > 11 * len(chains[0])
         for grid, distinct, ordered in ((long, len(base), 11), (short, 1, 2)):
-            for chain in ([0.3], [0.5, 0.1, 0.02]):
+            for chain in chains:
                 for method_a, method_b in zip(methods, methods[1:] + methods[:1]):
                     evaluated.clear()
                     rep = compare_methods(nu, grid, chain, method_a, method_b, cfg)
