@@ -14,7 +14,7 @@ import pytest
 
 import boxkernel
 from boxkernel import pathsum, spectral, verify
-from boxkernel import SUITES, PathSumConfig, TruncationPolicy, compare_methods, kernel_closed, kernel_spectral, run_suites
+from boxkernel import SUITES, DomainError, PathSumConfig, TruncationPolicy, compare_methods, kernel_closed, kernel_spectral, run_suites
 from boxkernel.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_POLICY, EXIT_USAGE, _fmt, build_parser, main
 
 
@@ -341,16 +341,21 @@ class TestExitCodes:
         assert out == "" and err.startswith(f"domain error: {route}: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("nu, methods, chain, code, message", [
-        # 5e306 / sin(0.01)^2 leaves the float range at the grid's first pair
+        # 5e306 / sin(0.01)^2 leaves the float range inside the array image sum over 28 pairs
         ("1e154", "pathsum-general,spectral", "0.1", EXIT_DOMAIN, "domain error: path sum: "),
         # every saddle distance squared over 2 lambda leaves the float range; the spectral sum then refuses
         ("1", "pathsum-nu1,spectral", "1e-307", EXIT_POLICY, "truncation policy unresolvable: "),
     ])
-    def test_compare_past_the_float_range_writes_only_the_refusal(self, capsys, nu, methods, chain, code, message):
-        got, out, err = run_cli(
-            capsys, "compare", "--nu", nu, "--methods", methods, "--lambda-chain", chain,
-            "--grid-n", "3", "--grid-margin", "0.01",
-        )
+    def test_compare_past_the_float_range_writes_only_the_refusal(self, capsys, array_sums, nu, methods, chain, code, message):
+        # a 7x7 grid's 28 unordered pairs reach the path sums' array threshold; numpy's float warnings
+        # there must not reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_cli(
+                capsys, "compare", "--nu", nu, "--methods", methods, "--lambda-chain", chain,
+                "--grid-n", "7", "--grid-margin", "0.01",
+            )
+        assert array_sums[0] == (28, DomainError if nu == "1e154" else None) and 28 >= pathsum._ARRAY_MIN_POINTS
         assert got == code
         assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
 

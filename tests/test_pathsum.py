@@ -159,11 +159,14 @@ class TestDecompose:
             (0.9331093332570852, 2.065989628024234e-157, 1.9568727958340706, 3.4266946958878653e-78, PathSumConfig()),
             (0.6526529175733686, 1.4165099788389596e-113, 0.5994890536243216, 3.559529641654434e-57, PathSumConfig()),
         ]
-        pruned = overflows = refused = 0
+        pruned = refused = 0
+        overflows = Counter()  # by whether lambda is near the float maximum
         for nu, theta, theta_p, lam, config in cases:
             try:
                 terms = decompose(nu, theta, theta_p, lam, config)
             except DomainError as exc:
+                # only a correction past the float range, at lambda near the float maximum and nu != 1
+                assert lam >= 5e307 and nu != 1.0
                 refused += 1
                 with pytest.raises(DomainError) as kernel:
                     kernel_pathsum_general(nu, theta, theta_p, lam, config)
@@ -173,7 +176,7 @@ class TestDecompose:
             try:
                 weights = [math.exp(t.gauss_exponent + t.potential_correction) for t in terms]
             except OverflowError:
-                overflows += 1
+                overflows[lam >= 5e307] += 1
                 with pytest.raises(OverflowError):
                     kernel_pathsum_general(nu, theta, theta_p, lam, config)
                 continue
@@ -187,7 +190,9 @@ class TestDecompose:
             if nu in (1.0, 2.0):
                 scalar = kernel_pathsum_nu1 if nu == 1.0 else kernel_pathsum_nu2
                 assert repr(resummed) == repr(scalar(theta, theta_p, lam, config).value)
-        assert pruned > 0 and overflows >= 3 and refused > 0
+        # near the float maximum, nu = 2 and 0.75 refuse their correction at the wall pairs (and nu = 2 at
+        # (1, 2) at the float maximum); the rest of them overflow math.exp
+        assert pruned > 0 and overflows[False] >= 3 and (refused, overflows[True]) == (13, 5)
 
     def test_k0_even_dominates_near_the_diagonal(self):
         terms = decompose(1.5, 1.4, 1.45, 0.05)
@@ -411,7 +416,7 @@ class TestKernelPathsumGeneral:
         # pairs 2 and 4 refuse their corrections, and pair 2 is met first
         ([(1.0, 1.2), (0.5, 2.0), (1e-200, 1e-200), (2.0, 0.5), (1e-170, 1e-170)], 0.1, 2, DomainError),
     ])
-    def test_a_chain_refuses_as_the_scalar_kernel(self, pairs, lam, first, refusal):
+    def test_a_chain_refuses_as_the_scalar_kernel(self, pairs, lam, first, refusal, array_sums):
         # interior pairs after the refusing ones pad the chain to the array image sum's threshold; a correction
         # it refuses sends the chain to the loop, so the refusal is the scalar kernel's at the first refusing pair
         pairs = pairs + [(0.5 + 0.04 * i, 2.5 - 0.03 * i) for i in range(pathsum._ARRAY_MIN_POINTS - len(pairs))]
@@ -424,6 +429,7 @@ class TestKernelPathsumGeneral:
         with pytest.raises(refusal, match=f"^{re.escape(str(scalar.value))}$") as chain:
             pathsum._pathsum_chain(2.5, pairs, [lam], None)
         assert type(chain.value) is refusal
+        assert array_sums == [(len(pairs), DomainError)]
         expected = "math range error" if refusal is OverflowError else "theta = 1e-200, theta' = 1e-200"
         assert str(chain.value).endswith(expected)
 

@@ -343,7 +343,7 @@ class TestCompareMethods:
 
     @pytest.mark.parametrize("n_pairs", [1, 9])
     @pytest.mark.parametrize("methods", [("spectral", "path_sum_general"), ("path_sum_general", "closed_form"), ("closed_form", "spectral")])
-    def test_each_argument_is_checked_once(self, methods, n_pairs, check_calls):
+    def test_each_argument_is_checked_once(self, methods, n_pairs, check_calls, array_sums):
         # nu and each lambda and angle once, on the way in; the chain cores (the path sums' loop at 1 pair
         # and their array sum at the 6 distinct pairs of 9 x 4 lambdas) and the spectral resolve check nothing
         axis = (0.5, 1.5, 2.5)
@@ -351,6 +351,8 @@ class TestCompareMethods:
         chain = [0.4, 0.2, 0.1, 0.05]
         compare_methods(2.5, grid, chain, *methods)
         assert check_calls == {"require_nu": 1, "require_lambda": len(chain), "require_theta": 2 * n_pairs}
+        assert array_sums == ([(6 * len(chain), None)] if n_pairs == 9 and "path_sum_general" in methods else [])
+        assert 6 * len(chain) >= pathsum._ARRAY_MIN_POINTS
 
     @pytest.mark.parametrize("methods", [("closed_form", "path_sum_general"), ("path_sum_general", "closed_form")])
     def test_a_closed_form_refusal_is_the_scalar_kernels(self, methods):
@@ -385,7 +387,7 @@ class TestCompareMethods:
 
     @pytest.mark.parametrize("prescription", ["A", "B"])
     @pytest.mark.parametrize("nu", [1.0, 2.0, 2.5, 0.75])
-    def test_values_are_the_scalar_kernels_by_repr(self, nu, prescription):
+    def test_values_are_the_scalar_kernels_by_repr(self, nu, prescription, array_sums):
         # the chain cores against the scalar entry points, on grid axes (repeated angles)
         # plus scattered pairs, at seeded margins, lambdas and truncations
         rng = np.random.default_rng(int(10 * nu) + ord(prescription))
@@ -437,38 +439,50 @@ class TestCompareMethods:
             cfg = EvalConfig(path=PathSumConfig(k_max=k_max, prescription=prescription))
             wall = rng.uniform(1e-3, 0.01)
             grid = [(wall if rng.random() < 0.5 else math.pi - wall, rng.uniform(0.3, math.pi - 0.3))] + interior(n_pairs - 1)
+            array_sums.clear()
             check(grid, in_range(grid, sorted(10.0 ** rng.uniform(-3.0, 0.0, size=n_lambdas), reverse=True)), cfg)
             check(interior(n_pairs, 0.8), sorted(rng.uniform(10.0, 100.0, size=n_lambdas), reverse=True), cfg)
+            # each path sum's chain, in two comparisons per check, takes the array sum from the threshold on
+            points, path_sums = n_pairs * n_lambdas, len(methods) - 2
+            assert array_sums == ([(points, None)] * 2 * 2 * path_sums if points >= least else [])
         # past the arrays' term cap (27 points x 40,002 terms), the loop again
         check(interior(9), [0.3, 0.2, 0.1], EvalConfig(path=PathSumConfig(k_max=10_000, prescription=prescription)))
         assert not refusals
         # the potential correction at (0.01, 0.01) overflows math.exp at lambda = 5, in the loop (1 pair) and
-        # in the arrays (6 pairs): every comparison with a path sum refuses, unless nu = 1
-        for grid in ([(0.01, 0.01)], [(0.01, 0.01)] + interior(5)):
+        # in the arrays (_ARRAY_MIN_POINTS pairs, every correction finite): every comparison with a path sum
+        # refuses, unless nu = 1
+        for grid in ([(0.01, 0.01)], [(0.01, 0.01)] + interior(least - 1)):
+            array_sums.clear()
             check(grid, [5.0], EvalConfig(path=PathSumConfig(prescription=prescription)), may_refuse=True)
+            assert {error for _, error in array_sums} == (set() if len(grid) < least else {None if nu == 1.0 else OverflowError})
         with_path_sum = sum("path_sum" in a + b for a, b in zip(methods, methods[1:] + methods[:1]))
         assert refusals == ([] if nu == 1.0 else [OverflowError] * 2 * with_path_sum)
 
     # at lambda = 5 the path sum overflows next to the walls; at 1e-7 the spectral sum needs more than
     # n_cap modes, and with n_cap = 1 at a 1e-100 tail already at lambda = 5
     WALL_GRID = [(a, b) for a in (0.01, math.pi / 2, math.pi - 0.01) for b in (0.01, math.pi / 2, math.pi - 0.01)]
+    # one wall pair, which the path sums' loop takes, and the grid's 6 unordered pairs padded with interior
+    # pairs to the array sum's threshold at one lambda, where the array sum's own math.exp overflows
+    WALL_GRIDS = [WALL_GRID[:1], WALL_GRID + [(0.5 + 0.04 * i, 2.5 - 0.03 * i) for i in range(pathsum._ARRAY_MIN_POINTS - 6)]]
 
-    @pytest.mark.parametrize("n_pairs", [1, 9])
-    def test_an_earlier_lambda_refusal_wins(self, n_pairs):
+    @pytest.mark.parametrize("grid", WALL_GRIDS, ids=["one-pair", "array"])
+    def test_an_earlier_lambda_refusal_wins(self, grid, array_sums):
         # method_b's refusal at the first lambda, not method_a's at the second
         with pytest.raises(OverflowError):
-            compare_methods(2.5, self.WALL_GRID[:n_pairs], [5.0, 1e-7], "spectral", "path_sum_general")
+            compare_methods(2.5, grid, [5.0, 1e-7], "spectral", "path_sum_general")
+        assert {error for _, error in array_sums} == (set() if len(grid) == 1 else {OverflowError})
 
-    @pytest.mark.parametrize("n_pairs", [1, 9])
-    def test_method_a_refusal_wins_within_a_lambda(self, n_pairs):
+    @pytest.mark.parametrize("grid", WALL_GRIDS, ids=["one-pair", "array"])
+    def test_method_a_refusal_wins_within_a_lambda(self, grid, array_sums):
         cfg = EvalConfig(policy=TruncationPolicy(epsilon_tail=1e-100, n_cap=1))
         with pytest.raises(PolicyUnresolvableError):
-            compare_methods(2.5, self.WALL_GRID[:n_pairs], [5.0], "spectral", "path_sum_general", cfg)
+            compare_methods(2.5, grid, [5.0], "spectral", "path_sum_general", cfg)
         with pytest.raises(OverflowError):
-            compare_methods(2.5, self.WALL_GRID[:n_pairs], [5.0], "path_sum_general", "spectral", cfg)
+            compare_methods(2.5, grid, [5.0], "path_sum_general", "spectral", cfg)
+        assert set(array_sums) == (set() if len(grid) == 1 else {(pathsum._ARRAY_MIN_POINTS, OverflowError)})
 
     @pytest.mark.parametrize("methods", [("spectral", "path_sum_general"), ("path_sum_general", "spectral")])
-    def test_the_array_core_does_not_choose_the_refusal(self, methods):
+    def test_the_array_core_does_not_choose_the_refusal(self, methods, array_sums):
         # at lambda = 5 pair 1's odd weight overflows math.exp and pair 2's correction is inf: the array
         # sum (interior pairs pad the grid to its threshold) refuses pair 2 with DomainError, the per-point
         # order meets pair 1's overflow first
@@ -476,6 +490,7 @@ class TestCompareMethods:
         grid += [(0.6 + 0.04 * i, 2.4 - 0.03 * i) for i in range(pathsum._ARRAY_MIN_POINTS - len(grid))]
         with pytest.raises(OverflowError, match="^math range error$"):
             compare_methods(2.5, grid, [5.0], *methods)
+        assert set(array_sums) == {(pathsum._ARRAY_MIN_POINTS, DomainError)}
 
     def test_nan_deviation_propagates(self, monkeypatch):
         from boxkernel import verify
