@@ -21,7 +21,7 @@ import functools
 import math
 import sys
 
-from .errors import DomainError, PolicyUnresolvableError, require_lambda, require_nu, require_theta
+from .errors import _MAX_TERMS, DomainError, PolicyUnresolvableError, require_lambda, require_nu, require_theta
 from .pathsum import PRESCRIPTIONS, PathSumConfig
 from .spectral import TruncationPolicy
 from .verify import METHODS, SUITES, EvalConfig, compare_methods, evaluate_method, run_suites
@@ -94,6 +94,8 @@ def _grid_points(args) -> list[tuple[float, float]]:
     if args.grid_n is not None:
         if args.grid_n < 1:
             raise DomainError("--grid-n must be >= 1")
+        if args.grid_n ** 2 > _MAX_TERMS:  # the N^2 pairs are built as a list before anything is evaluated
+            raise DomainError(f"--grid-n must be at most {math.isqrt(_MAX_TERMS)} ({_MAX_TERMS} pairs), got {args.grid_n}")
         margin = args.grid_margin
         if not (0.0 < margin < math.pi / 2.0):
             raise DomainError("--grid-margin must lie in (0, pi/2)")

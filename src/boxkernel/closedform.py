@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, require_count, require_lambda, require_point
-from .spectral import _MAX_TERMS, KernelEstimate, _log_envelope, _mode_sums, _require_norm_range
+from .errors import _MAX_TERMS, DomainError, require_count, require_lambda, require_point
+from .spectral import KernelEstimate, _log_envelope, _mode_sums, _require_norm_range
 from .specfun import _bessel_i_scaled_orders, bessel_i_scaled
 
 __all__ = [
@@ -83,28 +83,35 @@ def _series_cap(lam: float) -> int:
     return int(cap)
 
 
-def _log_term_bound(m: int, nu: float, z: float) -> float:
-    """log of a bound on ``t_m / t_0``, with ``t_m = e^{-z} I_{nu+m}(z) A_m^2`` the majorant of the
-    series' term m: Amos' ratio bound summed by the midpoint rule gives ``I_{nu+m}(z) / I_nu(z)
-    <= exp(-(F(nu+m) - F(nu)))``, ``F(x) = x asinh(x/z) - hypot(x, z)`` (docs/tail_bound.md).
-    The hypot difference is taken as a quotient, which does not cancel at z >> nu + m."""
-    a, b = nu, nu + m
-    log_bessel = -(b * math.asinh(b / z) - a * math.asinh(a / z) - (b - a) * (b + a) / (math.hypot(b, z) + math.hypot(a, z)))
-    return log_bessel + 2.0 * (_log_envelope(float(m), nu) - _log_envelope(0.0, nu))
+def _log_term_bounds(nu: float, z: float):
+    """The function m -> log of a bound on ``t_m / t_0``, with ``t_m = e^{-z} I_{nu+m}(z) A_m^2`` the
+    majorant of the series' term m: Amos' ratio bound summed by the midpoint rule gives ``I_{nu+m}(z) /
+    I_nu(z) <= exp(-(F(nu+m) - F(nu)))``, ``F(x) = x asinh(x/z) - hypot(x, z)`` (docs/tail_bound.md).
+    The hypot difference is taken as a quotient, which does not cancel at z >> nu + m.  The terms at
+    m = 0 (``F``'s parts at nu and log A_0) are computed once, for every m a search probes."""
+    a, log_envelope_0 = nu, _log_envelope(0.0, nu)
+    asinh_a, hypot_a = a * math.asinh(a / z), math.hypot(a, z)
+
+    def log_term_bound(m: int) -> float:
+        b = nu + m
+        log_bessel = -(b * math.asinh(b / z) - asinh_a - (b - a) * (b + a) / (math.hypot(b, z) + hypot_a))
+        return log_bessel + 2.0 * (_log_envelope(float(m), nu) - log_envelope_0)
+
+    return log_term_bound
 
 
 def _series_length(nu: float, lam: float) -> int:
     """The first N in [1, cap] whose geometric tail majorant over t_0, ``R_N / (1 - r_N)`` with
-    ``R_N`` the bound of :func:`_log_term_bound` and ``r_N = R_{N+1} / R_N``, is at most 2^-60,
+    ``R_N`` the bound of :func:`_log_term_bounds` and ``r_N = R_{N+1} / R_N``, is at most 2^-60,
     found by bisection (no N meets it until r_N < 1, and from there the majorant decreases);
     the cap :func:`_series_cap` where none does.  Compared in log space: ``R_N``
     overflows at large nu."""
-    z = 1.0 / lam
     cap = _series_cap(lam)
+    log_term_bound = _log_term_bounds(nu, 1.0 / lam)
 
     def meets(n: int) -> bool:
-        log_t = _log_term_bound(n, nu, z)
-        log_r = _log_term_bound(n + 1, nu, z) - log_t
+        log_t = log_term_bound(n)
+        log_r = log_term_bound(n + 1) - log_t
         return log_r < 0.0 and log_t - math.log(-math.expm1(log_r)) <= _LOG_SERIES_TAIL
 
     return min(cap, 1 + bisect.bisect_left(range(1, cap + 1), True, key=meets))

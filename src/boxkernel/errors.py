@@ -17,9 +17,10 @@ the functions that take one trust it.  The exceptions, each with its reason:
 
 * ``verify.run_suites`` and ``verify._chain_devs`` call the public API by
   design: they verify it.
-* ``verify.evaluate_method`` and its private core ``verify._evaluate_chain``
-  check the method tag and a fixed coupling (``verify._path_coupling``):
-  the tag picks the kernel, and is refused where it is met point by point.
+* ``verify.evaluate_method`` and the comparison's private ``verify._mirrored``
+  and ``verify._chain_values`` check the method tag and a fixed coupling
+  (``verify._path_coupling``): the tag picks the kernel, and is refused where
+  it is met point by point.
 * ``closedform._bessel_product`` and ``verify.check_gaussian_bessel_link``
   call ``specfun.bessel_i_scaled``: its refusals of an argument that is not
   positive and finite (``1 / lambda`` is inf at a subnormal lambda) and of a
@@ -36,6 +37,12 @@ import numbers
 import numpy as np
 
 __all__ = ["DomainError", "PolicyUnresolvableError"]
+
+# The most terms one row holds: the modes of a spectral sum or an addition series, the degrees of a
+# Gegenbauer table.  At the default 1e-12 tail, 100,000 modes resolve lambda down to 1e-7 for
+# nu <= 20 (87,009 modes at nu = 20); beyond that a single 160-node profile table already takes
+# 128 MB, so larger counts are input errors.
+_MAX_TERMS = 100_000
 
 
 class DomainError(ValueError):
@@ -82,10 +89,13 @@ def require_angles(thetas) -> np.ndarray:
     return thetas
 
 
-def require_index(n, low: int, rule: str) -> int:
-    """An integer >= ``low`` (any integer type, numpy's too); else ``DomainError`` stating ``rule``, the condition on it."""
+def require_index(n, low: int, rule: str, high: float = math.inf) -> int:
+    """An integer >= ``low`` (any integer type, numpy's too); else ``DomainError`` stating ``rule``, the condition on it.
+    Past ``high``, the largest size that is built, ``DomainError`` before anything is allocated."""
     if not isinstance(n, numbers.Integral) or n < low:
         raise DomainError(f"{rule} (an integer), got {n!r}")
+    if n > high:
+        raise DomainError(f"{rule} and at most {high}, got {n!r}")
     return int(n)
 
 

@@ -325,7 +325,7 @@ def _array_values(nu: float, pairs, lambdas, config: PathSumConfig) -> list[comp
         terms = [terms[i:j] for i, j in zip(starts, ends)]
         return [math.fsum(terms[even] + terms[odd]) for even, odd in value_rows]
 
-    norms = [1.0 / math.sqrt(_TWO_PI * lam) for lam in lambdas for _ in pairs]
+    norms = [norm for lam in lambdas for norm in repeat(1.0 / math.sqrt(_TWO_PI * lam), len(pairs))]
     if im_phases is None:
         return [complex(norm * re, 0.0) for norm, re in zip(norms, sums(re_phases))]
     return [complex(norm * re, norm * im) for norm, re, im in zip(norms, sums(re_phases), sums(im_phases))]

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, require_index, require_nu
+from .errors import _MAX_TERMS, DomainError, require_index, require_nu
 
 __all__ = [
     "gegenbauer_table",
@@ -39,26 +39,35 @@ def gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
 
     seeded with C_0 = 1 and C_1 = 2 nu x.  On [-1, 1] with nu >= 1/2 the
     recurrence is stable (the dominant solution is the one being computed),
-    so no renormalisation pass is needed.  Cost is linear in ``nmax``.
+    so no renormalisation pass is needed.  Cost is linear in ``nmax``, which
+    is at most ``_MAX_TERMS - 1``: a longer row is refused before it is built.
     """
-    nmax, nu = require_index(nmax, 0, "nmax must be nonnegative"), require_nu(nu)
+    nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_TERMS - 1)
+    nu = require_nu(nu)
     x = np.asarray(x, dtype=float)
     if not (np.abs(x) <= 1.0).all():  # NaN fails the test
         raise DomainError("Gegenbauer argument must lie in [-1, 1]")
-    return np.array(_gegenbauer_table(nmax, nu, x.tolist() if x.ndim == 0 else x))
+    [rows] = _gegenbauer_table(nmax, nu, [x.tolist() if x.ndim == 0 else x])
+    return np.array(rows)
 
 
-def _gegenbauer_table(nmax: int, nu: float, x) -> list:
-    """:func:`gegenbauer_table` on checked arguments, as the list of its rows C_0 .. C_nmax: floats for
-    a float ``x`` (an eigenfunction column, ``spectral._eigenfunction_table``), arrays for an array ``x``
-    (the quadrature nodes, ``spectral._eigenfunction_matrix``).  The arithmetic is the same for both,
-    so a float's column is bitwise its entry of an array's rows."""
-    rows = [1.0 + 0.0 * x]  # 1.0, or ones of the shape of x (which is finite)
-    if nmax >= 1:
-        rows.append(2.0 * nu * x)
-    for n in range(1, nmax):
-        rows.append((2.0 * (n + nu) * x * rows[n] - (n + 2.0 * nu - 1.0) * rows[n - 1]) / (n + 1.0))
-    return rows
+def _gegenbauer_table(nmax: int, nu: float, xs: list) -> list[list]:
+    """:func:`gegenbauer_table` on checked arguments, per x of ``xs``: the list of its rows C_0 .. C_nmax,
+    floats for a float x (an eigenfunction row, ``spectral._eigenfunction_table``), arrays for an array
+    x (the quadrature nodes, ``spectral._eigenfunction_matrix``).  The step's coefficients
+    ``2 (n + nu)``, ``n + 2 nu - 1`` and ``n + 1`` do not depend on x: they are built once, and every
+    x runs its recurrence over that one list.  The arithmetic is the same for a float and an array, so
+    a float's row is bitwise its entry of an array's rows."""
+    steps = [(2.0 * (n + nu), n + 2.0 * nu - 1.0, n + 1.0) for n in range(1, nmax)]
+    tables = []
+    for x in xs:
+        prev, cur = 1.0 + 0.0 * x, 2.0 * nu * x  # 1.0, or ones of the shape of x (which is finite); C_1
+        rows = [prev, cur][:nmax + 1]
+        for a, b, c in steps:
+            prev, cur = cur, (a * x * cur - b * prev) / c
+            rows.append(cur)
+        tables.append(rows)
+    return tables
 
 
 def bessel_i_scaled(order: float, z: float) -> float:

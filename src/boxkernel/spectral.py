@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PolicyUnresolvableError, require_angles, require_count, require_index, require_lambda, require_nu, require_theta
+from .errors import _MAX_TERMS, DomainError, PolicyUnresolvableError, require_angles, require_count, require_index, require_lambda, require_nu, require_theta
 from .specfun import _gegenbauer_table
 
 __all__ = [
@@ -42,11 +42,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-
-# At the default 1e-12 tail, 100,000 modes resolve lambda down to 1e-7 for
-# nu <= 20 (87,009 modes at nu = 20); beyond that a single 160-node profile
-# table already takes 128 MB, so larger counts are input errors.
-_MAX_TERMS = 100_000
 
 # Most products phi_n(a) phi_n(b) that one block of pairs holds in :func:`_mode_sums` (512 KB).
 _BLOCK_PRODUCTS = 1 << 16
@@ -139,11 +134,12 @@ def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
     running sum over n (:func:`_log_norms`), and the Gegenbauer factor comes
     from its linear-space recurrence.  That factor grows up to
     C_n^nu(1) ~ n^(2 nu - 1) / Gamma(2 nu) near the walls and overflows at large
-    n and nu; there a ``DomainError`` is raised.
+    n and nu; there a ``DomainError`` is raised, as it is for a row longer than
+    ``_MAX_TERMS``.
     """
     nu = require_nu(nu)
     theta = require_theta(theta)
-    nmax = require_index(nmax, 0, "nmax must be nonnegative")
+    nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_TERMS - 1)
     [row] = _eigenfunction_table(_log_norms(nmax, nu), nu, [theta])
     return row
 
@@ -151,13 +147,13 @@ def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
 def _eigenfunction_table(log_norms: np.ndarray, nu: float, thetas: list[float]) -> np.ndarray:
     """phi_n(theta) for each angle of the list ``thetas`` (rows) and the n of ``log_norms`` (columns,
     :func:`_log_norms`): the mode sums' columns.  Each row is one scalar Gegenbauer recurrence on Python
-    floats, collected as a list; one finiteness check and one amplitude pass
+    floats, all of them over one list of step coefficients; one finiteness check and one amplitude pass
     ``exp(log N_n + nu log sin theta)`` then cover the whole table.  Against the array recurrence of
-    :func:`_eigenfunction_matrix` (bitwise equal) it is 1.5x faster at 9 angles and 18 modes, 2.3x at 5
-    and 27 and 6x at 2 and 301, and 2x slower at a 40x40 grid's 40 angles and 61 modes, where the table
-    is ~1 % of a compare (x86_64, 2 vCPUs, timeit minima)."""
+    :func:`_eigenfunction_matrix` (bitwise equal) it is 1.9x faster at 9 angles and 18 modes, 2.9x at 5
+    and 27 and 7x at 2 and 301, and 1.6x slower at a 40x40 grid's 40 angles and 61 modes (~250 us against
+    ~160 us), where the table is ~1 % of a compare (x86_64, 2 vCPUs, timeit minima)."""
     nmax = len(log_norms) - 1
-    gegenbauer = np.array([_gegenbauer_table(nmax, nu, x) for x in np.cos(thetas).tolist()])
+    gegenbauer = np.array(_gegenbauer_table(nmax, nu, np.cos(thetas).tolist()))
     _require_finite(gegenbauer[:, -1], nmax, nu)
     return np.exp(np.add.outer(nu * np.log(np.sin(thetas)), log_norms)) * gegenbauer
 
@@ -167,7 +163,7 @@ def _eigenfunction_matrix(log_norms: np.ndarray, nu: float, thetas: np.ndarray) 
     (columns): the quadrature checks' nodes, on the array recurrence; each column is bitwise the table's row."""
     nmax = len(log_norms) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        gegenbauer = np.array(_gegenbauer_table(nmax, nu, np.cos(thetas)))
+        gegenbauer = np.array(_gegenbauer_table(nmax, nu, [np.cos(thetas)])[0])
     _require_finite(gegenbauer[-1], nmax, nu)
     return np.exp(np.add.outer(log_norms, nu * np.log(np.sin(thetas)))) * gegenbauer
 
@@ -225,12 +221,16 @@ def _tail_bound(nu: float, lam: float, n_start: int) -> float:
         return math.inf
 
 
-def _mode_weights(nu: float, lam: float, policy: TruncationPolicy | None) -> tuple[np.ndarray, float]:
-    """Weights exp(-lambda (n+nu)^2 / 2) of the modes n = 0..N-1 that ``policy`` keeps, and their tail bound.
-    The array is built afresh on each call; only N and the bound are memoised (:func:`_resolve`)."""
-    n_terms, tail = _resolve(nu, lam, policy or _DEFAULT_POLICY)
-    n = np.arange(n_terms, dtype=float)
-    return np.exp(-lam * (n + nu) ** 2 / 2.0), tail
+def _mode_weights(nu: float, lambdas, policy: TruncationPolicy | None) -> list[tuple[np.ndarray, float]]:
+    """Per lambda of ``lambdas``, the weights exp(-lambda (n+nu)^2 / 2) of the modes n = 0..N-1 that ``policy``
+    keeps, and their tail bound.  Each lambda is resolved on its own, in chain order (:func:`_resolve`); the
+    squares (n+nu)^2 are formed once, at the largest N, and each lambda's weights over its own prefix of
+    them, bitwise those of squares of its own length: every step is elementwise.  A lambda-by-mode table
+    would hold up to len(lambdas) x ``_MAX_TERMS`` floats where the weights need only the sum of the Ns.
+    The weights are built on each call; only N and the bound are memoised."""
+    resolved = [_resolve(nu, lam, policy or _DEFAULT_POLICY) for lam in lambdas]
+    squares = (np.arange(max(n_terms for n_terms, _ in resolved), dtype=float) + nu) ** 2
+    return [(np.exp(-lam * squares[:n_terms] / 2.0), tail) for lam, (n_terms, tail) in zip(lambdas, resolved)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -285,8 +285,9 @@ def _mode_sums(weights: list[np.ndarray], nu: float, pairs) -> list[list[float]]
 def _spectral_chain(nu: float, pairs, lambdas, policy: TruncationPolicy | None) -> list[tuple[int, float, list[float]]]:
     """The spectral core, from checked arguments: per lambda of ``lambdas``, the mode count N that ``policy``
     keeps, its tail bound, and the kernel at each of ``pairs``.  Each lambda is resolved on its own, in chain
-    order; the norms and the eigenfunction table are built once, at the largest N (:func:`_mode_sums`)."""
-    weights = [_mode_weights(nu, lam, policy) for lam in lambdas]
+    order; the squares of the weights (:func:`_mode_weights`), the norms and the eigenfunction table
+    (:func:`_mode_sums`) are each built once, at the largest N."""
+    weights = _mode_weights(nu, lambdas, policy)
     sums = _mode_sums([w for w, _ in weights], nu, pairs)
     return [(len(w), tail, values) for (w, tail), values in zip(weights, sums)]
 
@@ -332,7 +333,7 @@ def _spectral_profiles(nu: float, legs, thetas: np.ndarray, policy: TruncationPo
     of ``verify.check_semigroup``.  One node table, at the longest leg's N, serves every leg through its
     prefix, bitwise a table of the leg's own length: the norms are a running sum and every other step is
     elementwise.  A refusal is the one some leg meets on its own, but not always the first leg's."""
-    weights = [_mode_weights(nu, lam, policy)[0] for _, lam in legs]
+    weights = [w for w, _ in _mode_weights(nu, [lam for _, lam in legs], policy)]
     log_norms = _log_norms(max(map(len, weights)) - 1, nu)
     nodes = _eigenfunction_matrix(log_norms, nu, thetas)
     profiles = []

@@ -52,6 +52,11 @@ METHODS = ("spectral", "closed_form", "path_sum_nu1", "path_sum_nu2", "path_sum_
 _FIXED_COUPLING = {"path_sum_nu1": 1.0, "path_sum_nu2": 2.0}
 _REFUSALS = (DomainError, PolicyUnresolvableError, OverflowError)
 
+# The largest side of a square that a check builds: the gram of ``check_orthonormality``, (nmax + 1)^2
+# floats, and the matrix of npoints^2 that ``leggauss`` builds for a rule.  Each takes 128 MB at this
+# size, as the largest profile table that ``_MAX_TERMS`` allows does.
+_MAX_SQUARE = 4096
+
 SUITES = (
     "orthonormality",
     "addition",
@@ -141,8 +146,9 @@ def _ratios(rel) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def gauss_legendre_on_0_pi(npoints: int) -> QuadratureRule:
-    """Gauss-Legendre rule mapped affinely from (-1, 1) to (0, pi), built once per size and shared."""
-    npoints = require_index(npoints, 2, "quadrature needs npoints >= 2")
+    """Gauss-Legendre rule mapped affinely from (-1, 1) to (0, pi), built once per size and shared;
+    at most ``_MAX_SQUARE`` points (``leggauss`` builds an npoints^2 matrix)."""
+    npoints = require_index(npoints, 2, "quadrature needs npoints >= 2", _MAX_SQUARE)
     x, w = np.polynomial.legendre.leggauss(npoints)
     return QuadratureRule(nodes=(x + 1.0) * (math.pi / 2.0), weights=w * (math.pi / 2.0))
 
@@ -154,10 +160,11 @@ def check_orthonormality(nu: float, nmax: int, rule: QuadratureRule) -> float:
     times sin^{2 nu}(theta); 2 nmax + 30 points resolve them for nu <= 10 only,
     and the rule must grow with nu beyond that (validated by the doubling
     certificate in the test suite, not trusted a priori).  The rule is
-    checked when it is built (:class:`QuadratureRule`), not here.
+    checked when it is built (:class:`QuadratureRule`), not here.  The gram
+    has (nmax + 1)^2 entries, so nmax + 1 is at most ``_MAX_SQUARE``.
     """
     nu = require_nu(nu)
-    nmax = require_index(nmax, 0, "nmax must be nonnegative")
+    nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_SQUARE - 1)
     F = _eigenfunction_matrix(_log_norms(nmax, nu), nu, rule.nodes)
     gram = (F * rule.weights) @ F.T
     return float(np.max(np.abs(gram - np.eye(nmax + 1))))
@@ -253,36 +260,80 @@ def _path_coupling(method: str, nu: float) -> float:
     return _FIXED_COUPLING.get(method, nu)
 
 
-def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
-    """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
-    lambda-major, through the method's chain core, from checked arguments (:func:`compare_methods`).
-
-    Each distinct pair is evaluated once, in the orientation where it first appears, and copied to its
-    repeats; a route bitwise symmetric in (theta, theta'), as the kernel is, copies it to its mirror too.
-    Those are the spectral sum (it forms ``phi_n(a) phi_n(b)`` first), the closed form (it takes
-    ``|theta - theta'|``) and a path sum where ``pathsum._symmetric`` holds at its coupling: under
-    prescription B, and under A wherever 2 nu is an integer; elsewhere A's even phases exp(2 k nu pi i)
-    leave the imaginary part asymmetric.  Each refusal is symmetric too, so the first refusing pair and
-    its message are the ones met point by point."""
+def _mirrored(method: str, nu: float, config: EvalConfig) -> bool:
+    """Whether the values of ``method`` are bitwise symmetric in (theta, theta'), as the kernel is; a tag that
+    is not one of ``METHODS`` is refused here, where the comparison meets it.  The symmetric routes are the
+    spectral sum (it forms ``phi_n(a) phi_n(b)`` first), the closed form (it takes ``|theta - theta'|``) and a
+    path sum where ``pathsum._symmetric`` holds at its coupling: under prescription B, and under A wherever
+    2 nu is an integer; elsewhere A's even phases exp(2 k nu pi i) leave the imaginary part asymmetric."""
     if not isinstance(method, str):  # refused before it is compared: a numpy array compares elementwise
         raise _unknown_method(method)
-    symmetric = method in ("spectral", "closed_form") or _symmetric(_path_coupling(method, nu), config.path.prescription)
-    keys = [(min(pair), max(pair)) if symmetric else pair for pair in pairs]
+    return method in ("spectral", "closed_form") or _symmetric(_path_coupling(method, nu), config.path.prescription)
+
+
+def _dedupe(pairs, mirrored: bool) -> tuple[list, list[int]]:
+    """The distinct pairs of ``pairs``, each in the orientation where it first appears, and each pair's slot
+    among them; with ``mirrored`` a pair and its mirror are one.  Each refusal of a route is as symmetric as
+    its values, so the first refusing distinct pair and its message are the ones met point by point."""
     slots = {}  # each key's (slot, first pair), in first-appearance order
-    for key, pair in zip(keys, pairs):
-        slots.setdefault(key, (len(slots), pair))
-    order = [slots[key][0] for key in keys]
-    values = _chain_values(method, nu, [pair for _, pair in slots.values()], lambdas, config)
-    return [values[start + slot] for start in range(0, len(values), len(slots)) for slot in order]
+    order = [
+        slots.setdefault(((a, b) if a <= b else (b, a)) if mirrored else (a, b), (len(slots), (a, b)))[0]
+        for a, b in pairs
+    ]
+    return [pair for _, pair in slots.values()], order
 
 
-def _chain_values(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list[complex]:
-    """:func:`_evaluate_chain` at every pair as given: the method's chain core."""
+def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> np.ndarray:
+    """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
+    lambda-major, from checked arguments, as one complex array (:func:`compare_methods` gives it each
+    distinct pair once)."""
+    return np.array(_chain_values(method, nu, pairs, lambdas, config), dtype=complex)
+
+
+def _chain_values(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list:
+    """:func:`_evaluate_chain`'s values as the method's chain core gives them: floats, or complex."""
     if method == "spectral":
-        return [complex(value, 0.0) for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
+        return [value for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
     if method == "closed_form":
-        return [complex(value, 0.0) for value in _closed_chain(nu, pairs, lambdas)]
+        return _closed_chain(nu, pairs, lambdas)
     return _pathsum_chain(_path_coupling(method, nu), pairs, lambdas, config.path)
+
+
+def _collection(values, name: str, of: str) -> tuple:
+    """``values`` taken once, as a tuple (a generator is read here and not again); ``DomainError`` for a
+    string, which would be read character by character, and for a value that is not iterable."""
+    if isinstance(values, str):
+        raise DomainError(f"{name} must be a collection of {of}, got the string {values!r}")
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{name} must be an iterable of {of}, got {values!r}") from None
+
+
+def _chain(lambda_chain) -> list[float]:
+    """The checked lambdas of a comparison chain; ``DomainError`` for a chain that is not a collection of numbers."""
+    chain = _collection(lambda_chain, "lambda chain", "numbers")
+    try:
+        return [require_lambda(lam) for lam in chain]
+    except DomainError:
+        raise
+    except (TypeError, ValueError):  # an entry that float() cannot read
+        raise DomainError(f"lambda chain entries must be numbers, got {chain!r}") from None
+
+
+def _grid(theta_grid) -> list[tuple[float, float]]:
+    """The checked (theta, theta_p) pairs of a comparison grid; ``DomainError`` for a grid that is not a
+    collection of pairs of numbers.  A string of two characters is not a pair."""
+    pairs = []
+    for pair in _collection(theta_grid, "theta grid", "(theta, theta_p) pairs"):
+        try:
+            theta, theta_p = () if isinstance(pair, str) else pair
+            pairs.append((require_theta(theta), require_theta(theta_p, "theta_p")))
+        except DomainError:
+            raise
+        except (TypeError, ValueError):  # a pair that does not unpack into two angles, or an angle float() cannot read
+            raise DomainError(f"theta grid entries must be (theta, theta_p) pairs of numbers, got {pair!r}") from None
+    return pairs
 
 
 def _is_halving_chain(lambdas) -> bool:
@@ -310,11 +361,15 @@ def compare_methods(
     Real parts are compared; |Im/Re| is recorded per point when one of the
     methods is genuinely complex-valued.
 
-    ``nu``, every lambda and every angle are checked before any evaluation.
-    Each method's chain core (:func:`_evaluate_chain`) then takes the checked
-    grid and chain at once, ``method_a``'s before ``method_b``'s, and returns
-    plain values, bitwise those of the scalar kernels, which are the same
-    cores at one point.
+    ``nu``, every lambda and every angle are checked before any evaluation,
+    and a grid or chain that is not a collection of pairs or of numbers is
+    refused with ``DomainError``.  Each method then evaluates each distinct
+    pair once through its chain core (:func:`_evaluate_chain`), over the whole
+    chain, ``method_a`` before ``method_b``: one plan of distinct pairs per
+    symmetry class (:func:`_mirrored`, :func:`_dedupe`), built when the first
+    method of the class runs.  The values are bitwise those of the scalar
+    kernels, which are the same cores at one point, and one index expands
+    them to the report's rows.
 
     Of the refusals met in evaluation, the one raised is the one met first
     point by point: lambda by lambda in chain order, ``method_a`` over the
@@ -323,26 +378,36 @@ def compare_methods(
     any refusal the cores are run again one lambda at a time, in that order.
     """
     nu = require_nu(nu)
-    lambda_chain = [require_lambda(l) for l in lambda_chain]
-    pairs = [(require_theta(theta), require_theta(theta_p, "theta_p")) for theta, theta_p in theta_grid]
+    lambda_chain = _chain(lambda_chain)
+    pairs = _grid(theta_grid)
     if not pairs or not lambda_chain:
         raise DomainError("comparison needs a nonempty grid and lambda chain")
     if not _decreasing(lambda_chain):
         raise DomainError("lambda chain must be strictly decreasing")
     config = config or _DEFAULT_CONFIG
 
-    grid = tuple((theta, theta_p, lam) for lam in lambda_chain for theta, theta_p in pairs)
+    plans = {}  # per symmetry class, (distinct pairs, each pair's slot among them)
+
+    def evaluate(method: str, lambdas) -> tuple:
+        mirrored = _mirrored(method, nu, config)
+        if mirrored not in plans:
+            plans[mirrored] = _dedupe(pairs, mirrored)
+        distinct, order = plans[mirrored]
+        return _evaluate_chain(method, nu, distinct, lambdas, config), order
+
     try:
-        value_a, value_b = (tuple(_evaluate_chain(m, nu, pairs, lambda_chain, config)) for m in (method_a, method_b))
+        evaluated = [evaluate(method, lambda_chain) for method in (method_a, method_b)]
     except _REFUSALS:
         for lam in lambda_chain:
             for method in (method_a, method_b):
-                _evaluate_chain(method, nu, pairs, [lam], config)
+                evaluate(method, [lam])
         raise
+    # each method's values, lambda-major over its distinct pairs, expanded to the rows by one index
+    values_a, values_b = (np.reshape(values, (len(lambda_chain), -1))[:, order].ravel() for values, order in evaluated)
+    grid = tuple([(theta, theta_p, lam) for lam in lambda_chain for theta, theta_p in pairs])
     # Each step is elementwise, so each deviation is bitwise the scalar expression on its row: |Re a - Re b|,
     # over the builtin max(|Re a|, |Re b|) where that is > 0 (max keeps |Re a| when |Re b| is NaN), else 0.0.
     # Numpy's warnings are off: inf - inf is NaN and a difference past the float range inf, as in Python.
-    values_a, values_b = np.array(value_a), np.array(value_b)
     with np.errstate(all="ignore"):
         abs_a, abs_b = np.abs(values_a.real), np.abs(values_b.real)
         denom = np.where(abs_b > abs_a, abs_b, abs_a)
@@ -360,8 +425,8 @@ def compare_methods(
         method_a=method_a,
         method_b=method_b,
         grid=grid,
-        value_a=value_a,
-        value_b=value_b,
+        value_a=tuple(values_a.tolist()),
+        value_b=tuple(values_b.tolist()),
         abs_dev=tuple(abs_dev.tolist()),
         rel_dev=tuple(rel_dev.tolist()),
         max_abs_dev=float(block_abs.max()),
@@ -389,12 +454,7 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
     the others fix their own couplings.  A tolerance of ``math.inf`` marks a
     structural check, decided by ``passed`` alone.
     """
-    if isinstance(suites, str):
-        raise DomainError(f"suites must be a collection of suite names, got the string {suites!r}")
-    try:
-        suites = tuple(suites)  # taken once: a generator is read here and not again
-    except TypeError:
-        raise DomainError(f"suites must be an iterable of suite names, got {suites!r}") from None
+    suites = _collection(suites, "suites", "suite names")
     if not all(isinstance(name, str) and name in SUITES for name in suites):  # compared, not hashed: a list name is unknown too
         raise DomainError(f"unknown suite in {suites}; expected names from {', '.join(SUITES)}")
     nu = require_nu(nu)

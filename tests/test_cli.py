@@ -441,6 +441,9 @@ class TestUsageErrors:
         (("--lambda-chain", "0.4,x", "--grid-n", "2"), "--lambda-chain must be comma-separated floats: could not convert string to float: 'x'"),
         (("--lambda-chain", ",", "--grid-n", "2"), "--lambda-chain is empty"),
         (("--lambda-chain", "0.4", "--grid-n", "0"), "--grid-n must be >= 1"),
+        # N^2 pairs are built as a list before any evaluation: past 316 (99,856 pairs), --grid-n 100000 grew memory
+        (("--lambda-chain", "0.4", "--grid-n", "317"), "--grid-n must be at most 316 (100000 pairs), got 317"),
+        (("--lambda-chain", "0.4", "--grid-n", "100000"), "--grid-n must be at most 316 (100000 pairs), got 100000"),
         (("--lambda-chain", "0.4", "--grid-n", "2", "--grid-margin", "0"), "--grid-margin must lie in (0, pi/2)"),
         (("--lambda-chain", "0.4", "--grid-n", "2", "--grid-margin", "1.6"), "--grid-margin must lie in (0, pi/2)"),
         (("--lambda-chain", "0.4", "--theta", "1"), "provide either --grid-n or both --theta and --theta-p"),

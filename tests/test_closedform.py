@@ -11,6 +11,7 @@ of the half-order Bessel function:
 the opposite sign on that exponent, see the convergence notes.)
 """
 
+import bisect
 import math
 import warnings
 
@@ -29,7 +30,8 @@ from boxkernel import (
     addition_formula_terms,
     kernel_closed,
 )
-from boxkernel.closedform import _LOG_SERIES_TAIL, _log_term_bound, _series_length
+from boxkernel.closedform import _LOG_SERIES_TAIL, _log_term_bounds, _series_cap, _series_length
+from boxkernel.spectral import _log_envelope
 
 mpmath.mp.dps = 40
 
@@ -249,15 +251,44 @@ class TestAdditionSeriesLength:
             nu = math.exp(rng.uniform(math.log(0.5), math.log(1e4)))
             lam = math.exp(rng.uniform(math.log(1e-4), math.log(30.0)))
             z, cap = 1.0 / lam, addition_formula_terms(lam)
-            first, log_t = cap, _log_term_bound(1, nu, z)
+            log_term_bound = _log_term_bounds(nu, z)
+            first, log_t = cap, log_term_bound(1)
             for n in range(1, cap + 1):
-                log_next = _log_term_bound(n + 1, nu, z)
+                log_next = log_term_bound(n + 1)
                 log_r = log_next - log_t
                 if log_r < 0.0 and log_t - math.log(-math.expm1(log_r)) <= _LOG_SERIES_TAIL:
                     first = n
                     break
                 log_t = log_next
             assert _series_length(nu, lam) == first, (nu, lam)
+
+    def test_the_search_constants_change_no_length(self):
+        # the bound's terms at m = 0 are computed once per search: on 3,000 seeded points, nu log-uniform in
+        # [0.5, 1e4] and lambda in [1e-4, 30], the length is the one of a search that forms them at every
+        # probe, as each bound did, and so are the bounds, by repr
+        def log_term_bound(m, nu, z):
+            a, b = nu, nu + m
+            log_bessel = -(b * math.asinh(b / z) - a * math.asinh(a / z) - (b - a) * (b + a) / (math.hypot(b, z) + math.hypot(a, z)))
+            return log_bessel + 2.0 * (_log_envelope(float(m), nu) - _log_envelope(0.0, nu))
+
+        def series_length(nu, lam):
+            z, cap = 1.0 / lam, _series_cap(lam)
+
+            def meets(n):
+                log_t = log_term_bound(n, nu, z)
+                log_r = log_term_bound(n + 1, nu, z) - log_t
+                return log_r < 0.0 and log_t - math.log(-math.expm1(log_r)) <= _LOG_SERIES_TAIL
+
+            return min(cap, 1 + bisect.bisect_left(range(1, cap + 1), True, key=meets))
+
+        rng = np.random.default_rng(3000)
+        for _ in range(3000):
+            nu = math.exp(rng.uniform(math.log(0.5), math.log(1e4)))
+            lam = math.exp(rng.uniform(math.log(1e-4), math.log(30.0)))
+            n = _series_length(nu, lam)
+            assert n == series_length(nu, lam), (nu, lam)
+            bound = _log_term_bounds(nu, 1.0 / lam)
+            assert [repr(bound(m)) for m in (1, 2, n, n + 1)] == [repr(log_term_bound(m, nu, 1.0 / lam)) for m in (1, 2, n, n + 1)]
 
     def test_length_grows_like_inverse_sqrt_lambda(self):
         # a hundredfold smaller lambda: ~10x the terms (sqrt(z log(1/eps))), where the cap takes 43x

@@ -175,6 +175,32 @@ TAG_DOORS = [
 ]
 
 
+# A comparison's grid and chain: each malformed one is refused with DomainError.  A string chain was read
+# character by character ("21" as lambdas 2.0 and 1.0, "0.1" refused as "got 0.0"); a grid of a 1-tuple
+# raised a raw ValueError, a grid of 5 a raw TypeError.
+SHAPE_DOORS = [
+    ("compare_methods-grid", lambda grid: verify.compare_methods(1.0, grid, [0.2, 0.1], "spectral", "closed_form"), [(1.0, 1.2)],
+     (5, None, "ab", [(1.0,)], [(1.0, 1.2, 1.3)], ["12"], [5], [(None, 1.0)], [("x", 1.0)], [[1.0, [1.2]]])),
+    ("compare_methods-chain", lambda chain: verify.compare_methods(1.0, [(1.0, 1.2)], chain, "spectral", "closed_form"), [0.2, 0.1],
+     ("21", "0.1", 5, None, np.array(0.1), [None], [[0.1]], ["x"])),
+]
+
+
+@pytest.mark.parametrize("entry, good, malformed", [door[1:] for door in SHAPE_DOORS], ids=[door[0] for door in SHAPE_DOORS])
+def test_no_door_reads_a_malformed_grid_or_chain(entry, good, malformed):
+    entry(good)
+    let_through = []
+    for bad in malformed:
+        try:
+            outcome = entry(bad)
+        except errors.DomainError:
+            continue
+        except Exception as exc:
+            outcome = exc
+        let_through.append((repr(bad), repr(outcome)[:80]))
+    assert let_through == []
+
+
 @pytest.mark.parametrize("entry", [door[1] for door in TAG_DOORS], ids=[door[0] for door in TAG_DOORS])
 def test_no_door_lets_a_tag_or_a_suite_list_of_another_type_through(entry):
     # a method tag must be a str and the suites an iterable of str names: anything else is refused with

@@ -14,6 +14,8 @@ from boxkernel import (
     bessel_i_scaled,
     gegenbauer_table,
 )
+from boxkernel.errors import _MAX_TERMS
+from boxkernel.specfun import _gegenbauer_table
 
 mpmath.mp.dps = 40
 
@@ -80,6 +82,13 @@ class TestGegenbauer:
                 gegenbauer_table(nmax, 1.0, 0.5)
         assert gegenbauer_table(np.int64(3), 1.7, 0.5).tolist() == gegenbauer_table(3, 1.7, 0.5).tolist()
 
+    def test_a_row_past_the_term_cap_is_refused_before_it_is_built(self):
+        # nmax = 10**9 grew memory until the process was killed; a row holds at most _MAX_TERMS degrees
+        for nmax in (_MAX_TERMS, 10**9):
+            with pytest.raises(DomainError, match=rf"^nmax must be nonnegative and at most {_MAX_TERMS - 1}, got {nmax}$"):
+                gegenbauer_table(nmax, 1.0, 0.5)
+        assert len(gegenbauer_table(_MAX_TERMS - 1, 1.0, 0.5)) == _MAX_TERMS
+
     def test_coupling_and_argument_are_checked(self):
         # nu = NaN and nu = 0.1 returned values, an x of NaN a column of NaNs
         for nu in (math.nan, 0.1):
@@ -87,6 +96,45 @@ class TestGegenbauer:
                 gegenbauer_table(3, nu, 0.5)
         with pytest.raises(DomainError, match=r"^Gegenbauer argument must lie in \[-1, 1\]$"):
             gegenbauer_table(3, 2.5, np.array([0.5, math.nan]))
+
+
+def per_step_rows(nmax, nu, x):
+    """The recurrence with each step's coefficients formed inside the step: the reference for the table's
+    coefficient list, which must give the same floats."""
+    rows = [1.0 + 0.0 * x]
+    if nmax >= 1:
+        rows.append(2.0 * nu * x)
+    for n in range(1, nmax):
+        rows.append((2.0 * (n + nu) * x * rows[n] - (n + 2.0 * nu - 1.0) * rows[n - 1]) / (n + 1.0))
+    return rows
+
+
+class TestCoefficientList:
+    # one list of step coefficients serves every x of a table: each row, a float x's and an array x's
+    # alike, is by repr the recurrence that forms its coefficients step by step
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(26)
+        cases = [(nmax, nu) for nmax in (0, 1, 2) for nu in (0.5, 1.0, 2.7)]
+        return cases + [(int(rng.integers(0, 401)), float(rng.uniform(0.5, 20.0))) for _ in range(40)]
+
+    def test_float_rows(self):
+        rng = np.random.default_rng(260)
+        for nmax, nu in self.cases():
+            xs = rng.uniform(-1.0, 1.0, 3).tolist()
+            tables = _gegenbauer_table(nmax, nu, xs)
+            assert [list(map(repr, rows)) for rows in tables] == [list(map(repr, per_step_rows(nmax, nu, x))) for x in xs], (nmax, nu)
+
+    def test_array_rows(self):
+        rng = np.random.default_rng(261)
+        for nmax, nu in self.cases():
+            x = rng.uniform(-1.0, 1.0, 5)
+            with np.errstate(over="ignore", invalid="ignore"):  # a large nu leaves the float range, in both
+                [rows] = _gegenbauer_table(nmax, nu, [x])
+                reference = per_step_rows(nmax, nu, x)
+            assert len(rows) == nmax + 1
+            assert [repr(row.tolist()) for row in rows] == [repr(row.tolist()) for row in reference], (nmax, nu)
 
 
 class TestBesselIScaled:

@@ -139,6 +139,12 @@ class TestEigenfunction:
                 eigenfunctions(nmax, 1.0, 1.0)
         assert eigenfunctions(np.int64(3), 2.5, 1.0).tolist() == eigenfunctions(3, 2.5, 1.0).tolist()
 
+    def test_a_row_past_the_term_cap_is_refused(self):
+        # a row holds at most _MAX_TERMS modes, as a spectral sum does; a larger nmax is refused before any array
+        for nmax in (spectral._MAX_TERMS, 10**12):
+            with pytest.raises(DomainError, match=rf"^nmax must be nonnegative and at most {spectral._MAX_TERMS - 1}, got {nmax}$"):
+                eigenfunctions(nmax, 1.0, 1.0)
+
 
 class TestTruncationTailBound:
     def test_nonincreasing_in_n(self):
@@ -286,16 +292,16 @@ class TestKernelSpectral:
             if expected is None:
                 cap_hits += 1
                 with pytest.raises(PolicyUnresolvableError):
-                    _mode_weights(nu, lam, policy)
+                    _mode_weights(nu, [lam], policy)
             else:
-                weights, tail = _mode_weights(nu, lam, policy)
+                [(weights, tail)] = _mode_weights(nu, [lam], policy)
                 assert (len(weights), tail) == expected, (nu, lam, policy)
         assert cap_hits > 0
 
     def test_the_scan_makes_no_argument_check(self, check_calls):
         # a resolve at a fresh (nu, lambda) probes the tail bound's body, not the checked public bound
         misses = _resolve.cache_info().misses
-        weights, _ = _mode_weights(2.5, 0.00123457, None)
+        [(weights, _)] = _mode_weights(2.5, [0.00123457], None)
         assert _resolve.cache_info().misses == misses + 1 and len(weights) > 100
         assert not check_calls
 
@@ -303,20 +309,38 @@ class TestKernelSpectral:
         # a repeated (nu, lambda, policy) reads N and the tail bound from the memo, and the weight
         # array is built afresh, so no caller can alter another's weights
         policy = TruncationPolicy(epsilon_tail=1e-13)
-        first, tail = _mode_weights(2.5, 0.0731, policy)
+        [(first, tail)] = _mode_weights(2.5, [0.0731], policy)
         hits = _resolve.cache_info().hits
-        again, tail_again = _mode_weights(2.5, 0.0731, TruncationPolicy(epsilon_tail=1e-13))
+        [(again, tail_again)] = _mode_weights(2.5, [0.0731], TruncationPolicy(epsilon_tail=1e-13))
         assert _resolve.cache_info().hits == hits + 1
         assert (len(again), tail_again) == (len(first), tail)
         assert again is not first and np.array_equal(again, first)
         again[0] = 0.0
-        assert _mode_weights(2.5, 0.0731, policy)[0][0] == first[0] != 0.0
+        assert _mode_weights(2.5, [0.0731], policy)[0][0][0] == first[0] != 0.0
+
+    def test_chain_rows_are_each_lambdas_own_weights_by_repr(self):
+        # the squares (n+nu)^2 formed once at the largest N: each lambda's weights over its prefix are, by
+        # repr, the weights that lambda gets alone and the expression exp(-lambda (n+nu)^2 / 2) over its own modes
+        rng = np.random.default_rng(2026)
+        prefixes = 0
+        for _ in range(40):
+            nu = float(rng.uniform(0.5, 20.0))
+            chain = sorted((10.0 ** rng.uniform(-4.0, 0.5, int(rng.integers(1, 6)))).tolist(), reverse=True)
+            rows = _mode_weights(nu, chain, None)
+            prefixes += len({len(w) for w, _ in rows}) > 1
+            for lam, (weights, tail) in zip(chain, rows):
+                [(alone, alone_tail)] = _mode_weights(nu, [lam], None)
+                n = np.arange(len(weights), dtype=float)
+                expression = np.exp(-lam * (n + nu) ** 2 / 2.0)
+                assert repr(weights.tolist()) == repr(alone.tolist()) == repr(expression.tolist()), (nu, lam)
+                assert tail == alone_tail == _resolve(nu, lam, spectral._DEFAULT_POLICY)[1]
+        assert prefixes > 20
 
     def test_resolve_memo_does_not_cache_refusals(self):
         policy = TruncationPolicy(epsilon_tail=1e-12, n_cap=7)
         for _ in range(2):
             with pytest.raises(PolicyUnresolvableError):
-                _mode_weights(1.0, 1e-3, policy)
+                _mode_weights(1.0, [1e-3], policy)
         assert _resolve.cache_parameters()["maxsize"] is not None
 
     def test_to_tail_takes_the_field_default_cap(self):

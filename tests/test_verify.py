@@ -29,7 +29,7 @@ from boxkernel import (
     kernel_spectral_profile,
     run_suites,
 )
-from boxkernel import pathsum, spectral
+from boxkernel import pathsum, spectral, verify
 from boxkernel.spectral import _mode_weights
 
 # each method's public scalar kernel, called one point at a time
@@ -61,6 +61,12 @@ class TestQuadrature:
     def test_too_few_points_rejected(self):
         for npoints in (1, 2.5):  # 2.5 met numpy's raw TypeError
             with pytest.raises(DomainError, match="quadrature needs npoints >= 2"):
+                gauss_legendre_on_0_pi(npoints)
+
+    def test_a_rule_past_the_square_cap_is_refused_before_it_is_built(self):
+        # leggauss builds an npoints^2 matrix: 4,096 points take 128 MB, and more are refused
+        for npoints in (verify._MAX_SQUARE + 1, 10**6):
+            with pytest.raises(DomainError, match=rf"^quadrature needs npoints >= 2 and at most {verify._MAX_SQUARE}, got {npoints}$"):
                 gauss_legendre_on_0_pi(npoints)
 
     def test_rule_is_built_once_and_read_only(self):
@@ -114,6 +120,12 @@ class TestOrthonormality:
         # 2.5 met numpy's raw TypeError
         with pytest.raises(DomainError, match=r"^nmax must be nonnegative \(an integer\), got 2.5$"):
             check_orthonormality(2.0, 2.5, gauss_legendre_on_0_pi(20))
+
+    def test_a_gram_past_the_square_cap_is_refused_before_it_is_built(self):
+        # the gram holds (nmax + 1)^2 floats: nmax + 1 is at most 4,096, 128 MB
+        for nmax in (verify._MAX_SQUARE, 10**9):
+            with pytest.raises(DomainError, match=rf"^nmax must be nonnegative and at most {verify._MAX_SQUARE - 1}, got {nmax}$"):
+                check_orthonormality(2.0, nmax, gauss_legendre_on_0_pi(20))
 
     def test_overflowing_table_is_domain_error(self):
         # C_n^nu(cos theta) leaves the float range at the outer nodes of the rule
@@ -170,8 +182,8 @@ class TestSemigroup:
         monkeypatch.setattr(spectral, "_eigenfunction_matrix", lambda log_norms, *args: lengths.append(len(log_norms)) or matrix(log_norms, *args))
         shared = spectral._spectral_profiles(2.7, legs, rule.nodes, None)
         assert [list(map(repr, profile)) for profile in shared] == [list(map(repr, profile)) for profile in alone]
-        assert lengths == [max(len(_mode_weights(2.7, lam, None)[0]) for _, lam in legs)]
-        assert len(set(len(_mode_weights(2.7, lam, None)[0]) for _, lam in legs)) == 2
+        assert lengths == [max(len(_mode_weights(2.7, [lam], None)[0][0]) for _, lam in legs)]
+        assert len(set(len(_mode_weights(2.7, [lam], None)[0][0]) for _, lam in legs)) == 2
         direct = kernel_spectral(2.7, 1.1, 2.0, 0.3 + 0.7).real
         composed = float(np.sum(rule.weights * alone[0] * alone[1]))
         assert check_semigroup(2.7, 0.3, 0.7, 1.1, 2.0, rule) == abs(composed - direct) / abs(direct)
@@ -571,6 +583,28 @@ class TestCompareMethods:
                     for method, values in ((method_a, rep.value_a), (method_b, rep.value_b)):
                         scalar = tuple(SCALAR_KERNELS[method](nu, a, b, lam, cfg).value for a, b, lam in rep.grid)
                         assert repr(values) == repr(scalar), method
+
+    def test_one_dedupe_plan_per_symmetry_class_and_call(self, monkeypatch):
+        # two methods of one symmetry class share one plan of distinct pairs; a method of the other class
+        # builds its own when it runs, and no plan is kept from one comparison to the next
+        plans = []
+        dedupe = verify._dedupe
+        monkeypatch.setattr(verify, "_dedupe", lambda pairs, mirrored: plans.append(mirrored) or dedupe(pairs, mirrored))
+        grid = [(0.7, 1.9), (1.9, 0.7), (1.2, 1.2)]
+        for methods, classes in (
+            (("spectral", "closed_form"), [True]),
+            (("spectral", "path_sum_general"), [True, False]),
+            (("path_sum_general", "closed_form"), [False, True]),
+        ):
+            for _ in range(2):
+                plans.clear()
+                compare_methods(1.3, grid, [0.4, 0.2], *methods)
+                assert plans == classes, methods
+        # a bad tag is refused where it is met: after method_a has run on its plan
+        plans.clear()
+        with pytest.raises(DomainError, match="^unknown method 'x'"):
+            compare_methods(1.3, grid, [0.4], "spectral", "x")
+        assert plans == [True]
 
     @pytest.mark.parametrize("grid", [[(0.01, 1.0), (1.0, 0.01)], [(1.0, 0.01), (0.01, 1.0)]])
     def test_a_mirrored_refusal_names_the_pair_met_first(self, grid):
