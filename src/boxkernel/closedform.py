@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .errors import _MAX_TERMS, DomainError, require_count, require_lambda, require_point
-from .spectral import KernelEstimate, _log_envelope, _mode_sums, _require_norm_range
+from .spectral import KernelEstimate, _log_coupling, _log_envelope, _mode_sums, _require_norm_range
 from .specfun import _bessel_i_scaled_orders, bessel_i_scaled
 
 __all__ = [
@@ -88,14 +88,16 @@ def _log_term_bounds(nu: float, z: float):
     majorant of the series' term m: Amos' ratio bound summed by the midpoint rule gives ``I_{nu+m}(z) /
     I_nu(z) <= exp(-(F(nu+m) - F(nu)))``, ``F(x) = x asinh(x/z) - hypot(x, z)`` (docs/tail_bound.md).
     The hypot difference is taken as a quotient, which does not cancel at z >> nu + m.  The terms at
-    m = 0 (``F``'s parts at nu and log A_0) are computed once, for every m a search probes."""
-    a, log_envelope_0 = nu, _log_envelope(0.0, nu)
+    m = 0 (``F``'s parts at nu and log A_0) and the envelope's per-coupling constant (:func:`_log_coupling`)
+    are computed once, for every m a search probes."""
+    a, log_coupling = nu, _log_coupling(nu)
+    log_envelope_0 = _log_envelope(0.0, nu, log_coupling)
     asinh_a, hypot_a = a * math.asinh(a / z), math.hypot(a, z)
 
     def log_term_bound(m: int) -> float:
         b = nu + m
         log_bessel = -(b * math.asinh(b / z) - asinh_a - (b - a) * (b + a) / (math.hypot(b, z) + hypot_a))
-        return log_bessel + 2.0 * (_log_envelope(float(m), nu) - log_envelope_0)
+        return log_bessel + 2.0 * (_log_envelope(float(m), nu, log_coupling) - log_envelope_0)
 
     return log_term_bound
 

@@ -54,21 +54,30 @@ class PolicyUnresolvableError(RuntimeError):
 
 
 def require_nu(nu: float) -> float:
-    nu = float(nu)
+    try:
+        nu = float(nu)
+    except (TypeError, ValueError):
+        raise DomainError(f"coupling nu must be a number, got {nu!r}") from None
     if not (nu >= 0.5) or not math.isfinite(nu):
         raise DomainError(f"coupling nu must satisfy nu >= 1/2, got {nu!r}")
     return nu
 
 
 def require_theta(theta: float, name: str = "theta") -> float:
-    theta = float(theta)
+    try:
+        theta = float(theta)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {theta!r}") from None
     if not (0.0 < theta < math.pi):
         raise DomainError(f"{name} must lie strictly inside (0, pi), got {theta!r}")
     return theta
 
 
 def require_lambda(lam: float, name: str = "lambda") -> float:
-    lam = float(lam)
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {lam!r}") from None
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DomainError(f"{name} must be positive and finite, got {lam!r}")
     return lam
@@ -79,9 +88,17 @@ def require_point(nu: float, theta: float, theta_p: float, lam: float) -> tuple[
     return require_nu(nu), require_theta(theta), require_theta(theta_p, "theta_p"), require_lambda(lam)
 
 
+def _floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ``DomainError`` naming ``name`` where numpy cannot read them as numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be numbers, got {values!r}") from None
+
+
 def require_angles(thetas) -> np.ndarray:
     """The angles of a profile (a scalar or a nonempty vector) as floats, each strictly inside (0, pi)."""
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = _floats(thetas, "profile angles")
     if thetas.ndim > 1 or not thetas.size:
         raise DomainError(f"profile angles must be a scalar or a nonempty vector, got shape {thetas.shape}")
     if not ((thetas > 0.0) & (thetas < math.pi)).all():  # NaN fails both tests

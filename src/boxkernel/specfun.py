@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import _MAX_TERMS, DomainError, require_index, require_nu
+from .errors import _MAX_TERMS, DomainError, _floats, require_index, require_nu
 
 __all__ = [
     "gegenbauer_table",
@@ -44,7 +44,7 @@ def gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
     """
     nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_TERMS - 1)
     nu = require_nu(nu)
-    x = np.asarray(x, dtype=float)
+    x = _floats(x, "Gegenbauer arguments")
     if not (np.abs(x) <= 1.0).all():  # NaN fails the test
         raise DomainError("Gegenbauer argument must lie in [-1, 1]")
     [rows] = _gegenbauer_table(nmax, nu, [x.tolist() if x.ndim == 0 else x])
@@ -80,8 +80,10 @@ def bessel_i_scaled(order: float, z: float) -> float:
     orders past ive's range (1e16 at z = 7) ive returns NaN, and this raises
     ``DomainError``.
     """
-    mu = float(order)
-    z = float(z)
+    try:
+        mu, z = float(order), float(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"Bessel order and argument must be numbers, got {order!r} and {z!r}") from None
     if mu < 0.0:
         raise DomainError(f"Bessel order must be nonnegative, got {order!r}")
     if not (z > 0.0) or not math.isfinite(z):

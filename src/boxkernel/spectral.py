@@ -24,6 +24,7 @@ two-line derivation and the validity argument.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.n_terms is not None:
             require_count(self.n_terms, "n_terms", _MAX_TERMS)
-        if not (0.0 < self.epsilon_tail < math.inf):
+        if not (isinstance(self.epsilon_tail, numbers.Real) and 0.0 < self.epsilon_tail < math.inf):
             raise DomainError(f"epsilon_tail must be finite and > 0, got {self.epsilon_tail}")
         require_count(self.n_cap, "n_cap", _MAX_TERMS)
 
@@ -175,20 +176,21 @@ def _require_finite(last: np.ndarray, nmax: int, nu: float) -> None:
         raise DomainError(f"eigenfunction table: C_n^nu(cos theta) leaves the float range by n = {nmax} at nu = {nu:g}")
 
 
-def _log_envelope(n: float, nu: float):
+def _log_coupling(nu: float) -> float:
+    """The n-free part of log A_n (:func:`_log_envelope`), ``nu log 2 + lgamma(nu) - lgamma(2 nu) - log(2 pi) / 2``:
+    three of the envelope's six libm calls, made once per search, not at every probe."""
+    return nu * math.log(2.0) + math.lgamma(nu) - math.lgamma(2.0 * nu) - 0.5 * _LOG_2PI
+
+
+def _log_envelope(n: float, nu: float, log_coupling: float) -> float:
     """log A_n with |phi_n(theta)| <= A_n for every theta in (0, pi).
 
     Uses |C_n^nu(x)| <= C_n^nu(1) = Gamma(n+2nu) / (n! Gamma(2nu)) and
-    sin^nu(theta) <= 1.
+    sin^nu(theta) <= 1.  log A_n is ``log_coupling``, the per-coupling constant of
+    :func:`_log_coupling`, plus the per-n part ``log(n+nu) / 2 + (lgamma(n+2nu) - lgamma(n+1)) / 2``,
+    added in the written-out sum's left-to-right order, so each log A_n has the bits of that sum.
     """
-    return (
-        nu * math.log(2.0)
-        + math.lgamma(nu)
-        - math.lgamma(2.0 * nu)
-        - 0.5 * _LOG_2PI
-        + 0.5 * math.log(n + nu)
-        + 0.5 * (math.lgamma(n + 2.0 * nu) - math.lgamma(n + 1.0))
-    )
+    return log_coupling + 0.5 * math.log(n + nu) + 0.5 * (math.lgamma(n + 2.0 * nu) - math.lgamma(n + 1.0))
 
 
 def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
@@ -200,12 +202,18 @@ def truncation_tail_bound(nu: float, lam: float, n_start: int) -> float:
     legitimate whenever ``r_N < 1`` (and +inf is returned otherwise, which the
     policy resolver treats as "keep adding terms").  ``DomainError`` where log t_N leaves the float range.
     """
-    return _tail_bound(require_nu(nu), require_lambda(lam), require_index(n_start, 1, "tail bound needs n_start >= 1"))
+    nu, lam, n_start = require_nu(nu), require_lambda(lam), require_index(n_start, 1, "tail bound needs n_start >= 1")
+    try:
+        log_coupling = _log_coupling(nu)
+    except OverflowError:  # a log-gamma past nu ~ 2.6e305, where (n + nu)^2 has left the float range too
+        log_coupling = math.nan
+    return _tail_bound(nu, lam, n_start, log_coupling)
 
 
-def _tail_bound(nu: float, lam: float, n_start: int) -> float:
-    """:func:`truncation_tail_bound` on checked arguments: the probe of :func:`_resolve`'s scan."""
-    log_t = lambda n: -lam * (n + nu) ** 2 / 2.0 + 2.0 * _log_envelope(float(n), nu)
+def _tail_bound(nu: float, lam: float, n_start: int, log_coupling: float) -> float:
+    """:func:`truncation_tail_bound` on checked arguments and the coupling's :func:`_log_coupling`: the probe
+    of :func:`_resolve`'s scan."""
+    log_t = lambda n: -lam * (n + nu) ** 2 / 2.0 + 2.0 * _log_envelope(float(n), nu, log_coupling)
     try:
         t0 = log_t(n_start)
         ratio = math.exp(log_t(n_start + 1) - t0)
@@ -239,10 +247,11 @@ def _resolve(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, floa
     linear scan over :func:`truncation_tail_bound`'s body.  A refusal raises and is not cached; past the
     norms' range it comes before any bound."""
     _require_norm_range(nu)
+    log_coupling = _log_coupling(nu)
     if policy.n_terms is not None:
-        return policy.n_terms, _tail_bound(nu, lam, policy.n_terms)
+        return policy.n_terms, _tail_bound(nu, lam, policy.n_terms, log_coupling)
     for n_terms in range(1, policy.n_cap + 1):
-        tail = _tail_bound(nu, lam, n_terms)
+        tail = _tail_bound(nu, lam, n_terms, log_coupling)
         if tail <= policy.epsilon_tail:
             return n_terms, tail
     raise PolicyUnresolvableError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import _closed_chain, addition_formula_lhs, addition_formula_rhs, kernel_closed
-from .errors import DomainError, PolicyUnresolvableError, require_angles, require_index, require_lambda, require_nu, require_theta
+from .errors import DomainError, PolicyUnresolvableError, _floats, require_angles, require_index, require_lambda, require_nu, require_theta
 from .pathsum import PRESCRIPTIONS, PathSumConfig, _DEFAULT_PATH, _pathsum_chain, _point_estimate, _symmetric, reflection_phase
 from .spectral import (
     KernelEstimate,
@@ -83,7 +83,7 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes, weights = np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
+        nodes, weights = _floats(self.nodes, "quadrature nodes"), _floats(self.weights, "quadrature weights")
         if nodes.ndim != 1 or not nodes.size:
             raise DomainError(f"quadrature nodes must be a nonempty vector, got shape {nodes.shape}")
         require_angles(nodes)
@@ -312,13 +312,7 @@ def _collection(values, name: str, of: str) -> tuple:
 
 def _chain(lambda_chain) -> list[float]:
     """The checked lambdas of a comparison chain; ``DomainError`` for a chain that is not a collection of numbers."""
-    chain = _collection(lambda_chain, "lambda chain", "numbers")
-    try:
-        return [require_lambda(lam) for lam in chain]
-    except DomainError:
-        raise
-    except (TypeError, ValueError):  # an entry that float() cannot read
-        raise DomainError(f"lambda chain entries must be numbers, got {chain!r}") from None
+    return [require_lambda(lam) for lam in _collection(lambda_chain, "lambda chain", "numbers")]
 
 
 def _grid(theta_grid) -> list[tuple[float, float]]:
@@ -329,9 +323,9 @@ def _grid(theta_grid) -> list[tuple[float, float]]:
         try:
             theta, theta_p = () if isinstance(pair, str) else pair
             pairs.append((require_theta(theta), require_theta(theta_p, "theta_p")))
-        except DomainError:
+        except DomainError:  # an angle that is not a number in (0, pi); a DomainError is a ValueError
             raise
-        except (TypeError, ValueError):  # a pair that does not unpack into two angles, or an angle float() cannot read
+        except (TypeError, ValueError):  # a pair that does not unpack into two angles
             raise DomainError(f"theta grid entries must be (theta, theta_p) pairs of numbers, got {pair!r}") from None
     return pairs
 

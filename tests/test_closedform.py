@@ -31,7 +31,6 @@ from boxkernel import (
     kernel_closed,
 )
 from boxkernel.closedform import _LOG_SERIES_TAIL, _log_term_bounds, _series_cap, _series_length
-from boxkernel.spectral import _log_envelope
 
 mpmath.mp.dps = 40
 
@@ -263,13 +262,17 @@ class TestAdditionSeriesLength:
             assert _series_length(nu, lam) == first, (nu, lam)
 
     def test_the_search_constants_change_no_length(self):
-        # the bound's terms at m = 0 are computed once per search: on 3,000 seeded points, nu log-uniform in
+        # the bound's terms at m = 0 and the envelope's constant are computed once per search: on 3,000 seeded points, nu log-uniform in
         # [0.5, 1e4] and lambda in [1e-4, 30], the length is the one of a search that forms them at every
         # probe, as each bound did, and so are the bounds, by repr
+        def log_envelope(n, nu):  # log A_n as one expression, its constant formed at every call
+            return (nu * math.log(2.0) + math.lgamma(nu) - math.lgamma(2.0 * nu) - 0.5 * math.log(2.0 * math.pi)
+                    + 0.5 * math.log(n + nu) + 0.5 * (math.lgamma(n + 2.0 * nu) - math.lgamma(n + 1.0)))
+
         def log_term_bound(m, nu, z):
             a, b = nu, nu + m
             log_bessel = -(b * math.asinh(b / z) - a * math.asinh(a / z) - (b - a) * (b + a) / (math.hypot(b, z) + math.hypot(a, z)))
-            return log_bessel + 2.0 * (_log_envelope(float(m), nu) - _log_envelope(0.0, nu))
+            return log_bessel + 2.0 * (log_envelope(float(m), nu) - log_envelope(0.0, nu))
 
         def series_length(nu, lam):
             z, cap = 1.0 / lam, _series_cap(lam)

@@ -113,7 +113,7 @@ DOORS = [
     ("eigenfunctions", spectral.eigenfunctions, (5, 2.5, 1.0), "iff"),
     ("truncation_tail_bound", spectral.truncation_tail_bound, (2.5, 0.1, 3), "ffi"),
     ("kernel_spectral", spectral.kernel_spectral, POINT, "ffff"),
-    ("kernel_spectral_profile", lambda nu, theta_a, theta, lam: spectral.kernel_spectral_profile(nu, theta_a, np.array([1.2, theta]), lam),
+    ("kernel_spectral_profile", lambda nu, theta_a, theta, lam: spectral.kernel_spectral_profile(nu, theta_a, [1.2, theta], lam),
      POINT, "ffff"),
     ("kernel_closed", closedform.kernel_closed, POINT, "ffff"),
     ("addition_formula_lhs", closedform.addition_formula_lhs, POINT + (10,), "ffffi"),
@@ -125,7 +125,7 @@ DOORS = [
     ("kernel_pathsum_nu1", pathsum.kernel_pathsum_nu1, POINT[1:], "fff"),
     ("kernel_pathsum_nu2", pathsum.kernel_pathsum_nu2, POINT[1:], "fff"),
     ("kernel_pathsum_general", pathsum.kernel_pathsum_general, POINT, "ffff"),
-    ("QuadratureRule", lambda node, weight: verify.QuadratureRule(np.array([0.5, node]), np.array([1.0, weight])), (1.0, 1.0), "ff"),
+    ("QuadratureRule", lambda node, weight: verify.QuadratureRule([0.5, node], [1.0, weight]), (1.0, 1.0), "ff"),
     ("gauss_legendre_on_0_pi", verify.gauss_legendre_on_0_pi, (4,), "i"),
     ("check_orthonormality", lambda nu, nmax: verify.check_orthonormality(nu, nmax, RULE), (2.5, 5), "fi"),
     ("check_gaussian_bessel_link", verify.check_gaussian_bessel_link, (2, 2.5, 0.1), "iff"),
@@ -137,7 +137,7 @@ DOORS = [
         nu, [(theta, theta_p)], [lam1, lam2], "spectral", "path_sum_general"), POINT + (0.05,), "fffff"),
     ("run_suites", lambda nu: list(verify.run_suites(("phases",), nu)), (2.5,), "f"),
 ]
-BAD_VALUES = {"f": (np.nan, np.inf, -np.inf), "i": (2.5, np.nan)}
+BAD_VALUES = {"f": (np.nan, np.inf, -np.inf, None, "x", [2.5]), "i": (2.5, np.nan)}
 # Public callables that take no number: the errors, the result records and the config of configs.
 NUMBERLESS = {"DomainError", "PolicyUnresolvableError", "KernelEstimate", "ReflectionTerm", "ComparisonReport", "EvalConfig"}
 
@@ -149,8 +149,9 @@ def test_the_audit_covers_every_door():
 
 @pytest.mark.parametrize("entry, args, kinds", [door[1:] for door in DOORS], ids=[door[0] for door in DOORS])
 def test_no_door_lets_nan_inf_or_a_fraction_through(entry, args, kinds):
-    # each float argument in turn is NaN or +-inf, each integer argument 2.5 or NaN: every call refuses
-    # with one of the library's errors, neither returning (a NaN, say) nor raising any other exception
+    # each float argument in turn is NaN, +-inf or not a number (None, "x", [2.5]: float() raised TypeError or
+    # ValueError), each integer argument 2.5 or NaN: every call refuses with one of the library's errors,
+    # neither returning (a NaN, say) nor raising any other exception
     entry(*args)
     let_through = []
     for i, kind in enumerate(kinds):
@@ -163,6 +164,22 @@ def test_no_door_lets_nan_inf_or_a_fraction_through(entry, args, kinds):
                 outcome = exc
             let_through.append((i, bad, repr(outcome)[:80]))
     assert let_through == []
+
+
+def test_a_value_that_is_not_a_number_is_refused_by_its_name():
+    # the validators turn float()'s TypeError or ValueError into a DomainError that names the argument
+    refusals = [
+        (lambda: spectral.kernel_spectral(2.5, None, 1.2, 0.1), "theta_a must be a number, got None"),
+        (lambda: verify.evaluate_method("closed_form", 2.5, 1.0, "x", 0.1), "theta_p must be a number, got 'x'"),
+        (lambda: list(verify.run_suites(["phases"], None)), "coupling nu must be a number, got None"),
+        (lambda: pathsum.kernel_pathsum_general([2.5], 1.0, 1.2, 0.1), "coupling nu must be a number, got [2.5]"),
+        (lambda: closedform.addition_formula_terms("x"), "lambda must be a number, got 'x'"),
+        (lambda: verify.compare_methods(1.0, [(1.0, 1.2)], [0.2, "x"], "spectral", "closed_form"), "lambda must be a number, got 'x'"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(errors.DomainError) as refusal:
+            call()
+        assert str(refusal.value) == message
 
 
 # Every public door that takes a method tag or suite names, as a function of that one argument.

@@ -171,6 +171,28 @@ class TestTruncationTailBound:
         with pytest.raises(DomainError, match=r"^spectral sum: the mode weights leave the float range at nu = 1e\+200, lambda = 0\.1$"):
             truncation_tail_bound(1e200, 0.1, 3)
 
+    def test_weights_past_the_log_gammas_range_are_refused_as_before(self):
+        # past nu ~ 2.6e305 the envelope's constant overflows a log-gamma; (n + nu)^2 has left the float
+        # range long before, and the refusal is that one, as when the constant was formed at each probe
+        with pytest.raises(DomainError, match=r"^spectral sum: the mode weights leave the float range at nu = 1e\+306, lambda = 0\.1$"):
+            truncation_tail_bound(1e306, 0.1, 3)
+
+    def test_the_split_envelope_is_the_one_expression_by_repr(self):
+        # log A_n is the per-coupling constant plus the per-n part, added in the order of the one
+        # expression it replaces: on 3,000 seeded points, nu log-uniform in [0.5, 1e4] and n up to
+        # _MAX_TERMS (and the ends of both ranges), it has that expression's bits
+        def log_envelope(n, nu):
+            return (nu * math.log(2.0) + math.lgamma(nu) - math.lgamma(2.0 * nu) - 0.5 * math.log(2.0 * math.pi)
+                    + 0.5 * math.log(n + nu) + 0.5 * (math.lgamma(n + 2.0 * nu) - math.lgamma(n + 1.0)))
+
+        rng = np.random.default_rng(27)
+        points = [(nu, n) for nu in (0.5, 1e4) for n in (0, 1, spectral._MAX_TERMS)]
+        points += [(math.exp(rng.uniform(math.log(0.5), math.log(1e4))), int(rng.integers(0, spectral._MAX_TERMS + 1)))
+                   for _ in range(3000)]
+        for nu, n in points:
+            split = spectral._log_envelope(float(n), nu, spectral._log_coupling(nu))
+            assert repr(split) == repr(log_envelope(float(n), nu)), (nu, n)
+
     def test_bound_is_a_true_bound(self):
         # extending the truncated sum by 200 extra modes moves the value by
         # less than the reported bound
