@@ -12,8 +12,10 @@ their checks, ``pathsum._point_estimate``) and calls private cores, which take
 checked values and check nothing.  No private function calls a checked public
 entry point, and no public one re-checks its arguments through another public
 one.  A value object that carries arguments (``TruncationPolicy``,
-``PathSumConfig``, ``QuadratureRule``) checks its fields when it is built, and
-the functions that take one trust it.  The exceptions, each with its reason:
+``PathSumConfig``, ``QuadratureRule``, ``EvalConfig``) checks its fields when it
+is built, and the functions that take one check only its type
+(``require_instance``; ``None`` is the default where the signature allows it)
+and trust its fields.  The exceptions, each with its reason:
 
 * ``verify.run_suites`` and ``verify._chain_devs`` call the public API by
   design: they verify it.
@@ -114,6 +116,16 @@ def require_index(n, low: int, rule: str, high: float = math.inf) -> int:
     if n > high:
         raise DomainError(f"{rule} and at most {high}, got {n!r}")
     return int(n)
+
+
+def require_instance(value, kind: type, name: str, default=None):
+    """``value`` where it is a ``kind``, ``default`` where it is None and a default is given; else ``DomainError``.
+    A value object checked its fields when it was built, so the door that takes one checks only its type."""
+    if value is None and default is not None:
+        return default
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}{' or None' if default is not None else ''}, got {value!r}")
+    return value
 
 
 def require_count(n, name: str, cap: float = math.inf) -> int:

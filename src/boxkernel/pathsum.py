@@ -39,7 +39,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, require_count, require_nu, require_point
+from .errors import DomainError, require_count, require_instance, require_nu, require_point
 from .spectral import KernelEstimate
 
 __all__ = [
@@ -181,7 +181,7 @@ def decompose(
     introspection view: it holds every image, also those of weight exactly 0.
     """
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
-    config = config or _DEFAULT_PATH
+    config = require_instance(config, PathSumConfig, "config", _DEFAULT_PATH)
     images = _images(nu, theta, theta_p, lam, config.k_max)
     return [
         ReflectionTerm(k, parity, _phase(k, parity, nu, config.prescription), -((sep - _TWO_PI * k) ** 2) / (2.0 * lam), potential)
@@ -348,12 +348,11 @@ def _pathsum_chain(nu: float, pairs, lambdas, config: PathSumConfig | None) -> l
     return [value for lam in lambdas for value in _loop_values(nu, pairs, lam, config)]
 
 
-def _point_estimate(nu: float, method: str, theta: float, theta_p: float, lam: float, config: PathSumConfig | None) -> KernelEstimate:
+def _point_estimate(nu: float, method: str, theta: float, theta_p: float, lam: float, config: PathSumConfig) -> KernelEstimate:
     """The path sum at one point, as an estimate; ``terms_used`` is the nominal ``4 k_max + 2``, although
     :func:`_loop_values` exponentiates only the images that can contribute.  One point is below
-    ``_ARRAY_MIN_POINTS``, where :func:`_pathsum_chain` always takes the loop, so the arguments are
-    checked here and go to :func:`_loop_values` directly."""
-    config = config or _DEFAULT_PATH
+    ``_ARRAY_MIN_POINTS``, where :func:`_pathsum_chain` always takes the loop, so the numbers are
+    checked here and go to :func:`_loop_values` directly; the config comes checked."""
     nu, theta, theta_p, lam = require_point(nu, theta, theta_p, lam)
     [value] = _loop_values(nu, [(theta, theta_p)], lam, config)
     near_boundary = min(theta, math.pi - theta, theta_p, math.pi - theta_p) < _BOUNDARY_MARGIN
@@ -368,7 +367,7 @@ def kernel_pathsum_general(
     config: PathSumConfig | None = None,
 ) -> KernelEstimate:
     """Phased reflection sum for arbitrary coupling; value is complex."""
-    return _point_estimate(nu, "path_sum_general", theta, theta_p, lam, config)
+    return _point_estimate(nu, "path_sum_general", theta, theta_p, lam, require_instance(config, PathSumConfig, "config", _DEFAULT_PATH))
 
 
 def kernel_pathsum_nu1(
@@ -387,7 +386,7 @@ def kernel_pathsum_nu1(
     1.44e-8 at (1, 2) where the kernel is 9.4e-23.  The phases are exactly
     +-1, so ``value.imag == 0.0``.
     """
-    return _point_estimate(1.0, "path_sum_nu1", theta, theta_p, lam, config)
+    return _point_estimate(1.0, "path_sum_nu1", theta, theta_p, lam, require_instance(config, PathSumConfig, "config", _DEFAULT_PATH))
 
 
 def kernel_pathsum_nu2(
@@ -397,4 +396,4 @@ def kernel_pathsum_nu2(
     config: PathSumConfig | None = None,
 ) -> KernelEstimate:
     """nu = 2 decomposition; both parities enter with coefficient +1."""
-    return _point_estimate(2.0, "path_sum_nu2", theta, theta_p, lam, config)
+    return _point_estimate(2.0, "path_sum_nu2", theta, theta_p, lam, require_instance(config, PathSumConfig, "config", _DEFAULT_PATH))

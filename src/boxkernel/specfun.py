@@ -53,8 +53,8 @@ def gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
 
 def _gegenbauer_table(nmax: int, nu: float, xs: list) -> list[list]:
     """:func:`gegenbauer_table` on checked arguments, per x of ``xs``: the list of its rows C_0 .. C_nmax,
-    floats for a float x (an eigenfunction row, ``spectral._eigenfunction_table``), arrays for an array
-    x (the quadrature nodes, ``spectral._eigenfunction_matrix``).  The step's coefficients
+    floats for a float x, arrays for an array x (``spectral._eigenfunction_table`` takes one array x
+    from ``_ARRAY_MIN_ANGLES`` angles, a float x per angle below).  The step's coefficients
     ``2 (n + nu)``, ``n + 2 nu - 1`` and ``n + 1`` do not depend on x: they are built once, and every
     x runs its recurrence over that one list.  The arithmetic is the same for a float and an array, so
     a float's row is bitwise its entry of an array's rows."""

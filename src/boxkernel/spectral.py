@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _MAX_TERMS, DomainError, PolicyUnresolvableError, require_angles, require_count, require_index, require_lambda, require_nu, require_theta
+from .errors import _MAX_TERMS, DomainError, PolicyUnresolvableError, require_angles, require_count, require_index, require_instance, require_lambda, require_nu, require_theta
 from .specfun import _gegenbauer_table
 
 __all__ = [
@@ -49,6 +49,11 @@ _BLOCK_PRODUCTS = 1 << 16
 
 # The largest coupling whose eigenfunction norms are accurate to the cross-method checks (:func:`_log_norms`).
 _MAX_NU = 1e4
+
+# Fewest angles from which :func:`_eigenfunction_table` runs one array recurrence, not a scalar one per angle.  Scalar
+# over array time from 21 to 471 modes (nu = 2.5; x86_64, 2 vCPUs, interleaved timeit minima): 0.47-0.37 at 8 angles,
+# 0.92-0.75 at 20, 1.05-0.87 at 23, 1.07-0.90 at 24, 1.19-1.05 at 28, 1.68-1.44 at 40, 4.3-5.0 at 160 (crossover ~23-28).
+_ARRAY_MIN_ANGLES = 24
 
 
 @dataclass(frozen=True)
@@ -145,35 +150,22 @@ def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
     return row
 
 
-def _eigenfunction_table(log_norms: np.ndarray, nu: float, thetas: list[float]) -> np.ndarray:
-    """phi_n(theta) for each angle of the list ``thetas`` (rows) and the n of ``log_norms`` (columns,
-    :func:`_log_norms`): the mode sums' columns.  Each row is one scalar Gegenbauer recurrence on Python
-    floats, all of them over one list of step coefficients; one finiteness check and one amplitude pass
-    ``exp(log N_n + nu log sin theta)`` then cover the whole table.  Against the array recurrence of
-    :func:`_eigenfunction_matrix` (bitwise equal) it is 1.9x faster at 9 angles and 18 modes, 2.9x at 5
-    and 27 and 7x at 2 and 301, and 1.6x slower at a 40x40 grid's 40 angles and 61 modes (~250 us against
-    ~160 us), where the table is ~1 % of a compare (x86_64, 2 vCPUs, timeit minima)."""
-    nmax = len(log_norms) - 1
-    gegenbauer = np.array(_gegenbauer_table(nmax, nu, np.cos(thetas).tolist()))
-    _require_finite(gegenbauer[:, -1], nmax, nu)
-    return np.exp(np.add.outer(nu * np.log(np.sin(thetas)), log_norms)) * gegenbauer
-
-
-def _eigenfunction_matrix(log_norms: np.ndarray, nu: float, thetas: np.ndarray) -> np.ndarray:
-    """phi_n(theta) for the n of ``log_norms`` (rows, :func:`_log_norms`) at each angle of the array ``thetas``
-    (columns): the quadrature checks' nodes, on the array recurrence; each column is bitwise the table's row."""
-    nmax = len(log_norms) - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        gegenbauer = np.array(_gegenbauer_table(nmax, nu, [np.cos(thetas)])[0])
-    _require_finite(gegenbauer[-1], nmax, nu)
-    return np.exp(np.add.outer(log_norms, nu * np.log(np.sin(thetas)))) * gegenbauer
-
-
-def _require_finite(last: np.ndarray, nmax: int, nu: float) -> None:
-    """``DomainError`` where C_nmax^nu leaves the float range at an angle: a value that leaves it stays inf or
-    NaN up the recurrence, so the last degree ``last`` shows it."""
-    if not np.isfinite(last).all():
+def _eigenfunction_table(log_norms: np.ndarray, nu: float, thetas) -> np.ndarray:
+    """phi_n(theta) for each angle of ``thetas`` (rows) and the n of ``log_norms`` (columns, :func:`_log_norms`), every
+    eigenbasis of the package: a scalar Gegenbauer recurrence per row below ``_ARRAY_MIN_ANGLES`` angles, else one array
+    recurrence, bitwise equal, whose table is the transpose of the C-ordered (modes, angles) matrix the quadrature checks
+    take.  C_nmax^nu, where an overflow stays inf or NaN, is checked before the amplitudes, whose inf * 0 would warn."""
+    nmax, sin_powers = len(log_norms) - 1, nu * np.log(np.sin(thetas))
+    if len(thetas) < _ARRAY_MIN_ANGLES:
+        gegenbauer = np.array(_gegenbauer_table(nmax, nu, np.cos(thetas).tolist()))
+        exponents = np.add.outer(sin_powers, log_norms)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gegenbauer = np.array(_gegenbauer_table(nmax, nu, [np.cos(thetas)])[0]).T
+        exponents = np.add.outer(log_norms, sin_powers).T
+    if not np.isfinite(gegenbauer[:, -1]).all():
         raise DomainError(f"eigenfunction table: C_n^nu(cos theta) leaves the float range by n = {nmax} at nu = {nu:g}")
+    return np.exp(exponents) * gegenbauer
 
 
 def _log_coupling(nu: float) -> float:
@@ -315,7 +307,8 @@ def kernel_spectral(
     cross-method comparisons downstream.
     """
     nu, theta_a, theta_b = require_nu(nu), require_theta(theta_a, "theta_a"), require_theta(theta_b, "theta_b")
-    [(n_terms, tail, [value])] = _spectral_chain(nu, [(theta_a, theta_b)], [require_lambda(lam)], policy)
+    lam, policy = require_lambda(lam), require_instance(policy, TruncationPolicy, "policy", _DEFAULT_POLICY)
+    [(n_terms, tail, [value])] = _spectral_chain(nu, [(theta_a, theta_b)], [lam], policy)
     return KernelEstimate(value=complex(value, 0.0), method="spectral", terms_used=n_terms, tail_bound=tail)
 
 
@@ -333,7 +326,8 @@ def kernel_spectral_profile(
     values are needed along a fixed source angle.
     """
     nu, theta_a, lam = require_nu(nu), require_theta(theta_a, "theta_a"), require_lambda(lam)
-    [profile] = _spectral_profiles(nu, [(theta_a, lam)], require_angles(thetas), policy)
+    thetas, policy = require_angles(thetas), require_instance(policy, TruncationPolicy, "policy", _DEFAULT_POLICY)
+    [profile] = _spectral_profiles(nu, [(theta_a, lam)], thetas, policy)
     return profile
 
 
@@ -344,7 +338,7 @@ def _spectral_profiles(nu: float, legs, thetas: np.ndarray, policy: TruncationPo
     elementwise.  A refusal is the one some leg meets on its own, but not always the first leg's."""
     weights = [w for w, _ in _mode_weights(nu, [lam for _, lam in legs], policy)]
     log_norms = _log_norms(max(map(len, weights)) - 1, nu)
-    nodes = _eigenfunction_matrix(log_norms, nu, thetas)
+    nodes = np.ascontiguousarray(_eigenfunction_table(log_norms, nu, np.atleast_1d(thetas)).T).reshape(log_norms.shape + thetas.shape)
     profiles = []
     for (theta_a, _), w in zip(legs, weights):
         [fa] = _eigenfunction_table(log_norms[:len(w)], nu, [theta_a])

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import _closed_chain, addition_formula_lhs, addition_formula_rhs, kernel_closed
-from .errors import DomainError, PolicyUnresolvableError, _floats, require_angles, require_index, require_lambda, require_nu, require_theta
+from .errors import DomainError, PolicyUnresolvableError, _floats, require_angles, require_index, require_instance, require_lambda, require_nu, require_theta
 from .pathsum import PRESCRIPTIONS, PathSumConfig, _DEFAULT_PATH, _pathsum_chain, _point_estimate, _symmetric, reflection_phase
 from .spectral import (
     KernelEstimate,
     TruncationPolicy,
     kernel_spectral,
     _DEFAULT_POLICY,
-    _eigenfunction_matrix,
+    _eigenfunction_table,
     _log_norms,
     _spectral_chain,
     _spectral_profiles,
@@ -98,10 +98,15 @@ class QuadratureRule:
 @dataclass(frozen=True)
 class EvalConfig:
     """Everything needed to evaluate any method: spectral truncation policy
-    plus reflection-sum truncation and phase prescription."""
+    plus reflection-sum truncation and phase prescription, each checked when
+    the config is built."""
 
     policy: TruncationPolicy = _DEFAULT_POLICY
     path: PathSumConfig = _DEFAULT_PATH
+
+    def __post_init__(self):
+        require_instance(self.policy, TruncationPolicy, "policy")
+        require_instance(self.path, PathSumConfig, "path")
 
 
 # The config of every call that passes none; frozen, so one instance serves them all.
@@ -165,7 +170,8 @@ def check_orthonormality(nu: float, nmax: int, rule: QuadratureRule) -> float:
     """
     nu = require_nu(nu)
     nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_SQUARE - 1)
-    F = _eigenfunction_matrix(_log_norms(nmax, nu), nu, rule.nodes)
+    require_instance(rule, QuadratureRule, "rule")
+    F = np.ascontiguousarray(_eigenfunction_table(_log_norms(nmax, nu), nu, rule.nodes).T)  # the gram's bits follow its layout
     gram = (F * rule.weights) @ F.T
     return float(np.max(np.abs(gram - np.eye(nmax + 1))))
 
@@ -213,6 +219,8 @@ def check_semigroup(
     """
     lambda1, lambda2 = require_lambda(lambda1, "lambda1"), require_lambda(lambda2, "lambda2")
     nu, theta_a, theta_b = require_nu(nu), require_theta(theta_a, "theta_a"), require_theta(theta_b, "theta_b")
+    require_instance(rule, QuadratureRule, "rule")
+    policy = require_instance(policy, TruncationPolicy, "policy", _DEFAULT_POLICY)
     legs = ((theta_a, lambda1), (theta_b, lambda2))
     try:
         ka, kb = _spectral_profiles(nu, legs, rule.nodes, policy)
@@ -236,7 +244,7 @@ def evaluate_method(
     config: EvalConfig | None = None,
 ) -> KernelEstimate:
     """Dispatch a kernel evaluation by method tag to the method's scalar kernel."""
-    config = config or _DEFAULT_CONFIG
+    config = require_instance(config, EvalConfig, "config", _DEFAULT_CONFIG)
     if not isinstance(method, str):  # refused before it is compared: a numpy array compares elementwise
         raise _unknown_method(method)
     if method == "spectral":
@@ -378,7 +386,7 @@ def compare_methods(
         raise DomainError("comparison needs a nonempty grid and lambda chain")
     if not _decreasing(lambda_chain):
         raise DomainError("lambda chain must be strictly decreasing")
-    config = config or _DEFAULT_CONFIG
+    config = require_instance(config, EvalConfig, "config", _DEFAULT_CONFIG)
 
     plans = {}  # per symmetry class, (distinct pairs, each pair's slot among them)
 
@@ -452,7 +460,7 @@ def run_suites(suites, nu: float, config: EvalConfig | None = None):
     if not all(isinstance(name, str) and name in SUITES for name in suites):  # compared, not hashed: a list name is unknown too
         raise DomainError(f"unknown suite in {suites}; expected names from {', '.join(SUITES)}")
     nu = require_nu(nu)
-    config = config or _DEFAULT_CONFIG
+    config = require_instance(config, EvalConfig, "config", _DEFAULT_CONFIG)
     canonical_points = ((1.0, 1.0), (0.7, 0.9), (2.0, 1.4))
     chain = (0.4, 0.2, 0.1, 0.05)
     if "orthonormality" in suites:

@@ -2,6 +2,8 @@
 public entry point checks each of its arguments once."""
 
 import dataclasses
+import inspect
+import typing
 
 import numpy as np
 import pytest
@@ -64,20 +66,21 @@ def test_validators_stay_internal():
     assert "PRESCRIPTIONS" not in boxkernel.__all__
 
 
-# A point (nu, theta, theta', lambda) and the checks of its four arguments.
+# A point (nu, theta, theta', lambda) and the checks of its four arguments; a value object's door checks its type.
 POINT = (2.5, 1.0, 1.2, 0.1)
 POINT_CHECKS = {"require_nu": 1, "require_theta": 2, "require_lambda": 1}
+OBJECT_CHECK = {"require_instance": 1}
 RULE = verify.gauss_legendre_on_0_pi(40)
 
 ENTRY_POINTS = [
-    (pathsum.kernel_pathsum_nu1, POINT[1:], POINT_CHECKS),
-    (pathsum.kernel_pathsum_nu2, POINT[1:], POINT_CHECKS),
-    (pathsum.kernel_pathsum_general, POINT, POINT_CHECKS),
-    (pathsum.decompose, POINT, POINT_CHECKS),
+    (pathsum.kernel_pathsum_nu1, POINT[1:], {**POINT_CHECKS, **OBJECT_CHECK}),
+    (pathsum.kernel_pathsum_nu2, POINT[1:], {**POINT_CHECKS, **OBJECT_CHECK}),
+    (pathsum.kernel_pathsum_general, POINT, {**POINT_CHECKS, **OBJECT_CHECK}),
+    (pathsum.decompose, POINT, {**POINT_CHECKS, **OBJECT_CHECK}),
     (pathsum.reflection_phase, (1, "odd", 2.5, "B"), {"require_nu": 1}),
-    (spectral.kernel_spectral, POINT, POINT_CHECKS),
+    (spectral.kernel_spectral, POINT, {**POINT_CHECKS, **OBJECT_CHECK}),
     (spectral.kernel_spectral_profile, (2.5, 1.0, np.array([1.2, 2.0]), 0.1),
-     {"require_nu": 1, "require_theta": 1, "require_lambda": 1, "require_angles": 1}),
+     {"require_nu": 1, "require_theta": 1, "require_lambda": 1, "require_angles": 1, **OBJECT_CHECK}),
     (spectral.eigenfunctions, (5, 2.5, 1.0), {"require_nu": 1, "require_theta": 1, "require_index": 1}),
     (spectral.truncation_tail_bound, (2.5, 0.1, 3), {"require_nu": 1, "require_lambda": 1, "require_index": 1}),
     (closedform.kernel_closed, POINT, POINT_CHECKS),
@@ -86,11 +89,13 @@ ENTRY_POINTS = [
     (closedform.addition_formula_rhs, POINT, POINT_CHECKS),
     (closedform.addition_formula_terms, (0.1,), {"require_lambda": 1}),
     (specfun.gegenbauer_table, (5, 2.5, 0.5), {"require_index": 1, "require_nu": 1}),
-    *((verify.evaluate_method, (method,) + POINT, POINT_CHECKS) for method in ("spectral", "closed_form", "path_sum_general")),
-    (verify.evaluate_method, ("path_sum_nu1", 1.0) + POINT[1:], POINT_CHECKS),
-    (verify.check_orthonormality, (2.5, 5, RULE), {"require_nu": 1, "require_index": 1}),
+    # the config at evaluate_method's door, and for the spectral tag its policy again at kernel_spectral's
+    *((verify.evaluate_method, (method,) + POINT, {**POINT_CHECKS, "require_instance": objects})
+      for method, objects in (("spectral", 2), ("closed_form", 1), ("path_sum_general", 1))),
+    (verify.evaluate_method, ("path_sum_nu1", 1.0) + POINT[1:], {**POINT_CHECKS, **OBJECT_CHECK}),
+    (verify.check_orthonormality, (2.5, 5, RULE), {"require_nu": 1, "require_index": 1, **OBJECT_CHECK}),
     (verify.check_gaussian_bessel_link, (2, 2.5, 0.1), {"require_nu": 1, "require_lambda": 1, "require_index": 1}),
-    (verify.check_semigroup, (2.5, 0.3, 0.7, 1.1, 2.0, RULE), {"require_nu": 1, "require_theta": 2, "require_lambda": 2}),
+    (verify.check_semigroup, (2.5, 0.3, 0.7, 1.1, 2.0, RULE), {"require_nu": 1, "require_theta": 2, "require_lambda": 2, "require_instance": 2}),
     (verify.QuadratureRule, (RULE.nodes, RULE.weights), {"require_angles": 1}),
 ]
 
@@ -232,3 +237,65 @@ def test_no_door_lets_a_tag_or_a_suite_list_of_another_type_through(entry):
             outcome = exc
         let_through.append((repr(bad), repr(outcome)[:80]))
     assert let_through == []
+
+
+# Every parameter of a public door that takes a value object, as a function of that one object, with the
+# object's class and whether None stands for the default there.  An object of another type raised a raw
+# AttributeError where a field was first read, or passed through a falsy test: EvalConfig(path=None) was
+# refused by compare_methods but read as the default by evaluate_method.
+OBJECT_DOORS = [
+    ("kernel_spectral-policy", lambda policy: spectral.kernel_spectral(*POINT, policy), spectral.TruncationPolicy, True),
+    ("kernel_spectral_profile-policy", lambda policy: spectral.kernel_spectral_profile(2.5, 1.0, [1.2, 2.0], 0.1, policy),
+     spectral.TruncationPolicy, True),
+    ("decompose-config", lambda config: pathsum.decompose(*POINT, config), pathsum.PathSumConfig, True),
+    ("kernel_pathsum_nu1-config", lambda config: pathsum.kernel_pathsum_nu1(*POINT[1:], config), pathsum.PathSumConfig, True),
+    ("kernel_pathsum_nu2-config", lambda config: pathsum.kernel_pathsum_nu2(*POINT[1:], config), pathsum.PathSumConfig, True),
+    ("kernel_pathsum_general-config", lambda config: pathsum.kernel_pathsum_general(*POINT, config), pathsum.PathSumConfig, True),
+    ("check_orthonormality-rule", lambda rule: verify.check_orthonormality(2.5, 5, rule), verify.QuadratureRule, False),
+    ("check_semigroup-rule", lambda rule: verify.check_semigroup(2.5, 0.3, 0.7, 1.1, 2.0, rule), verify.QuadratureRule, False),
+    ("check_semigroup-policy", lambda policy: verify.check_semigroup(2.5, 0.3, 0.7, 1.1, 2.0, RULE, policy),
+     spectral.TruncationPolicy, True),
+    *((f"evaluate_method-config-{method}", lambda config, method=method: verify.evaluate_method(method, *POINT, config),
+       verify.EvalConfig, True) for method in ("spectral", "closed_form", "path_sum_general")),
+    ("compare_methods-config", lambda config: verify.compare_methods(2.5, [(1.0, 1.2)], [0.1], "spectral", "path_sum_general", config),
+     verify.EvalConfig, True),
+    ("run_suites-config", lambda config: list(verify.run_suites(("phases",), 2.5, config)), verify.EvalConfig, True),
+    ("EvalConfig-policy", lambda policy: verify.EvalConfig(policy=policy), spectral.TruncationPolicy, False),
+    ("EvalConfig-path", lambda path: verify.EvalConfig(path=path), pathsum.PathSumConfig, False),
+]
+VALUE_OBJECTS = {spectral.TruncationPolicy: spectral.TruncationPolicy(), pathsum.PathSumConfig: pathsum.PathSumConfig(),
+                 verify.QuadratureRule: RULE, verify.EvalConfig: verify.EvalConfig()}
+
+
+def test_the_object_audit_covers_every_door():
+    takes = set()
+    for name in boxkernel.__all__:
+        member = getattr(boxkernel, name)
+        if callable(member) and not (isinstance(member, type) and issubclass(member, Exception)):
+            for parameter in inspect.signature(member).parameters.values():
+                if set(typing.get_args(parameter.annotation) or (parameter.annotation,)) & set(VALUE_OBJECTS):
+                    takes.add(f"{name}-{parameter.name}")
+    assert takes == {"-".join(door[0].split("-")[:2]) for door in OBJECT_DOORS}
+
+
+@pytest.mark.parametrize("entry, kind, optional", [door[1:] for door in OBJECT_DOORS], ids=[door[0] for door in OBJECT_DOORS])
+def test_no_door_lets_an_object_of_another_type_through(entry, kind, optional):
+    # the door takes its own object, and None where that is the default; every other value, the other value
+    # objects included, is refused with a DomainError that names the parameter and the class
+    entry(VALUE_OBJECTS[kind])
+    if optional:
+        entry(None)
+    bad_objects = [5, "A", (RULE.nodes, RULE.weights), {"n_terms": 5}, *(obj for cls, obj in VALUE_OBJECTS.items() if cls is not kind)]
+    let_through = []
+    for bad in bad_objects + ([] if optional else [None]):
+        try:
+            outcome = entry(bad)
+        except errors.DomainError as refusal:
+            if f" must be a {kind.__name__}" in str(refusal):
+                continue
+            outcome = refusal
+        except Exception as exc:
+            outcome = exc
+        let_through.append((repr(bad)[:40], repr(outcome)[:80]))
+    assert let_through == []
+

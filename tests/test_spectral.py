@@ -23,8 +23,8 @@ from boxkernel import (
     kernel_spectral,
     truncation_tail_bound,
 )
-from boxkernel import closedform, spectral
-from boxkernel.spectral import _log_norms, _mode_weights, _resolve, _spectral_chain, kernel_spectral_profile
+from boxkernel import closedform, specfun, spectral
+from boxkernel.spectral import _ARRAY_MIN_ANGLES, _log_norms, _mode_weights, _resolve, _spectral_chain, kernel_spectral_profile
 
 
 def sine_series_kernel(theta_a, theta_b, lam, n_terms=400):
@@ -97,17 +97,30 @@ class TestEigenfunction:
             r2 = eigenfunctions(0, nu, 1e-5)[0] / math.sin(1e-5) ** nu
             assert r1 == pytest.approx(r2, rel=1e-6)
 
-    @pytest.mark.parametrize("thetas", [[1.1], [0.7, 2.3, 0.7], np.linspace(0.05, 3.09, 40).tolist()], ids=["one", "repeated", "forty"])
-    def test_table_rows_are_the_eigenfunctions_by_repr(self, thetas):
-        # the mode sums take one table over all their angles: each row must be bitwise the angle's own
-        # vector, and the column that the quadrature checks' array recurrence gives at that angle
+    @pytest.mark.parametrize(
+        "thetas",
+        [[1.1], [0.7, 2.3, 0.7], *(np.linspace(0.05, 3.09, k).tolist() for k in (_ARRAY_MIN_ANGLES - 1, _ARRAY_MIN_ANGLES, 40, 160))],
+        ids=["one", "repeated", "below-array", "array", "forty", "one-sixty"],
+    )
+    def test_table_rows_are_the_eigenfunctions_by_repr(self, thetas, monkeypatch):
+        # every eigenbasis is one table, whose recurrence form follows the angle count (a float per angle
+        # below _ARRAY_MIN_ANGLES, one array from there on): each row must be bitwise the angle's own vector,
+        # and the row that either form of the Gegenbauer recurrence gives at that angle
+        forms = []
+        gegenbauer_table = specfun._gegenbauer_table
+        monkeypatch.setattr(spectral, "_gegenbauer_table", lambda nmax, nu, xs: forms.append(type(xs[0])) or gegenbauer_table(nmax, nu, xs))
         for nu, nmax in ((1.0, 30), (2.7, 60), (0.75, 5), (3.5, 0)):
             log_norms = _log_norms(nmax, nu)
+            forms.clear()
             table = spectral._eigenfunction_table(log_norms, nu, thetas)
-            matrix = spectral._eigenfunction_matrix(log_norms, nu, np.array(thetas))
+            assert forms == [float if len(thetas) < _ARRAY_MIN_ANGLES else np.ndarray]
             assert table.shape == (len(thetas), nmax + 1)
-            for row, theta, column in zip(table, thetas, matrix.T):
-                assert list(map(repr, row)) == list(map(repr, eigenfunctions(nmax, nu, theta))) == list(map(repr, column))
+            amplitudes = np.exp(np.add.outer(nu * np.log(np.sin(thetas)), log_norms))
+            by_floats = amplitudes * np.array(gegenbauer_table(nmax, nu, np.cos(thetas).tolist()))
+            by_array = amplitudes * np.array(gegenbauer_table(nmax, nu, [np.cos(thetas)])[0]).T
+            for row, theta, float_row, array_row in zip(table, thetas, by_floats, by_array):
+                expected = list(map(repr, eigenfunctions(nmax, nu, theta)))
+                assert list(map(repr, row)) == expected == list(map(repr, float_row)) == list(map(repr, array_row))
 
     def test_a_table_overflow_keeps_its_message(self):
         # the wall angle's C_n^nu leaves the float range; a table over several angles refuses with the
@@ -414,6 +427,20 @@ class TestKernelSpectral:
         with pytest.raises(DomainError, match=r"^profile angles must be a scalar or a nonempty vector, got shape \(0,\)$"):
             kernel_spectral_profile(2.5, 1.0, np.array([]), 0.1234567)
         assert _resolve.cache_info().misses == misses
+
+    @pytest.mark.parametrize("n_angles", [0, 5, _ARRAY_MIN_ANGLES, 160])
+    def test_a_profile_follows_the_c_ordered_node_matrix_by_repr(self, n_angles):
+        # a profile is one vector-matrix product, whose BLAS sum follows the layout: whichever recurrence form
+        # builds the nodes, they must be the (modes, nodes) matrix in C order, filled node by node, and a
+        # vector at a scalar angle (0 angles: a 0-d array)
+        thetas = np.array(1.3) if n_angles == 0 else np.linspace(0.05, 3.09, n_angles)
+        for nu, lam in ((1.0, 0.3), (2.7, 0.05), (0.75, 0.01), (4.2, 0.002)):
+            [(w, _)] = _mode_weights(nu, [lam], None)
+            nodes = np.empty((len(w), thetas.size))
+            for j, theta in enumerate(thetas.reshape(-1)):
+                nodes[:, j] = eigenfunctions(len(w) - 1, nu, theta)
+            expected = (w * eigenfunctions(len(w) - 1, nu, 1.1)) @ nodes.reshape((len(w),) + thetas.shape)
+            assert repr(np.asarray(kernel_spectral_profile(nu, 1.1, thetas, lam)).tolist()) == repr(np.asarray(expected).tolist())
 
     def test_profile_matches_pointwise(self):
         thetas = np.linspace(0.3, 2.8, 7)

@@ -116,6 +116,20 @@ class TestOrthonormality:
         assert coarse <= 1e-10 and fine <= 1e-10
         assert abs(coarse - fine) <= 1e-10
 
+    @pytest.mark.parametrize("npoints", [spectral._ARRAY_MIN_ANGLES - 1, spectral._ARRAY_MIN_ANGLES, 110])
+    def test_the_gram_follows_the_c_ordered_node_matrix_by_repr(self, npoints):
+        # BLAS sums the gram's products in an order that follows the layout: whichever recurrence form builds
+        # the nodes, the gram must be the one of the (modes, nodes) matrix in C order, filled node by node
+        rng = np.random.default_rng(npoints)
+        rule = gauss_legendre_on_0_pi(npoints)
+        for _ in range(20):
+            nu, nmax = float(rng.uniform(0.5, 6.0)), int(rng.integers(1, 45))
+            F = np.empty((nmax + 1, npoints))
+            for j, node in enumerate(rule.nodes):
+                F[:, j] = spectral.eigenfunctions(nmax, nu, node)
+            gram = (F * rule.weights) @ F.T
+            assert repr(check_orthonormality(nu, nmax, rule)) == repr(float(np.max(np.abs(gram - np.eye(nmax + 1)))))
+
     def test_nmax_not_an_integer_rejected(self):
         # 2.5 met numpy's raw TypeError
         with pytest.raises(DomainError, match=r"^nmax must be nonnegative \(an integer\), got 2.5$"):
@@ -177,13 +191,15 @@ class TestSemigroup:
         rule = gauss_legendre_on_0_pi(160)
         legs = [(1.1, 0.3), (2.0, 0.7)]
         alone = [kernel_spectral_profile(2.7, theta, rule.nodes, lam) for theta, lam in legs]
-        lengths = []
-        matrix = spectral._eigenfunction_matrix
-        monkeypatch.setattr(spectral, "_eigenfunction_matrix", lambda log_norms, *args: lengths.append(len(log_norms)) or matrix(log_norms, *args))
+        tables = []  # (modes, angles) of each table built
+        table = spectral._eigenfunction_table
+        monkeypatch.setattr(spectral, "_eigenfunction_table", lambda log_norms, nu, thetas: tables.append((len(log_norms), len(thetas))) or table(log_norms, nu, thetas))
         shared = spectral._spectral_profiles(2.7, legs, rule.nodes, None)
         assert [list(map(repr, profile)) for profile in shared] == [list(map(repr, profile)) for profile in alone]
-        assert lengths == [max(len(_mode_weights(2.7, [lam], None)[0][0]) for _, lam in legs)]
-        assert len(set(len(_mode_weights(2.7, [lam], None)[0][0]) for _, lam in legs)) == 2
+        lengths = [len(_mode_weights(2.7, [lam], None)[0][0]) for _, lam in legs]
+        # one node table at the longer leg's N, then each leg's source row at the leg's own N
+        assert tables == [(max(lengths), len(rule.nodes))] + [(n, 1) for n in lengths]
+        assert len(set(lengths)) == 2
         direct = kernel_spectral(2.7, 1.1, 2.0, 0.3 + 0.7).real
         composed = float(np.sum(rule.weights * alone[0] * alone[1]))
         assert check_semigroup(2.7, 0.3, 0.7, 1.1, 2.0, rule) == abs(composed - direct) / abs(direct)
@@ -356,13 +372,14 @@ class TestCompareMethods:
     @pytest.mark.parametrize("n_pairs", [1, 9])
     @pytest.mark.parametrize("methods", [("spectral", "path_sum_general"), ("path_sum_general", "closed_form"), ("closed_form", "spectral")])
     def test_each_argument_is_checked_once(self, methods, n_pairs, check_calls, array_sums):
-        # nu and each lambda and angle once, on the way in; the chain cores (the path sums' loop at 1 pair
-        # and their array sum at the 6 distinct pairs of 9 x 4 lambdas) and the spectral resolve check nothing
+        # nu, each lambda and angle and the config's type once, on the way in; the chain cores (the path sums'
+        # loop at 1 pair and their array sum at the 6 distinct pairs of 9 x 4 lambdas) and the spectral resolve
+        # check nothing
         axis = (0.5, 1.5, 2.5)
         grid = [(a, b) for a in axis for b in axis][:n_pairs]
         chain = [0.4, 0.2, 0.1, 0.05]
         compare_methods(2.5, grid, chain, *methods)
-        assert check_calls == {"require_nu": 1, "require_lambda": len(chain), "require_theta": 2 * n_pairs}
+        assert check_calls == {"require_nu": 1, "require_lambda": len(chain), "require_theta": 2 * n_pairs, "require_instance": 1}
         assert array_sums == ([(6 * len(chain), None)] if n_pairs == 9 and "path_sum_general" in methods else [])
         assert 6 * len(chain) >= pathsum._ARRAY_MIN_POINTS
 
