@@ -7,8 +7,8 @@ Exit codes
 1   at least one requested check exceeded its tolerance
 2   usage error (malformed flags, or an --output-path that cannot be written)
 3   domain error (theta outside (0, pi), lambda <= 0, nu < 1/2), an overflowing
-    path-sum term or eigenfunction table, eigenfunction norms at nu > 1e4, or
-    an underflowed reference value
+    path-sum term, eigenfunction norms at nu > 1e4, or an underflowed reference
+    value
 4   spectral truncation policy unresolvable (term cap reached)
 
 Output is deterministic: identical invocations produce byte-identical

@@ -1,9 +1,10 @@
 """Foundational special functions: Gegenbauer polynomials and exponentially
 scaled modified Bessel functions of real order.
 
-The eigenbasis (both mode sums) rests on the Gegenbauer recurrence; the
-scaled Bessel function carries the closed kernel, the addition-formula
-weights and the Gaussian-Bessel link.  The accuracy targets are deliberately
+The Gegenbauer polynomials are the eigenbasis's polynomial factor (``spectral``
+recurs on the orthonormal functions themselves); the scaled Bessel function
+carries the closed kernel, the addition-formula weights and the Gaussian-Bessel
+link.  The accuracy targets are deliberately
 tighter than the cross-method tolerances they have to support:
 
 * ``gegenbauer_table`` three-term recurrence, stable on [-1, 1] for nu >= 1/2
@@ -39,35 +40,22 @@ def gegenbauer_table(nmax: int, nu: float, x: np.ndarray) -> np.ndarray:
 
     seeded with C_0 = 1 and C_1 = 2 nu x.  On [-1, 1] with nu >= 1/2 the
     recurrence is stable (the dominant solution is the one being computed),
-    so no renormalisation pass is needed.  Cost is linear in ``nmax``, which
-    is at most ``_MAX_TERMS - 1``: a longer row is refused before it is built.
+    so no renormalisation pass is needed, but C_n^nu(1) leaves the float range
+    at large n and nu.  Cost is linear in ``nmax``, which is at most
+    ``_MAX_TERMS - 1``: a longer row is refused before it is built.
     """
     nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_TERMS - 1)
     nu = require_nu(nu)
     x = _floats(x, "Gegenbauer arguments")
     if not (np.abs(x) <= 1.0).all():  # NaN fails the test
         raise DomainError("Gegenbauer argument must lie in [-1, 1]")
-    [rows] = _gegenbauer_table(nmax, nu, [x.tolist() if x.ndim == 0 else x])
+    x = x.tolist() if x.ndim == 0 else x
+    prev, cur = 1.0 + 0.0 * x, 2.0 * nu * x  # 1.0, or ones of the shape of x (which is finite); C_1
+    rows = [prev, cur][:nmax + 1]
+    for n in range(1, nmax):
+        prev, cur = cur, (2.0 * (n + nu) * x * cur - (n + 2.0 * nu - 1.0) * prev) / (n + 1.0)
+        rows.append(cur)
     return np.array(rows)
-
-
-def _gegenbauer_table(nmax: int, nu: float, xs: list) -> list[list]:
-    """:func:`gegenbauer_table` on checked arguments, per x of ``xs``: the list of its rows C_0 .. C_nmax,
-    floats for a float x, arrays for an array x (``spectral._eigenfunction_table`` takes one array x
-    from ``_ARRAY_MIN_ANGLES`` angles, a float x per angle below).  The step's coefficients
-    ``2 (n + nu)``, ``n + 2 nu - 1`` and ``n + 1`` do not depend on x: they are built once, and every
-    x runs its recurrence over that one list.  The arithmetic is the same for a float and an array, so
-    a float's row is bitwise its entry of an array's rows."""
-    steps = [(2.0 * (n + nu), n + 2.0 * nu - 1.0, n + 1.0) for n in range(1, nmax)]
-    tables = []
-    for x in xs:
-        prev, cur = 1.0 + 0.0 * x, 2.0 * nu * x  # 1.0, or ones of the shape of x (which is finite); C_1
-        rows = [prev, cur][:nmax + 1]
-        for a, b, c in steps:
-            prev, cur = cur, (a * x * cur - b * prev) / c
-            rows.append(cur)
-        tables.append(rows)
-    return tables
 
 
 def bessel_i_scaled(order: float, z: float) -> float:

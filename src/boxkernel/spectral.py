@@ -25,12 +25,12 @@ two-line derivation and the validity argument.
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import _MAX_TERMS, DomainError, PolicyUnresolvableError, require_angles, require_count, require_index, require_instance, require_lambda, require_nu, require_theta
-from .specfun import _gegenbauer_table
 
 __all__ = [
     "TruncationPolicy",
@@ -47,12 +47,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # Most products phi_n(a) phi_n(b) that one block of pairs holds in :func:`_mode_sums` (512 KB).
 _BLOCK_PRODUCTS = 1 << 16
 
-# The largest coupling whose eigenfunction norms are accurate to the cross-method checks (:func:`_log_norms`).
+# The largest coupling whose eigenfunction norm N_0 is accurate to the cross-method checks (:func:`_eigenfunction_table`).
 _MAX_NU = 1e4
 
 # Fewest angles from which :func:`_eigenfunction_table` runs one array recurrence, not a scalar one per angle.  Scalar
-# over array time from 21 to 471 modes (nu = 2.5; x86_64, 2 vCPUs, interleaved timeit minima): 0.47-0.37 at 8 angles,
-# 0.92-0.75 at 20, 1.05-0.87 at 23, 1.07-0.90 at 24, 1.19-1.05 at 28, 1.68-1.44 at 40, 4.3-5.0 at 160 (crossover ~23-28).
+# over array time from 21 to 471 modes (nu = 2.5; x86_64, 2 vCPUs, timeit minima): 0.52-0.37 at 8 angles, 0.90-1.02
+# at 20, 0.93-1.06 at 21, 0.94-1.03 at 22, 1.10-1.17 at 24, 1.53-1.80 at 40, 4.9-6.1 at 160 (crossover ~21-23;
+# 24 is kept, where the scalar form is ~10 % slower).
 _ARRAY_MIN_ANGLES = 24
 
 
@@ -111,61 +112,78 @@ class KernelEstimate:
 
 
 def _require_norm_range(nu: float) -> None:
-    """``DomainError`` past ``_MAX_NU``, where the eigenfunction norms lose accuracy (:func:`_log_norms`)."""
+    """``DomainError`` past ``_MAX_NU``, where the eigenfunction norms lose accuracy (:func:`_eigenfunction_table`)."""
     if nu > _MAX_NU:
         raise DomainError(f"eigenfunction table: the normalisation is accurate for nu <= {_MAX_NU:g} only, got nu = {nu:g}")
 
 
-def _log_norms(nmax: int, nu: float) -> np.ndarray:
-    """Log of the eigenfunction normalisation constants for n = 0..nmax.  ``lgamma(n+1) - lgamma(n+2nu)``
-    is ``-lgamma(2nu) + sum_{j<n} log1p((1-2nu)/(j+2nu))``, a sum that does not cancel as the difference
-    of the two ~3e4 log-gammas at n = 4096 does (to ~6e-12).
-
-    The constant ``lgamma(nu) - lgamma(2nu) / 2`` still cancels, to about eps * lgamma(2nu): against
-    mpmath (n <= 4096) the log error is at most 2.8e-11 for nu in [1e3, 1e4], then 3.3e-10 at nu = 1e5,
-    2.4e-8 at 1e7 and 4.9 at 1e15, where a kernel value is off by orders of magnitude.  A log error
-    is a relative error of each eigenfunction, so above ``_MAX_NU`` = 1e4, where it could pass the
-    1e-10 of the cross-method checks, ``DomainError`` is raised for both mode sums (:func:`_require_norm_range`)."""
-    _require_norm_range(nu)
-    n = np.arange(nmax + 1, dtype=float)
-    log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((1.0 - 2.0 * nu) / (n[:-1] + 2.0 * nu)))))
-    return nu * math.log(2.0) + math.lgamma(nu) - 0.5 * (math.lgamma(2.0 * nu) + _LOG_2PI) + 0.5 * (np.log(n + nu) + log_ratio)
-
-
 def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
-    """The orthonormal eigenfunctions phi_0(theta) .. phi_nmax(theta), in one recurrence pass.
-
-    The table is ``exp(log N_n + nu log sin theta) * C_n^nu(cos theta)``: the
-    normalisation N_n and the sin^nu factor form one exponent, with log N_n a
-    running sum over n (:func:`_log_norms`), and the Gegenbauer factor comes
-    from its linear-space recurrence.  That factor grows up to
-    C_n^nu(1) ~ n^(2 nu - 1) / Gamma(2 nu) near the walls and overflows at large
-    n and nu; there a ``DomainError`` is raised, as it is for a row longer than
-    ``_MAX_TERMS``.
-    """
+    """The orthonormal eigenfunctions phi_0(theta) .. phi_nmax(theta), in one recurrence pass
+    (:func:`_eigenfunction_table`).  Each |phi_n| is at most sqrt(n + nu) for nu >= 1 (Agmon's
+    inequality), so no step leaves the float range; a row longer than ``_MAX_TERMS`` is refused."""
     nu = require_nu(nu)
     theta = require_theta(theta)
     nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_TERMS - 1)
-    [row] = _eigenfunction_table(_log_norms(nmax, nu), nu, [theta])
+    [row] = _eigenfunction_table(nmax, nu, [theta])
     return row
 
 
-def _eigenfunction_table(log_norms: np.ndarray, nu: float, thetas) -> np.ndarray:
-    """phi_n(theta) for each angle of ``thetas`` (rows) and the n of ``log_norms`` (columns, :func:`_log_norms`), every
-    eigenbasis of the package: a scalar Gegenbauer recurrence per row below ``_ARRAY_MIN_ANGLES`` angles, else one array
-    recurrence, bitwise equal, whose table is the transpose of the C-ordered (modes, angles) matrix the quadrature checks
-    take.  C_nmax^nu, where an overflow stays inf or NaN, is checked before the amplitudes, whose inf * 0 would warn."""
-    nmax, sin_powers = len(log_norms) - 1, nu * np.log(np.sin(thetas))
-    if len(thetas) < _ARRAY_MIN_ANGLES:
-        gegenbauer = np.array(_gegenbauer_table(nmax, nu, np.cos(thetas).tolist()))
-        exponents = np.add.outer(sin_powers, log_norms)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gegenbauer = np.array(_gegenbauer_table(nmax, nu, [np.cos(thetas)])[0]).T
-        exponents = np.add.outer(log_norms, sin_powers).T
-    if not np.isfinite(gegenbauer[:, -1]).all():
-        raise DomainError(f"eigenfunction table: C_n^nu(cos theta) leaves the float range by n = {nmax} at nu = {nu:g}")
-    return np.exp(exponents) * gegenbauer
+def _eigenfunction_table(nmax: int, nu: float, thetas) -> np.ndarray:
+    """phi_n(theta) for each angle of ``thetas`` (rows) and n = 0..nmax (columns), every eigenbasis of the package.
+
+    The recurrence of the orthonormal Gegenbauer functions (DLMF 18.9.1) on phi_n itself: phi_0 = N_0 sin^nu theta
+    and phi_{n+1} = (cos theta phi_n - a_n phi_{n-1}) / a_{n+1}, a_0 = 0, a_n = sqrt(n (n + 2nu - 1) / (4 (n + nu)
+    (n + nu - 1))).  |phi_n| <= sqrt(n + nu) for nu >= 1 (Agmon's inequality), so no step overflows.  The
+    coefficients 1 / a_{n+1} and a_n / a_{n+1} are built elementwise, so a shorter table is bitwise the prefix of a
+    longer one.  Below ``_ARRAY_MIN_ANGLES`` angles each row is a scalar recurrence, else the rows are one array
+    recurrence, bitwise equal, whose table is the transpose of the C-ordered (modes, angles) matrix the quadrature
+    checks take.  A phi_0 below the normal floats takes :func:`_rescaled_row` in both forms.
+
+    log N_0 cancels to about eps * lgamma(2nu): ~1e-11 relative for nu in [1e3, 1e4] against mpmath, 2.4e-8 at
+    1e7.  Above ``_MAX_NU``, where it could pass the 1e-10 of the cross-method checks, both mode sums refuse."""
+    _require_norm_range(nu)
+    n = np.arange(1.0, nmax + 1.0)
+    a = np.concatenate(([0.0], np.sqrt(n * (n + 2.0 * nu - 1.0) / (4.0 * (n + nu) * (n + nu - 1.0)))))
+    steps = list(zip((1.0 / a[1:]).tolist(), (a[:-1] / a[1:]).tolist()))
+    log_n0 = nu * math.log(2.0) + math.lgamma(nu) - 0.5 * (math.lgamma(2.0 * nu) + _LOG_2PI) + 0.5 * math.log(nu)
+    xs, log_phi0 = np.cos(thetas), log_n0 + nu * np.log(np.sin(thetas))
+    phi0 = np.exp(log_phi0)
+    if len(xs) < _ARRAY_MIN_ANGLES:
+        table = []
+        for x, cur, log_cur in zip(xs.tolist(), phi0.tolist(), log_phi0.tolist()):
+            if cur < sys.float_info.min:
+                table.append(_rescaled_row(x, log_cur, steps))
+                continue
+            prev, row = 0.0, [cur]
+            append = row.append
+            for inv, ratio in steps:
+                prev, cur = cur, inv * x * cur - ratio * prev
+                append(cur)
+            table.append(row)
+        return np.array(table)
+    prev, cur, rows = np.zeros_like(xs), phi0, [phi0]
+    for inv, ratio in steps:
+        prev, cur = cur, inv * xs * cur - ratio * prev
+        rows.append(cur)
+    table = np.array(rows)
+    for j in np.flatnonzero(phi0 < sys.float_info.min):
+        table[:, j] = _rescaled_row(float(xs[j]), float(log_phi0[j]), steps)
+    return table.T
+
+
+def _rescaled_row(x: float, log_phi0: float, steps: list[tuple[float, float]]) -> list[float]:
+    """:func:`_eigenfunction_table`'s recurrence where phi_0 = exp(``log_phi0``) is below the normal floats, on
+    phi_n / 2^e from phi_0's mantissa, moving 2^512 into e as a value passes it: so the phi_n that grow back into
+    the float range (~0.56 at n = 4095, nu = 1000, theta = 2.9, where phi_0 ~ 1e-622) are not left at 0."""
+    e = math.floor(log_phi0 / math.log(2.0))
+    prev, cur = 0.0, math.exp(log_phi0 - e * math.log(2.0))
+    row = [math.ldexp(cur, e)]
+    for inv, ratio in steps:
+        prev, cur = cur, inv * x * cur - ratio * prev
+        if abs(cur) > 2.0 ** 512:
+            prev, cur, e = prev * 2.0 ** -512, cur * 2.0 ** -512, e + 512
+        row.append(math.ldexp(cur, e))
+    return row
 
 
 def _log_coupling(nu: float) -> float:
@@ -254,11 +272,10 @@ def _resolve(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, floa
 
 def _mode_sums(weights: list[np.ndarray], nu: float, pairs) -> list[list[float]]:
     """Per weight row ``w`` of ``weights``, the fsum of ``w[n] phi_n(a) phi_n(b)``, n = 0..len(w)-1,
-    per pair (a, b): the spectral kernel along a lambda chain, and the addition series.  One set of
-    norms and one eigenfunction table (:func:`_eigenfunction_table`) serve the call: a row per
-    distinct angle, at the longest weight row.  A shorter weight row sums over a prefix of the
-    columns, bitwise what a table of its own length gives: the norms are a running sum and every
-    other step is elementwise.  Forming ``phi_n(a) phi_n(b)`` first makes each sum exactly
+    per pair (a, b): the spectral kernel along a lambda chain, and the addition series.  One
+    eigenfunction table (:func:`_eigenfunction_table`) serves the call: a row per distinct angle,
+    at the longest weight row.  A shorter weight row sums over a prefix of the columns, bitwise
+    what a table of its own length gives.  Forming ``phi_n(a) phi_n(b)`` first makes each sum exactly
     symmetric in (a, b).
 
     The pairs are taken in blocks: a block's products are one indexed multiply, and each weight
@@ -269,7 +286,7 @@ def _mode_sums(weights: list[np.ndarray], nu: float, pairs) -> list[list[float]]
     angles, or its one angle twice, without the index arrays."""
     n_max = max(map(len, weights))
     index = {theta: row for row, theta in enumerate(dict.fromkeys(t for pair in pairs for t in pair))}
-    table = _eigenfunction_table(_log_norms(n_max - 1, nu), nu, list(index))
+    table = _eigenfunction_table(n_max - 1, nu, list(index))
     if len(pairs) == 1:
         product = table[0] * table[-1]
         return [[math.fsum((w * product[:len(w)]).tolist())] for w in weights]
@@ -286,7 +303,7 @@ def _mode_sums(weights: list[np.ndarray], nu: float, pairs) -> list[list[float]]
 def _spectral_chain(nu: float, pairs, lambdas, policy: TruncationPolicy | None) -> list[tuple[int, float, list[float]]]:
     """The spectral core, from checked arguments: per lambda of ``lambdas``, the mode count N that ``policy``
     keeps, its tail bound, and the kernel at each of ``pairs``.  Each lambda is resolved on its own, in chain
-    order; the squares of the weights (:func:`_mode_weights`), the norms and the eigenfunction table
+    order; the squares of the weights (:func:`_mode_weights`) and the eigenfunction table
     (:func:`_mode_sums`) are each built once, at the largest N."""
     weights = _mode_weights(nu, lambdas, policy)
     sums = _mode_sums([w for w, _ in weights], nu, pairs)
@@ -334,13 +351,13 @@ def kernel_spectral_profile(
 def _spectral_profiles(nu: float, legs, thetas: np.ndarray, policy: TruncationPolicy | None) -> list[np.ndarray]:
     """:func:`kernel_spectral_profile` on checked arguments, per (theta_a, lambda) of ``legs``: the profiles
     of ``verify.check_semigroup``.  One node table, at the longest leg's N, serves every leg through its
-    prefix, bitwise a table of the leg's own length: the norms are a running sum and every other step is
-    elementwise.  A refusal is the one some leg meets on its own, but not always the first leg's."""
+    prefix, bitwise a table of the leg's own length.  The legs are resolved in order before any table is
+    built, which cannot refuse, so a refusal is the first refusing leg's."""
     weights = [w for w, _ in _mode_weights(nu, [lam for _, lam in legs], policy)]
-    log_norms = _log_norms(max(map(len, weights)) - 1, nu)
-    nodes = np.ascontiguousarray(_eigenfunction_table(log_norms, nu, np.atleast_1d(thetas)).T).reshape(log_norms.shape + thetas.shape)
+    n_max = max(map(len, weights))
+    nodes = np.ascontiguousarray(_eigenfunction_table(n_max - 1, nu, np.atleast_1d(thetas)).T).reshape((n_max,) + thetas.shape)
     profiles = []
     for (theta_a, _), w in zip(legs, weights):
-        [fa] = _eigenfunction_table(log_norms[:len(w)], nu, [theta_a])
+        [fa] = _eigenfunction_table(len(w) - 1, nu, [theta_a])
         profiles.append((w * fa) @ nodes[:len(w)])
     return profiles

@@ -27,7 +27,6 @@ from .spectral import (
     kernel_spectral,
     _DEFAULT_POLICY,
     _eigenfunction_table,
-    _log_norms,
     _spectral_chain,
     _spectral_profiles,
 )
@@ -171,7 +170,7 @@ def check_orthonormality(nu: float, nmax: int, rule: QuadratureRule) -> float:
     nu = require_nu(nu)
     nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_SQUARE - 1)
     require_instance(rule, QuadratureRule, "rule")
-    F = np.ascontiguousarray(_eigenfunction_table(_log_norms(nmax, nu), nu, rule.nodes).T)  # the gram's bits follow its layout
+    F = np.ascontiguousarray(_eigenfunction_table(nmax, nu, rule.nodes).T)  # the gram's bits follow its layout
     gram = (F * rule.weights) @ F.T
     return float(np.max(np.abs(gram - np.eye(nmax + 1))))
 
@@ -221,13 +220,7 @@ def check_semigroup(
     nu, theta_a, theta_b = require_nu(nu), require_theta(theta_a, "theta_a"), require_theta(theta_b, "theta_b")
     require_instance(rule, QuadratureRule, "rule")
     policy = require_instance(policy, TruncationPolicy, "policy", _DEFAULT_POLICY)
-    legs = ((theta_a, lambda1), (theta_b, lambda2))
-    try:
-        ka, kb = _spectral_profiles(nu, legs, rule.nodes, policy)
-    except (DomainError, PolicyUnresolvableError):
-        for leg in legs:  # the refusal the first refusing leg meets on its own
-            _spectral_profiles(nu, [leg], rule.nodes, policy)
-        raise
+    ka, kb = _spectral_profiles(nu, ((theta_a, lambda1), (theta_b, lambda2)), rule.nodes, policy)
     composed = float(np.sum(rule.weights * ka * kb))
     [(_, _, [direct])] = _spectral_chain(nu, [(theta_a, theta_b)], [lambda1 + lambda2], policy)
     if direct == 0.0:

@@ -15,7 +15,6 @@ from boxkernel import (
     gegenbauer_table,
 )
 from boxkernel.errors import _MAX_TERMS
-from boxkernel.specfun import _gegenbauer_table
 
 mpmath.mp.dps = 40
 
@@ -99,8 +98,8 @@ class TestGegenbauer:
 
 
 def per_step_rows(nmax, nu, x):
-    """The recurrence with each step's coefficients formed inside the step: the reference for the table's
-    coefficient list, which must give the same floats."""
+    """The recurrence written out step by step: the reference for ``gegenbauer_table``, which must give the
+    same floats."""
     rows = [1.0 + 0.0 * x]
     if nmax >= 1:
         rows.append(2.0 * nu * x)
@@ -110,8 +109,8 @@ def per_step_rows(nmax, nu, x):
 
 
 class TestCoefficientList:
-    # one list of step coefficients serves every x of a table: each row, a float x's and an array x's
-    # alike, is by repr the recurrence that forms its coefficients step by step
+    # each row of the table, for a float x and for an array x alike, is by repr the recurrence written
+    # out step by step
 
     @staticmethod
     def cases():
@@ -122,18 +121,18 @@ class TestCoefficientList:
     def test_float_rows(self):
         rng = np.random.default_rng(260)
         for nmax, nu in self.cases():
-            xs = rng.uniform(-1.0, 1.0, 3).tolist()
-            tables = _gegenbauer_table(nmax, nu, xs)
-            assert [list(map(repr, rows)) for rows in tables] == [list(map(repr, per_step_rows(nmax, nu, x))) for x in xs], (nmax, nu)
+            for x in rng.uniform(-1.0, 1.0, 3).tolist():
+                rows = gegenbauer_table(nmax, nu, x)
+                assert list(map(repr, rows.tolist())) == list(map(repr, per_step_rows(nmax, nu, x))), (nmax, nu)
 
     def test_array_rows(self):
         rng = np.random.default_rng(261)
         for nmax, nu in self.cases():
             x = rng.uniform(-1.0, 1.0, 5)
             with np.errstate(over="ignore", invalid="ignore"):  # a large nu leaves the float range, in both
-                [rows] = _gegenbauer_table(nmax, nu, [x])
+                rows = gegenbauer_table(nmax, nu, x)
                 reference = per_step_rows(nmax, nu, x)
-            assert len(rows) == nmax + 1
+            assert rows.shape == (nmax + 1, 5)
             assert [repr(row.tolist()) for row in rows] == [repr(row.tolist()) for row in reference], (nmax, nu)
 
 

@@ -8,7 +8,6 @@ free-box Dirichlet series, both coded here from scratch.
 import dataclasses
 import inspect
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -24,7 +23,7 @@ from boxkernel import (
     truncation_tail_bound,
 )
 from boxkernel import closedform, specfun, spectral
-from boxkernel.spectral import _ARRAY_MIN_ANGLES, _log_norms, _mode_weights, _resolve, _spectral_chain, kernel_spectral_profile
+from boxkernel.spectral import _ARRAY_MIN_ANGLES, _mode_weights, _resolve, _spectral_chain, kernel_spectral_profile
 
 
 def sine_series_kernel(theta_a, theta_b, lam, n_terms=400):
@@ -36,37 +35,93 @@ def sine_series_kernel(theta_a, theta_b, lam, n_terms=400):
     )
 
 
+def mp_phi(n, nu, theta):
+    """phi_n(theta) from its closed form, Gegenbauer polynomial and norm at mpmath's working precision."""
+    nu, theta = mpmath.mpf(nu), mpmath.mpf(theta)
+    log_norm = nu * mpmath.log(2) + mpmath.loggamma(nu) + (
+        mpmath.log(n + nu) + mpmath.loggamma(n + 1) - mpmath.loggamma(n + 2 * nu) - mpmath.log(2 * mpmath.pi)) / 2
+    return mpmath.exp(log_norm) * mpmath.sin(theta) ** nu * mpmath.gegenbauer(n, nu, mpmath.cos(theta))
+
+
+def mp_kernel(nu, theta_a, theta_b, lam, n_terms):
+    """The spectral sum of ``n_terms`` modes at mpmath's working precision: the Gegenbauer recurrence and
+    the norms' gamma-function ratios, whose exponent range holds what a float table underflows."""
+    nu, lam = mpmath.mpf(nu), mpmath.mpf(lam)
+    columns = []
+    for theta in (theta_a, theta_b):
+        x, amplitude = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta)) ** nu
+        prev, cur, column = mpmath.mpf(0), mpmath.mpf(1), []
+        for n in range(n_terms):
+            column.append(amplitude * cur)
+            prev, cur = cur, (2 * (n + nu) * x * cur - (n + 2 * nu - 1) * prev) / (n + 1)
+        columns.append(column)
+    log_norm0 = nu * mpmath.log(2) + mpmath.loggamma(nu) - (mpmath.loggamma(2 * nu) + mpmath.log(2 * mpmath.pi)) / 2
+    total, ratio = mpmath.mpf(0), mpmath.exp(2 * log_norm0)  # N_n^2 = (n + nu) * ratio, ratio = N_0^2 n! Gamma(2nu) / (nu Gamma(n + 2nu))
+    for n in range(n_terms):
+        total += mpmath.exp(-lam * (n + nu) ** 2 / 2) * ratio * (n + nu) * columns[0][n] * columns[1][n]
+        ratio *= (n + 1) / (n + 2 * nu)
+    return total
+
+
+def gegenbauer_times_norm(nmax, nu, thetas):
+    """The eigenbasis as the Gegenbauer factor times exp(log N_n + nu log sin theta), log N_n a running sum of
+    log1p ratios: the two-pass form the table's one recurrence replaced, a reference wherever C_n^nu is finite."""
+    n = np.arange(nmax + 1, dtype=float)
+    log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((1.0 - 2.0 * nu) / (n[:-1] + 2.0 * nu)))))
+    log_norms = nu * math.log(2.0) + math.lgamma(nu) - 0.5 * (math.lgamma(2.0 * nu) + math.log(2.0 * math.pi)) + 0.5 * (np.log(n + nu) + log_ratio)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        return np.exp(np.add.outer(nu * np.log(np.sin(thetas)), log_norms)) * specfun.gegenbauer_table(nmax, nu, np.cos(thetas)).T
+
+
+def both_forms(nmax, nu, thetas, monkeypatch):
+    """The table of ``thetas`` in its scalar form and in its array form, whatever the angle count."""
+    tables = []
+    for threshold in (math.inf, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_ARRAY_MIN_ANGLES", threshold)
+            tables.append(spectral._eigenfunction_table(nmax, nu, thetas))
+    return tables
+
+
 class TestEigenfunction:
     def test_log_norms_against_mpmath_at_the_mode_cap(self):
-        # the normalisation as a running sum of log1p ratios: the two log-gammas it replaces are
-        # ~3e4 each at n = 4096 and their difference lost ~6e-12 there
+        # the table recurs on phi_n from phi_0 = N_0 sin^nu theta, so its norms are built into each step:
+        # against phi_n's closed form (30 digits) up to n = 4096 the error stays ~1e-14 sqrt(n + nu), where
+        # the two log-gammas of N_n alone are ~3e4 each, and up to nu = 1000, where C_n^nu leaves the float
+        # range.  At nu = 1000, theta = 2.9, phi_0 ~ 1e-622 underflows and phi_4095 ~ 0.56 grows back
+        rng = np.random.default_rng(29)
+        degrees = [0, 1, 2, 3, 17, 4095, 4096] + rng.integers(4, 4096, 3).tolist()
         with mpmath.workdps(30):
-            for nu in (0.75, 2.5, 7.3):
-                mnu = mpmath.mpf(nu)
-                const = mnu * mpmath.log(2) + mpmath.loggamma(mnu) - mpmath.log(2 * mpmath.pi) / 2
-                ref = [const + (mpmath.log(n + mnu) + mpmath.loggamma(n + 1) - mpmath.loggamma(n + 2 * mnu)) / 2
-                       for n in range(4097)]
-                err = np.abs(_log_norms(4096, nu) - np.array(ref, dtype=float))
-                assert err.max() <= 5e-13, (nu, err.max())
+            for nu in (0.75, 2.5, 7.3, 1000.0):
+                for theta in (0.05, 1.1, 2.9):
+                    row = eigenfunctions(4096, nu, theta)
+                    for n in degrees:
+                        err = abs(row[n] - float(mp_phi(n, nu, theta)))
+                        assert err <= 2e-13 * math.sqrt(n + nu), (nu, theta, n, err)
 
     def test_norms_are_built_once_per_block(self, monkeypatch):
+        # one table per call: a row per distinct angle of a chain, and the node table and the source row of a profile
         calls = []
-        monkeypatch.setattr(spectral, "_log_norms", lambda nmax, nu: calls.append(nmax) or _log_norms(nmax, nu))
+        table = spectral._eigenfunction_table
+        monkeypatch.setattr(spectral, "_eigenfunction_table", lambda nmax, nu, thetas: calls.append((nmax, len(thetas))) or table(nmax, nu, thetas))
         _spectral_chain(2.5, [(0.4, 1.1), (1.1, 2.0), (2.0, 0.4)], [0.05], None)
         kernel_spectral_profile(2.5, 0.4, np.array([1.1, 2.0]), 0.05)
-        assert len(calls) == 2
+        n_terms = len(_mode_weights(2.5, [0.05], None)[0][0])
+        assert calls == [(n_terms - 1, 3), (n_terms - 1, 2), (n_terms - 1, 1)]
 
     def test_norms_refuse_past_their_accurate_range(self, monkeypatch):
-        # the norms' log error grows like eps * lgamma(2 nu): 2.8e-11 up to nu = 1e4, 4.9 at nu = 1e15.
-        # Both mode sums refuse before any tail bound or series length is computed: at nu = 15000 the
-        # resolve scanned ~12 ms to its cap (exit 4), and at 1e160 and 1e306 it met the weights' or the
-        # term bound's float range first
+        # N_0's log error grows like eps * lgamma(2 nu): ~1e-11 up to nu = 1e4, orders of magnitude at 1e15.
+        # The table refuses, and both mode sums refuse before any tail bound or series length is computed:
+        # at nu = 15000 the resolve scanned ~12 ms to its cap (exit 4), and at 1e160 and 1e306 it met the
+        # weights' or the term bound's float range first
         calls = []
         monkeypatch.setattr(spectral, "_tail_bound", lambda *args: calls.append(args))
         monkeypatch.setattr(closedform, "_series_length", lambda *args: calls.append(args))
         for nu in (np.nextafter(1e4, np.inf), 15000.0, 1e15, 1e160, 1e306):
             with pytest.raises(DomainError, match="accurate for nu <= 10000 only"):
-                _log_norms(3, nu)
+                spectral._eigenfunction_table(3, nu, [1.0])
+            with pytest.raises(DomainError, match="^eigenfunction table: the normalisation is accurate for nu <= 10000 only"):
+                eigenfunctions(3, nu, 1.0)
             for policy in (None, TruncationPolicy(n_cap=100_000), TruncationPolicy(n_terms=1)):
                 with pytest.raises(DomainError, match="eigenfunction table: the normalisation is accurate for nu <= 10000 only"):
                     kernel_spectral(nu, math.pi / 2, math.pi / 2, 1e-4, policy)
@@ -78,10 +133,18 @@ class TestEigenfunction:
         assert calls == []
 
     def test_values_up_to_the_orthonormality_range_are_unchanged(self):
-        # the ceiling adds a refusal only: at nu = 1000 (and at the ceiling) the values are the earlier bits
-        assert eigenfunctions(3, 1000.0, 1.5).tolist() == [0.3439230483405393, 1.0885319816334362, 2.1946146501495405, 3.1268675102718544]
-        assert repr(kernel_spectral(1000.0, 1.5, 1.6, 1e-3, TruncationPolicy(n_terms=60)).value) == "(5.0023239544388306e-219+0j)"
-        assert repr(kernel_spectral(1e4, 1.5, 1.6, 1e-6, TruncationPolicy(n_terms=5)).value) == "(1.2510347205892371e-28+0j)"
+        # the ceiling adds a refusal only: below it the values are these bits, within 5e-12 relative of the
+        # eigenfunctions' closed form or the mode sum at 40 digits at nu = 1000, and within 5e-11 at the
+        # ceiling (2.4e-11), the cancellation of N_0's log-gammas
+        row = eigenfunctions(3, 1000.0, 1.5)
+        assert row.tolist() == [0.3439230483405393, 1.0885319816334957, 2.1946146501496746, 3.126867510272038]
+        fixed = kernel_spectral(1000.0, 1.5, 1.6, 1e-3, TruncationPolicy(n_terms=60)).real
+        assert repr(fixed) == "5.002323954432467e-219"
+        assert repr(kernel_spectral(1e4, 1.5, 1.6, 1e-6, TruncationPolicy(n_terms=5)).real) == "1.251034720588393e-28"
+        with mpmath.workdps(40):
+            assert all(abs(value / float(mp_phi(n, 1000.0, 1.5)) - 1.0) <= 5e-12 for n, value in enumerate(row))
+            assert abs(fixed / float(mp_kernel(1000.0, 1.5, 1.6, 1e-3, 60)) - 1.0) <= 5e-12
+            assert abs(kernel_spectral(1e4, 1.5, 1.6, 1e-6, TruncationPolicy(n_terms=5)).real / float(mp_kernel(1e4, 1.5, 1.6, 1e-6, 5)) - 1.0) <= 5e-11
 
     def test_nu1_reduces_to_sine_basis(self):
         assert eigenfunctions(0, 1.0, math.pi / 2)[0] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
@@ -104,38 +167,60 @@ class TestEigenfunction:
     )
     def test_table_rows_are_the_eigenfunctions_by_repr(self, thetas, monkeypatch):
         # every eigenbasis is one table, whose recurrence form follows the angle count (a float per angle
-        # below _ARRAY_MIN_ANGLES, one array from there on): each row must be bitwise the angle's own vector,
-        # and the row that either form of the Gegenbauer recurrence gives at that angle
-        forms = []
-        gegenbauer_table = specfun._gegenbauer_table
-        monkeypatch.setattr(spectral, "_gegenbauer_table", lambda nmax, nu, xs: forms.append(type(xs[0])) or gegenbauer_table(nmax, nu, xs))
+        # below _ARRAY_MIN_ANGLES, one array from there on): each row must be bitwise the angle's own vector
+        # and the other form's row, and the Gegenbauer factor times the norm to 1e-13 of the row's maximum
         for nu, nmax in ((1.0, 30), (2.7, 60), (0.75, 5), (3.5, 0)):
-            log_norms = _log_norms(nmax, nu)
-            forms.clear()
-            table = spectral._eigenfunction_table(log_norms, nu, thetas)
-            assert forms == [float if len(thetas) < _ARRAY_MIN_ANGLES else np.ndarray]
+            table = spectral._eigenfunction_table(nmax, nu, thetas)
+            by_floats, by_array = both_forms(nmax, nu, thetas, monkeypatch)
             assert table.shape == (len(thetas), nmax + 1)
-            amplitudes = np.exp(np.add.outer(nu * np.log(np.sin(thetas)), log_norms))
-            by_floats = amplitudes * np.array(gegenbauer_table(nmax, nu, np.cos(thetas).tolist()))
-            by_array = amplitudes * np.array(gegenbauer_table(nmax, nu, [np.cos(thetas)])[0]).T
-            for row, theta, float_row, array_row in zip(table, thetas, by_floats, by_array):
+            if len(thetas) >= _ARRAY_MIN_ANGLES:  # the array form: the (modes, angles) matrix of the quadrature checks
+                assert table.T.flags.c_contiguous
+            product = gegenbauer_times_norm(nmax, nu, thetas)
+            for row, theta, float_row, array_row, reference in zip(table, thetas, by_floats, by_array, product):
                 expected = list(map(repr, eigenfunctions(nmax, nu, theta)))
                 assert list(map(repr, row)) == expected == list(map(repr, float_row)) == list(map(repr, array_row))
+                assert np.abs(row - reference).max() <= 1e-13 * np.abs(row).max(), (nu, nmax, theta)
 
     def test_a_table_overflow_keeps_its_message(self):
-        # the wall angle's C_n^nu leaves the float range; a table over several angles refuses with the
-        # message of the one-angle table, and a chain over several pairs with the scalar kernel's
+        # the wall angle's C_n^nu leaves the float range; the recurrence on phi_n keeps every row finite,
+        # the wall's row is the same bits in a table of one angle and of several, and a chain over several
+        # pairs gives the scalar kernel's value, 0.0, as the sum at 40 digits does
         nu, wall, theta, lam = 90.733019776225, 1.1191147329250895e-08, 0.3725420803085231, 0.00012424117182030517
-        with pytest.raises(DomainError) as scalar:
-            kernel_spectral(nu, wall, theta, lam)
-        assert re.fullmatch(r"eigenfunction table: C_n\^nu\(cos theta\) leaves the float range by n = \d+ at nu = 90.733", str(scalar.value))
-        with pytest.raises(DomainError, match=f"^{re.escape(str(scalar.value))}$"):
-            _spectral_chain(nu, [(theta, theta), (wall, theta), (theta, 1.0)], [lam], None)
-        log_norms = _log_norms(4000, nu)
-        with pytest.raises(DomainError) as one:
-            spectral._eigenfunction_table(log_norms, nu, [wall])
-        with pytest.raises(DomainError, match=f"^{re.escape(str(one.value))}$"):
-            spectral._eigenfunction_table(log_norms, nu, [theta, wall, 1.0])
+        scalar = kernel_spectral(nu, wall, theta, lam)
+        assert scalar.real == 0.0 and scalar.terms_used == 3371 and scalar.tail_bound <= 1e-12
+        [(_, _, values)] = _spectral_chain(nu, [(theta, theta), (wall, theta), (theta, 1.0)], [lam], None)
+        assert repr(values[1]) == repr(scalar.real)
+        one = spectral._eigenfunction_table(4000, nu, [wall])
+        several = spectral._eigenfunction_table(4000, nu, [theta, wall, 1.0])
+        assert np.isfinite(several).all() and list(map(repr, several[1])) == list(map(repr, one[0]))
+        with mpmath.workdps(40):
+            assert abs(mp_kernel(nu, wall, theta, lam, scalar.terms_used)) < 1e-300
+
+    def test_near_wall_tables_are_finite_and_the_two_pass_product(self, monkeypatch):
+        # seeded: nu log-uniform in [0.5, 1e4], angles log-uniform down to 1e-8 from either wall, n up to 4000,
+        # 3 angles (the scalar form) or 30 (the array form).  Every table is finite and its two forms are
+        # bitwise equal.  Wherever the Gegenbauer factor times the norm is finite and above 1e-290, the table
+        # is within 1e-13 of the row maximum of it, plus the rounding of cos theta, which moves phi_n by up to
+        # ~eps n^2 / (2 nu + 1) of that maximum next to a wall (2.8e-11 at nu = 11, n = 2385, against mpmath,
+        # in both).  Where the two-pass product loses more (2.2e-9 at nu = 65, n = 2222, theta = pi - 3.05e-4),
+        # phi_n's closed form decides
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            nu, nmax = math.exp(rng.uniform(math.log(0.5), math.log(1e4))), int(rng.integers(0, 4001))
+            k = int(rng.choice([3, 30]))
+            near = np.exp(rng.uniform(math.log(1e-8), 0.0, k))
+            thetas = np.where(rng.random(k) < 0.5, near, math.pi - near)
+            table = spectral._eigenfunction_table(nmax, nu, thetas)
+            assert np.isfinite(table).all()
+            assert all(np.array_equal(table, form) for form in both_forms(nmax, nu, thetas, monkeypatch))
+            floor = 1e-13 + np.finfo(float).eps * nmax ** 2 / (2.0 * nu + 1.0)
+            for theta, row, product in zip(thetas, table, gegenbauer_times_norm(nmax, nu, thetas)):
+                compared = np.isfinite(product) & (np.abs(product) > 1e-290)
+                gap = np.where(compared, np.abs(row - product), 0.0)
+                n = int(np.argmax(gap))
+                if gap[n] > floor * np.abs(row).max():
+                    with mpmath.workdps(40):
+                        assert abs(row[n] - float(mp_phi(n, nu, theta))) <= floor * np.abs(row).max(), (nu, theta, n)
 
     def test_block_matches_scalar(self):
         block = eigenfunctions(25, 1.8, 1.1)
@@ -398,15 +483,28 @@ class TestKernelSpectral:
             kernel_spectral(1.0, 1.5, 1.6, 1e-6, TruncationPolicy(epsilon_tail=1e-12, n_cap=50))
 
     def test_overflowing_gegenbauer_factor_is_domain_error(self):
-        # C_n^nu(cos theta) overflows by degree 3204 while the sin^nu amplitude underflows to 0,
-        # which multiplied to a silent NaN
-        with pytest.raises(DomainError, match="eigenfunction table"):
-            kernel_spectral(90.733019776225, 1.1191147329250895e-08, 0.3725420803085231, 0.00012424117182030517)
+        # C_n^nu(cos theta) overflows by degree 3204 while sin^nu theta underflows to 0, so their product
+        # is NaN; phi_n itself is bounded, and the kernel is the sum at 40 digits, far below the float range
+        est = kernel_spectral(90.733019776225, 1.1191147329250895e-08, 0.3725420803085231, 0.00012424117182030517)
+        assert est.value == 0.0 and est.tail_bound <= 1e-12
+        with mpmath.workdps(40):
+            assert abs(mp_kernel(90.733019776225, 1.1191147329250895e-08, 0.3725420803085231, 0.00012424117182030517, est.terms_used)) < 1e-300
+        # the default policy's 925 modes at nu = 1000 are past C_n^nu's range: 2.8e-12 relative to 40 digits,
+        # the cancellation of N_0's log-gammas
+        est = kernel_spectral(1000.0, 1.5, 1.6, 1e-3)
+        with mpmath.workdps(40):
+            assert abs(est.real / float(mp_kernel(1000.0, 1.5, 1.6, 1e-3, est.terms_used)) - 1.0) <= 5e-12
 
     def test_overflowing_profile_table_is_domain_error(self):
-        # the array recurrence overflows in numpy; the table check reports it, not a RuntimeWarning
-        with pytest.raises(DomainError, match="eigenfunction table"):
-            kernel_spectral_profile(150.0, 1.5, np.array([1e-3, 1.0]), 1e-4, TruncationPolicy(n_terms=3001))
+        # C_n^nu overflows at the node next to the wall; the recurrence on phi_n stays finite, and each value
+        # is the 40-digit sum (0 next to the wall, far below the float range in the bulk) to the profile's
+        # rounding floor (2e-16 in the bulk)
+        thetas = np.array([1e-3, 1.0])
+        profile = kernel_spectral_profile(150.0, 1.5, thetas, 1e-4, TruncationPolicy(n_terms=3001))
+        assert np.isfinite(profile).all() and profile[0] == 0.0
+        with mpmath.workdps(40):
+            for theta, value in zip(thetas, profile):
+                assert abs(value - float(mp_kernel(150.0, 1.5, theta, 1e-4, 3001))) <= 1e-13
 
     def test_boundary_angles_rejected(self):
         with pytest.raises(DomainError):

@@ -142,9 +142,13 @@ class TestOrthonormality:
                 check_orthonormality(2.0, nmax, gauss_legendre_on_0_pi(20))
 
     def test_overflowing_table_is_domain_error(self):
-        # C_n^nu(cos theta) leaves the float range at the outer nodes of the rule
-        with pytest.raises(DomainError, match="eigenfunction table"):
-            check_orthonormality(150.0, 3000, gauss_legendre_on_0_pi(200))
+        # C_n^nu(cos theta) leaves the float range at the outer nodes of the rule; the recurrence on phi_n
+        # stays finite (an inf or NaN in the table would reach the gram's maximum).  200 nodes resolve the
+        # first ~25 modes at nu = 150 (the rule must grow with nu), so the table's first 20 rows, bitwise its
+        # prefix, meet the gram tolerance; the rest is aliased
+        rule = gauss_legendre_on_0_pi(200)
+        assert math.isfinite(check_orthonormality(150.0, 3000, rule))
+        assert check_orthonormality(150.0, 19, rule) <= 1e-10
 
 
 class TestGaussianBesselLink:
@@ -193,7 +197,7 @@ class TestSemigroup:
         alone = [kernel_spectral_profile(2.7, theta, rule.nodes, lam) for theta, lam in legs]
         tables = []  # (modes, angles) of each table built
         table = spectral._eigenfunction_table
-        monkeypatch.setattr(spectral, "_eigenfunction_table", lambda log_norms, nu, thetas: tables.append((len(log_norms), len(thetas))) or table(log_norms, nu, thetas))
+        monkeypatch.setattr(spectral, "_eigenfunction_table", lambda nmax, nu, thetas: tables.append((nmax + 1, len(thetas))) or table(nmax, nu, thetas))
         shared = spectral._spectral_profiles(2.7, legs, rule.nodes, None)
         assert [list(map(repr, profile)) for profile in shared] == [list(map(repr, profile)) for profile in alone]
         lengths = [len(_mode_weights(2.7, [lam], None)[0][0]) for _, lam in legs]
@@ -206,14 +210,16 @@ class TestSemigroup:
 
     @pytest.mark.parametrize("lambda2", [3e-4, 1e-4])
     def test_a_refusal_is_the_first_refusing_legs(self, lambda2):
-        # at nu = 150 the first leg's table (lambda 1e-3, 1073 modes) leaves the float range by n = 1072.
-        # The shared table would refuse by n = 2390 at lambda2 = 3e-4, and the second leg's resolve would
-        # refuse before any table at 1e-4; the refusal raised is the first leg's, met on its own
-        rule = gauss_legendre_on_0_pi(160)
-        with pytest.raises(DomainError, match=r"^eigenfunction table: C_n\^nu\(cos theta\) leaves the float range by n = 1072 at nu = 150$"):
-            kernel_spectral_profile(150.0, 1.1, rule.nodes, 1e-3)
-        with pytest.raises(DomainError, match=r"^eigenfunction table: C_n\^nu\(cos theta\) leaves the float range by n = 1072 at nu = 150$"):
-            check_semigroup(150.0, 1e-3, lambda2, 1.1, 2.0, rule)
+        # at nu = 150 a cap of 1000 modes refuses each leg on its own (lambda 1e-3 needs 1073 modes), and
+        # the legs are resolved in order before any table is built: the refusal raised is the first leg's,
+        # in either order
+        rule, policy = gauss_legendre_on_0_pi(160), TruncationPolicy(n_cap=1000)
+        for lam in (1e-3, lambda2):
+            with pytest.raises(PolicyUnresolvableError, match=rf"^spectral tail below 1e-12 needs more than 1000 modes at nu=150, lambda={lam:g}$"):
+                kernel_spectral_profile(150.0, 1.1, rule.nodes, lam, policy)
+        for first, second in ((1e-3, lambda2), (lambda2, 1e-3)):
+            with pytest.raises(PolicyUnresolvableError, match=rf"^spectral tail below 1e-12 needs more than 1000 modes at nu=150, lambda={first:g}$"):
+                check_semigroup(150.0, first, second, 1.1, 2.0, rule, policy)
 
     def test_reference_compositions(self):
         rule = gauss_legendre_on_0_pi(160)
