@@ -9,7 +9,7 @@ against each other:
 * :mod:`boxkernel.pathsum`   -- reflection-path decompositions, including the
   coupling-dependent boundary phase
 
-plus :mod:`boxkernel.specfun` (the special functions underneath) and
+plus :mod:`boxkernel.specfun` (the scaled Bessel function underneath) and
 :mod:`boxkernel.verify` (quadrature, comparison harness, invariant suites).
 """
 

@@ -40,8 +40,8 @@ import numpy as np
 
 __all__ = ["DomainError", "PolicyUnresolvableError"]
 
-# The most terms one row holds: the modes of a spectral sum or an addition series, the degrees of a
-# Gegenbauer table.  At the default 1e-12 tail, 100,000 modes resolve lambda down to 1e-7 for
+# The most terms one row holds: the modes of a spectral sum, an eigenfunction row or an addition
+# series.  At the default 1e-12 tail, 100,000 modes resolve lambda down to 1e-7 for
 # nu <= 20 (87,009 modes at nu = 20); beyond that a single 160-node profile table already takes
 # 128 MB, so larger counts are input errors.
 _MAX_TERMS = 100_000
