@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--lambda", dest="lam", type=float, required=True)
     p_kernel.add_argument("--theta", type=float, required=True)
     p_kernel.add_argument("--theta-p", type=float, required=True)
-    p_kernel.add_argument("--method", required=True, help="spectral | closed-form | pathsum-nu1 | pathsum-nu2 | pathsum-general")
+    spellings = (method.replace("path_sum", "pathsum").replace("_", "-") for method in METHODS)  # as _parse_method reads them
+    p_kernel.add_argument("--method", required=True, help=" | ".join(spellings))
     _add_eval_flags(p_kernel)
     p_kernel.set_defaults(func=_cmd_kernel)
 

@@ -19,10 +19,9 @@ and trust its fields.  The exceptions, each with its reason:
 
 * ``verify.run_suites`` and ``verify._chain_devs`` call the public API by
   design: they verify it.
-* ``verify.evaluate_method`` and the comparison's private ``verify._mirrored``
-  and ``verify._chain_values`` check the method tag and a fixed coupling
-  (``verify._path_coupling``): the tag picks the kernel, and is refused where
-  it is met point by point.
+* ``verify.evaluate_method`` and each method of ``verify.compare_methods``
+  check the method tag and a fixed coupling once, through ``verify._route``:
+  the tag picks the kernel, and is refused where it is met point by point.
 * ``closedform._bessel_product`` and ``verify.check_gaussian_bessel_link``
   call ``specfun.bessel_i_scaled``: its refusals of an argument that is not
   positive and finite (``1 / lambda`` is inf at a subnormal lambda) and of a

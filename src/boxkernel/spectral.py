@@ -149,26 +149,25 @@ def _eigenfunction_table(nmax: int, nu: float, thetas) -> np.ndarray:
     xs, log_phi0 = np.cos(thetas), log_n0 + nu * np.log(np.sin(thetas))
     phi0 = np.exp(log_phi0)
     if len(xs) < _ARRAY_MIN_ANGLES:
-        table = []
-        for x, cur, log_cur in zip(xs.tolist(), phi0.tolist(), log_phi0.tolist()):
-            if cur < sys.float_info.min:
-                table.append(_rescaled_row(x, log_cur, steps))
-                continue
-            prev, row = 0.0, [cur]
-            append = row.append
-            for inv, ratio in steps:
-                prev, cur = cur, inv * x * cur - ratio * prev
-                append(cur)
-            table.append(row)
-        return np.array(table)
-    prev, cur, rows = np.zeros_like(xs), phi0, [phi0]
-    for inv, ratio in steps:
-        prev, cur = cur, inv * xs * cur - ratio * prev
-        rows.append(cur)
-    table = np.array(rows)
+        return np.array([
+            _rescaled_row(x, log_cur, steps) if cur < sys.float_info.min else _recurrence(x, cur, steps)
+            for x, cur, log_cur in zip(xs.tolist(), phi0.tolist(), log_phi0.tolist())
+        ])
+    table = np.array(_recurrence(xs, phi0, steps))
     for j in np.flatnonzero(phi0 < sys.float_info.min):
         table[:, j] = _rescaled_row(float(xs[j]), float(log_phi0[j]), steps)
     return table.T
+
+
+def _recurrence(x, cur, steps: list[tuple[float, float]]) -> list:
+    """:func:`_eigenfunction_table`'s recurrence from phi_0 = ``cur`` at cos theta = ``x``: phi_0 .. phi_N for one
+    angle, with ``x`` and ``cur`` floats, or one array per n for a vector of angles, by the same float steps."""
+    prev, row = 0.0, [cur]
+    append = row.append
+    for inv, ratio in steps:
+        prev, cur = cur, inv * x * cur - ratio * prev
+        append(cur)
+    return row
 
 
 def _rescaled_row(x: float, log_phi0: float, steps: list[tuple[float, float]]) -> list[float]:
@@ -251,6 +250,9 @@ def _mode_weights(nu: float, lambdas, policy: TruncationPolicy | None) -> list[t
     return [(np.exp(-lam * squares[:n_terms] / 2.0), tail) for lam, (n_terms, tail) in zip(lambdas, resolved)]
 
 
+# 256 keys: the grid sweeps' few per pass hit.  point-eval's 400 distinct spectral keys per pass cycle through it
+# with no hit; a memo of 400 or more would hit on every pass after the first only because that workload replays
+# the same operations, and would hold more memory.
 @functools.lru_cache(maxsize=256)
 def _resolve(nu: float, lam: float, policy: TruncationPolicy) -> tuple[int, float]:
     """The mode count N that ``policy`` keeps at (nu, lambda), and its tail bound: the first N of a
@@ -338,9 +340,9 @@ def kernel_spectral_profile(
 ) -> np.ndarray:
     """Spectral kernel from ``theta_a`` to each angle of ``thetas`` at once.
 
-    Shares one eigenfunction table across the whole profile; used by the
-    quadrature checks (semigroup composition) where thousands of kernel
-    values are needed along a fixed source angle.
+    Shares one eigenfunction table across the whole profile, where thousands
+    of kernel values are needed along a fixed source angle; the semigroup
+    check builds its profiles through the same core, :func:`_spectral_profiles`.
     """
     nu, theta_a, lam = require_nu(nu), require_theta(theta_a, "theta_a"), require_lambda(lam)
     thetas, policy = require_angles(thetas), require_instance(policy, TruncationPolicy, "policy", _DEFAULT_POLICY)

@@ -238,38 +238,23 @@ def evaluate_method(
 ) -> KernelEstimate:
     """Dispatch a kernel evaluation by method tag to the method's scalar kernel."""
     config = require_instance(config, EvalConfig, "config", _DEFAULT_CONFIG)
-    if not isinstance(method, str):  # refused before it is compared: a numpy array compares elementwise
-        raise _unknown_method(method)
+    coupling = _route(method, nu)
     if method == "spectral":
         return kernel_spectral(nu, theta, theta_p, lam, config.policy)
     if method == "closed_form":
         return kernel_closed(nu, theta, theta_p, lam)
-    return _point_estimate(_path_coupling(method, nu), method, theta, theta_p, lam, config.path)
+    return _point_estimate(coupling, method, theta, theta_p, lam, config.path)
 
 
-def _unknown_method(method) -> DomainError:
-    """The refusal of a method tag that is not one of ``METHODS``."""
-    return DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def _path_coupling(method: str, nu: float) -> float:
-    """The coupling of the path sum ``method``, a ``str``: ``nu``, or a fixed coupling, which refuses any other ``nu``."""
-    if method not in ("path_sum_nu1", "path_sum_nu2", "path_sum_general"):  # compared, not looked up: a list is refused too
-        raise _unknown_method(method)
+def _route(method, nu) -> float:
+    """The coupling that the route ``method`` runs at: ``nu``, or a path sum's fixed coupling, which refuses any
+    other ``nu``.  A tag that is not a ``str`` of ``METHODS`` is refused before it is compared or hashed (a numpy
+    array compares elementwise, a list is unhashable)."""
+    if not isinstance(method, str) or method not in METHODS:
+        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
     if method in _FIXED_COUPLING and nu != _FIXED_COUPLING[method]:
         raise DomainError(f"{method} is defined at nu = {_FIXED_COUPLING[method]:g} only")
     return _FIXED_COUPLING.get(method, nu)
-
-
-def _mirrored(method: str, nu: float, config: EvalConfig) -> bool:
-    """Whether the values of ``method`` are bitwise symmetric in (theta, theta'), as the kernel is; a tag that
-    is not one of ``METHODS`` is refused here, where the comparison meets it.  The symmetric routes are the
-    spectral sum (it forms ``phi_n(a) phi_n(b)`` first), the closed form (it takes ``|theta - theta'|``) and a
-    path sum where ``pathsum._symmetric`` holds at its coupling: under prescription B, and under A wherever
-    2 nu is an integer; elsewhere A's even phases exp(2 k nu pi i) leave the imaginary part asymmetric."""
-    if not isinstance(method, str):  # refused before it is compared: a numpy array compares elementwise
-        raise _unknown_method(method)
-    return method in ("spectral", "closed_form") or _symmetric(_path_coupling(method, nu), config.path.prescription)
 
 
 def _dedupe(pairs, mirrored: bool) -> tuple[list, list[int]]:
@@ -286,18 +271,15 @@ def _dedupe(pairs, mirrored: bool) -> tuple[list, list[int]]:
 
 def _evaluate_chain(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> np.ndarray:
     """The values of ``method`` at every (theta, theta_p) of ``pairs`` and every lambda of ``lambdas``,
-    lambda-major, from checked arguments, as one complex array (:func:`compare_methods` gives it each
-    distinct pair once)."""
-    return np.array(_chain_values(method, nu, pairs, lambdas, config), dtype=complex)
-
-
-def _chain_values(method: str, nu: float, pairs, lambdas, config: EvalConfig) -> list:
-    """:func:`_evaluate_chain`'s values as the method's chain core gives them: floats, or complex."""
+    lambda-major, as one complex array: the one dispatch to the chain cores, from checked arguments and
+    the coupling ``nu`` of :func:`_route` (:func:`compare_methods` gives it each distinct pair once)."""
     if method == "spectral":
-        return [value for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
-    if method == "closed_form":
-        return _closed_chain(nu, pairs, lambdas)
-    return _pathsum_chain(_path_coupling(method, nu), pairs, lambdas, config.path)
+        values = [value for _, _, values in _spectral_chain(nu, pairs, lambdas, config.policy) for value in values]
+    elif method == "closed_form":
+        values = _closed_chain(nu, pairs, lambdas)
+    else:
+        values = _pathsum_chain(nu, pairs, lambdas, config.path)
+    return np.array(values, dtype=complex)
 
 
 def _collection(values, name: str, of: str) -> tuple:
@@ -361,10 +343,9 @@ def compare_methods(
     refused with ``DomainError``.  Each method then evaluates each distinct
     pair once through its chain core (:func:`_evaluate_chain`), over the whole
     chain, ``method_a`` before ``method_b``: one plan of distinct pairs per
-    symmetry class (:func:`_mirrored`, :func:`_dedupe`), built when the first
-    method of the class runs.  The values are bitwise those of the scalar
-    kernels, which are the same cores at one point, and one index expands
-    them to the report's rows.
+    symmetry class (:func:`_dedupe`), built when the first method of the class
+    runs.  The values are bitwise those of the scalar kernels, which are the
+    same cores at one point, and one index expands them to the report's rows.
 
     Of the refusals met in evaluation, the one raised is the one met first
     point by point: lambda by lambda in chain order, ``method_a`` over the
@@ -384,11 +365,15 @@ def compare_methods(
     plans = {}  # per symmetry class, (distinct pairs, each pair's slot among them)
 
     def evaluate(method: str, lambdas) -> tuple:
-        mirrored = _mirrored(method, nu, config)
+        coupling = _route(method, nu)
+        # the routes whose values are bitwise symmetric in (theta, theta'), as the kernel is: the spectral sum
+        # (it forms phi_n(a) phi_n(b) first), the closed form (it takes |theta - theta'|) and a path sum where
+        # pathsum._symmetric holds at its coupling (under B, and under A wherever 2 nu is an integer)
+        mirrored = method in ("spectral", "closed_form") or _symmetric(coupling, config.path.prescription)
         if mirrored not in plans:
             plans[mirrored] = _dedupe(pairs, mirrored)
         distinct, order = plans[mirrored]
-        return _evaluate_chain(method, nu, distinct, lambdas, config), order
+        return _evaluate_chain(method, coupling, distinct, lambdas, config), order
 
     try:
         evaluated = [evaluate(method, lambda_chain) for method in (method_a, method_b)]

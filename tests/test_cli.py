@@ -486,6 +486,17 @@ class TestOutputPath:
         assert (code, out) == (EXIT_USAGE, "") and not path.parent.exists()
         assert err == f"usage error: cannot write --output-path {path}: {os.strerror(errno.ENOENT)}\n"
 
+    def test_a_failing_stdout_propagates(self, capsys, monkeypatch):
+        # an OSError without --output-path is not the file's: no exit 2 and no usage error, the error propagates
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["kernel", "--nu", "1", "--lambda", "0.5", "--theta", "1", "--theta-p", "2", "--method", "spectral"])
+        assert capsys.readouterr().err == ""
+
 
 class TestDefaults:
     REQUIRED = {

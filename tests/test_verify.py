@@ -592,8 +592,8 @@ class TestCompareMethods:
         methods = ["spectral", "closed_form", "path_sum_general"] + {1.0: ["path_sum_nu1"], 2.0: ["path_sum_nu2"]}.get(nu, [])
         mirrored = set(methods) - ({"path_sum_general"} if prescription == "A" and nu == 1.3 else set())
         evaluated = []
-        chain_values = verify._chain_values
-        monkeypatch.setattr(verify, "_chain_values", lambda method, nu, pairs, *args: evaluated.append((method, len(pairs))) or chain_values(method, nu, pairs, *args))
+        evaluate_chain = verify._evaluate_chain
+        monkeypatch.setattr(verify, "_evaluate_chain", lambda method, nu, pairs, *args: evaluated.append((method, len(pairs))) or evaluate_chain(method, nu, pairs, *args))
         chains = ([0.3], [0.5, 0.2, 0.1, 0.05, 0.02])
         # the long grid along the long chain reaches the array sum, at one lambda it does not
         assert len(base) * len(chains[1]) >= pathsum._ARRAY_MIN_POINTS > 11 * len(chains[0])
