@@ -52,7 +52,7 @@ def _parse_chain(text: str) -> list[float]:
         raise DomainError(f"--lambda-chain must be comma-separated floats: {exc}") from None
     if not chain:
         raise DomainError("--lambda-chain is empty")
-    return chain
+    return [require_lambda(lam, "--lambda-chain") for lam in chain]
 
 
 def _refuse(exc: DomainError | PolicyUnresolvableError, where: str = "") -> int:
@@ -91,20 +91,24 @@ def _add_eval_flags(sub) -> None:
 
 
 def _grid_points(args) -> list[tuple[float, float]]:
-    if args.grid_n is not None:
-        if args.grid_n < 1:
-            raise DomainError("--grid-n must be >= 1")
-        if args.grid_n ** 2 > _MAX_TERMS:  # the N^2 pairs are built as a list before anything is evaluated
-            raise DomainError(f"--grid-n must be at most {math.isqrt(_MAX_TERMS)} ({_MAX_TERMS} pairs), got {args.grid_n}")
-        margin = args.grid_margin
-        if not (0.0 < margin < math.pi / 2.0):
-            raise DomainError("--grid-margin must lie in (0, pi/2)")
-        step = (math.pi - 2.0 * margin) / (args.grid_n - 1) if args.grid_n > 1 else 0.0
-        axis = [margin + i * step for i in range(args.grid_n)]
-        return [(a, b) for a in axis for b in axis]
-    if args.theta is None or args.theta_p is None:
+    """The pairs of the flags: a ``--grid-n`` grid, built strictly inside (0, pi), whose angles the library checks
+    once, or the point of ``--theta`` and ``--theta-p``, checked under the flags' names."""
+    if args.grid_n is None and args.theta is not None and args.theta_p is not None:
+        return [(require_theta(args.theta, "--theta/--grid-n"), require_theta(args.theta_p, "--theta-p/--grid-n"))]
+    if args.grid_n is None or args.theta is not None or args.theta_p is not None:
         raise DomainError("provide either --grid-n or both --theta and --theta-p")
-    return [(args.theta, args.theta_p)]
+    if args.grid_n < 1:
+        raise DomainError("--grid-n must be >= 1")
+    if args.grid_n ** 2 > _MAX_TERMS:  # the N^2 pairs are built as a list before anything is evaluated
+        raise DomainError(f"--grid-n must be at most {math.isqrt(_MAX_TERMS)} ({_MAX_TERMS} pairs), got {args.grid_n}")
+    margin = args.grid_margin
+    if not (0.0 < margin < math.pi / 2.0):
+        raise DomainError("--grid-margin must lie in (0, pi/2)")
+    step = (math.pi - 2.0 * margin) / (args.grid_n - 1) if args.grid_n > 1 else 0.0
+    axis = [margin + i * step for i in range(args.grid_n)]  # increasing from margin > 0
+    if not axis[-1] < math.pi:  # a margin below ~1e-15, whose last angle rounds onto pi
+        raise DomainError(f"--grid-margin {margin!r} puts the last of {args.grid_n} grid angles on pi")
+    return [(a, b) for a in axis for b in axis]
 
 
 def _cmd_kernel(args) -> int:
@@ -157,12 +161,8 @@ def _run_comparison(args):
     methods = [_parse_method(m) for m in args.methods.split(",") if m.strip()]
     if len(methods) != 2:
         raise DomainError("--methods needs exactly two comma-separated method tags")
-    chain = [require_lambda(l, "--lambda-chain") for l in _parse_chain(args.lambda_chain)]
-    grid = [
-        (require_theta(a, "--theta/--grid-n"), require_theta(b, "--theta-p/--grid-n"))
-        for a, b in _grid_points(args)
-    ]
-    return compare_methods(nu, grid, chain, methods[0], methods[1], _eval_config(args))
+    chain = _parse_chain(args.lambda_chain)
+    return compare_methods(nu, _grid_points(args), chain, methods[0], methods[1], _eval_config(args))
 
 
 def _cmd_compare(args) -> int:

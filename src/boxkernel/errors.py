@@ -30,6 +30,8 @@ and trust its fields.  The exceptions, each with its reason:
 
 The command line is a caller of the library, not a layer of it: it checks
 each flag under the flag's own name before it calls the public entry points.
+Values that it builds from flags (the ``--grid-n`` grid) are built inside the
+domain and checked once, by the library.
 """
 
 import math

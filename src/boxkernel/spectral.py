@@ -119,8 +119,9 @@ def _require_norm_range(nu: float) -> None:
 
 def eigenfunctions(nmax: int, nu: float, theta: float) -> np.ndarray:
     """The orthonormal eigenfunctions phi_0(theta) .. phi_nmax(theta), in one recurrence pass
-    (:func:`_eigenfunction_table`).  Each |phi_n| is at most sqrt(n + nu) for nu >= 1 (Agmon's
-    inequality), so no step leaves the float range; a row longer than ``_MAX_TERMS`` is refused."""
+    (:func:`_eigenfunction_table`).  Each |phi_n| is at most sqrt(n + nu) for nu >= 1/2 (Agmon's and, below
+    nu = 1, Szego's inequality: docs/tail_bound.md), so no step leaves the float range; a row longer than
+    ``_MAX_TERMS`` is refused."""
     nu = require_nu(nu)
     theta = require_theta(theta)
     nmax = require_index(nmax, 0, "nmax must be nonnegative", _MAX_TERMS - 1)
@@ -133,7 +134,7 @@ def _eigenfunction_table(nmax: int, nu: float, thetas) -> np.ndarray:
 
     The recurrence of the orthonormal Gegenbauer functions (DLMF 18.9.1) on phi_n itself: phi_0 = N_0 sin^nu theta
     and phi_{n+1} = (cos theta phi_n - a_n phi_{n-1}) / a_{n+1}, a_0 = 0, a_n = sqrt(n (n + 2nu - 1) / (4 (n + nu)
-    (n + nu - 1))).  |phi_n| <= sqrt(n + nu) for nu >= 1 (Agmon's inequality), so no step overflows.  The
+    (n + nu - 1))).  |phi_n| <= sqrt(n + nu) for nu >= 1/2 (docs/tail_bound.md), so no step overflows.  The
     coefficients 1 / a_{n+1} and a_n / a_{n+1} are built elementwise, so a shorter table is bitwise the prefix of a
     longer one.  Below ``_ARRAY_MIN_ANGLES`` angles each row is a scalar recurrence, else the rows are one array
     recurrence, bitwise equal, whose table is the transpose of the C-ordered (modes, angles) matrix the quadrature
@@ -340,9 +341,9 @@ def kernel_spectral_profile(
 ) -> np.ndarray:
     """Spectral kernel from ``theta_a`` to each angle of ``thetas`` at once.
 
-    Shares one eigenfunction table across the whole profile, where thousands
-    of kernel values are needed along a fixed source angle; the semigroup
-    check builds its profiles through the same core, :func:`_spectral_profiles`.
+    One eigenfunction table, the source angle's row and then one per angle of ``thetas``,
+    serves the whole profile; the semigroup check builds its profiles through the same
+    core, :func:`_spectral_profiles`.
     """
     nu, theta_a, lam = require_nu(nu), require_theta(theta_a, "theta_a"), require_lambda(lam)
     thetas, policy = require_angles(thetas), require_instance(policy, TruncationPolicy, "policy", _DEFAULT_POLICY)
@@ -352,14 +353,11 @@ def kernel_spectral_profile(
 
 def _spectral_profiles(nu: float, legs, thetas: np.ndarray, policy: TruncationPolicy | None) -> list[np.ndarray]:
     """:func:`kernel_spectral_profile` on checked arguments, per (theta_a, lambda) of ``legs``: the profiles
-    of ``verify.check_semigroup``.  One node table, at the longest leg's N, serves every leg through its
-    prefix, bitwise a table of the leg's own length.  The legs are resolved in order before any table is
-    built, which cannot refuse, so a refusal is the first refusing leg's."""
+    of ``verify.check_semigroup``.  One table at the longest leg's N holds the legs' source rows, then the node
+    rows; each leg takes its prefix of them, bitwise a table of the leg's own length.  The legs are resolved in
+    order before the table is built, which cannot refuse, so a refusal is the first refusing leg's."""
     weights = [w for w, _ in _mode_weights(nu, [lam for _, lam in legs], policy)]
     n_max = max(map(len, weights))
-    nodes = np.ascontiguousarray(_eigenfunction_table(n_max - 1, nu, np.atleast_1d(thetas)).T).reshape((n_max,) + thetas.shape)
-    profiles = []
-    for (theta_a, _), w in zip(legs, weights):
-        [fa] = _eigenfunction_table(len(w) - 1, nu, [theta_a])
-        profiles.append((w * fa) @ nodes[:len(w)])
-    return profiles
+    table = _eigenfunction_table(n_max - 1, nu, [theta_a for theta_a, _ in legs] + np.atleast_1d(thetas).tolist())
+    nodes = np.ascontiguousarray(table[len(legs):].T).reshape((n_max,) + thetas.shape)
+    return [(w * fa[:len(w)]) @ nodes[:len(w)] for w, fa in zip(weights, table)]

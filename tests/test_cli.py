@@ -152,6 +152,13 @@ class TestCompareCommand:
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 1 + 9
 
+    def test_grid_angles_are_checked_once(self, capsys, check_calls):
+        # the CLI builds the grid inside (0, pi) from its checked flags, and compare_methods checks the two angles
+        # of each of the 9 pairs once: 18 calls, where the CLI checking them first made 36
+        code, _, _ = run_cli(capsys, "compare", "--nu", "1", "--methods", "spectral,pathsum-nu1", "--lambda-chain", "0.5", "--grid-n", "3")
+        assert code == EXIT_OK
+        assert check_calls["require_theta"] == 18
+
     def test_non_halving_chain_prints_no_ratios(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--nu", "2", "--methods", "spectral,pathsum-nu2",
@@ -453,11 +460,30 @@ class TestUsageErrors:
         (("--lambda-chain", "0.4", "--grid-n", "2", "--grid-margin", "1.6"), "--grid-margin must lie in (0, pi/2)"),
         (("--lambda-chain", "0.4", "--theta", "1"), "provide either --grid-n or both --theta and --theta-p"),
         (("--lambda-chain", "0.4"), "provide either --grid-n or both --theta and --theta-p"),
+        # the grid was used and the angle dropped without a word
+        (("--lambda-chain", "0.4", "--grid-n", "2", "--theta", "1"), "provide either --grid-n or both --theta and --theta-p"),
+        (("--lambda-chain", "0.4", "--grid-n", "2", "--theta-p", "1"), "provide either --grid-n or both --theta and --theta-p"),
     ])
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     def test_malformed_grid_or_chain_is_exit_3(self, capsys, command, argv, message):
         code, out, err = run_cli(capsys, command, *self.BASE, *argv)
         assert (code, out, err) == (EXIT_DOMAIN, "", f"domain error: {message}\n")
+
+    @pytest.mark.parametrize("margin, grid_n", [("5e-324", 3), ("1e-300", 3), ("1e-17", 3), ("5e-16", 100)])
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_a_margin_whose_last_angle_rounds_onto_pi_is_exit_3(self, capsys, command, margin, grid_n):
+        # margin + (N - 1) step rounds onto pi; the refusal was "--theta-p/--grid-n must lie strictly inside (0, pi),
+        # got 3.141592653589793", naming a flag that was not given
+        code, out, err = run_cli(capsys, command, *self.BASE, "--lambda-chain", "0.4", "--grid-n", str(grid_n), "--grid-margin", margin)
+        assert (code, out, err) == (EXIT_DOMAIN, "", f"domain error: --grid-margin {float(margin)!r} puts the last of {grid_n} grid angles on pi\n")
+
+    @pytest.mark.parametrize("margin", ["5e-16", "1e-15"])
+    def test_a_margin_whose_last_angle_stays_below_pi_builds_a_grid(self, capsys, margin):
+        # at --grid-n 3 the last angle of 5e-16 is 3.1415926535897927, one ulp below pi
+        code, out, err = run_cli(capsys, "compare", *self.BASE, "--lambda-chain", "0.4", "--grid-n", "3", "--grid-margin", margin, "--output", "csv")
+        angles = {float(theta) for line in out.splitlines()[1:] for theta in line.split(",")[:2]}
+        assert (code, err, len(out.splitlines())) == (EXIT_OK, "", 1 + 9)
+        assert len(angles) == 3 and 0.0 < min(angles) and max(angles) < math.pi
 
     @pytest.mark.parametrize("methods", ["spectral", "spectral,closed,pathsum-nu1", ","])
     def test_methods_need_exactly_two_tags(self, capsys, methods):

@@ -13,6 +13,7 @@ the opposite sign on that exponent, see the convergence notes.)
 
 import bisect
 import math
+import sys
 import warnings
 
 import mpmath
@@ -191,6 +192,28 @@ class TestAdditionFormula:
             rhs = addition_formula_rhs(nu, theta, theta_p, lam)
             assert abs(lhs - rhs) <= 1e-10 * rhs + 1e-300, (nu, theta, theta_p, lam, lhs, rhs)
         assert refused == 0
+
+    def test_relative_accuracy_near_a_wall(self):
+        # the series stops at 2^-60 of its first term's envelope, an absolute target; near a wall, at large
+        # nu, the value is hundreds of orders below that envelope and still matches the product side to
+        # ~1e-12 of itself (6.7e-13 at worst), only because the envelope C_n^nu(1) is loose there: with
+        # (m + nu) in place of (A_m / A_0)^2 in the length bound, 59 of these 61 points failed (0.0 against
+        # 6.4e-291 at nu = 186).  A sharper envelope needs a stopping rule relative to the value
+        rng = np.random.default_rng(16)
+        checked = 0
+        for i in range(200):
+            nu = math.exp(rng.uniform(math.log(20.0), math.log(1e4)))
+            theta = math.exp(rng.uniform(math.log(1e-3), math.log(0.3)))
+            theta_p = theta * math.exp(rng.uniform(-0.5, 0.5))
+            if i % 2:
+                theta, theta_p = math.pi - theta, math.pi - theta_p
+            lam = math.exp(rng.uniform(math.log(5e-4), math.log(0.05)))
+            rhs = addition_formula_rhs(nu, theta, theta_p, lam)
+            if sys.float_info.min <= rhs < math.inf:
+                lhs = addition_formula_lhs(nu, theta, theta_p, lam)
+                assert abs(lhs - rhs) <= 1e-10 * rhs, (nu, theta, theta_p, lam, lhs, rhs)
+                checked += 1
+        assert checked >= 40
 
 
 class TestAdditionSeriesLength:

@@ -118,14 +118,14 @@ class TestEigenfunction:
                         assert err <= 2e-13 * math.sqrt(n + nu), (nu, theta, n, err)
 
     def test_norms_are_built_once_per_block(self, monkeypatch):
-        # one table per call: a row per distinct angle of a chain, and the node table and the source row of a profile
+        # one table per call: a row per distinct angle of a chain, and a profile's source row followed by its node rows
         calls = []
         table = spectral._eigenfunction_table
         monkeypatch.setattr(spectral, "_eigenfunction_table", lambda nmax, nu, thetas: calls.append((nmax, len(thetas))) or table(nmax, nu, thetas))
         _spectral_chain(2.5, [(0.4, 1.1), (1.1, 2.0), (2.0, 0.4)], [0.05], None)
         kernel_spectral_profile(2.5, 0.4, np.array([1.1, 2.0]), 0.05)
         n_terms = len(_mode_weights(2.5, [0.05], None)[0][0])
-        assert calls == [(n_terms - 1, 3), (n_terms - 1, 2), (n_terms - 1, 1)]
+        assert calls == [(n_terms - 1, 3), (n_terms - 1, 3)]
 
     def test_norms_refuse_past_their_accurate_range(self, monkeypatch):
         # N_0's log error grows like eps * lgamma(2 nu): ~1e-11 up to nu = 1e4, orders of magnitude at 1e15.

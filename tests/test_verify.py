@@ -190,8 +190,9 @@ class TestGaussianBesselLink:
 
 class TestSemigroup:
     def test_legs_share_one_node_table(self, monkeypatch):
-        # the legs resolve N = 14 and 8 modes (nu = 2.7, lambda 0.3 and 0.7): one node table at the longer N
-        # serves both, and each leg's profile is bitwise the one it gets on its own
+        # the legs resolve N = 14 and 8 modes (nu = 2.7, lambda 0.3 and 0.7): one table at the longer N, the
+        # legs' source rows and then the node rows, serves both, and each leg's profile is bitwise the one it
+        # gets on its own
         rule = gauss_legendre_on_0_pi(160)
         legs = [(1.1, 0.3), (2.0, 0.7)]
         alone = [kernel_spectral_profile(2.7, theta, rule.nodes, lam) for theta, lam in legs]
@@ -201,12 +202,20 @@ class TestSemigroup:
         shared = spectral._spectral_profiles(2.7, legs, rule.nodes, None)
         assert [list(map(repr, profile)) for profile in shared] == [list(map(repr, profile)) for profile in alone]
         lengths = [len(_mode_weights(2.7, [lam], None)[0][0]) for _, lam in legs]
-        # one node table at the longer leg's N, then each leg's source row at the leg's own N
-        assert tables == [(max(lengths), len(rule.nodes))] + [(n, 1) for n in lengths]
+        # one table at the longer leg's N, over the 2 source angles and the 160 nodes
+        assert tables == [(max(lengths), 162)]
         assert len(set(lengths)) == 2
         direct = kernel_spectral(2.7, 1.1, 2.0, 0.3 + 0.7).real
         composed = float(np.sum(rule.weights * alone[0] * alone[1]))
         assert check_semigroup(2.7, 0.3, 0.7, 1.1, 2.0, rule) == abs(composed - direct) / abs(direct)
+
+    def test_two_tables_per_check(self, monkeypatch):
+        # one table for both legs' profiles and one for the direct kernel; each leg built its own source row besides
+        tables = []
+        table = spectral._eigenfunction_table
+        monkeypatch.setattr(spectral, "_eigenfunction_table", lambda nmax, nu, thetas: tables.append(len(thetas)) or table(nmax, nu, thetas))
+        check_semigroup(2.7, 0.3, 0.7, 1.1, 2.0, gauss_legendre_on_0_pi(160))
+        assert tables == [162, 2]
 
     @pytest.mark.parametrize("lambda2", [3e-4, 1e-4])
     def test_a_refusal_is_the_first_refusing_legs(self, lambda2):
